@@ -14,7 +14,9 @@ Conventions: data on stdout, diagnostics on stderr; CSV has a mandatory
 header (`k,re,im` for coefficients, `x,u,F` for curves); floats carry 17
 significant digits and round-trip exactly; `--format json` wraps the payload
 in a record with schema_version "1".  Exit codes: 0 ok, 1 verification
-failure, 2 usage error, 3 degree-cap/resource error.
+failure, 2 usage error or degenerate parameters (a closed formula that is
+singular at the exact parameter values given, reported as one `error:` line),
+3 degree-cap/resource error.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import sys
 import numpy as np
 
 from .asymptotics import density_curve
+from .numerics import DegenerateParameters
 from .operators import lowering_check, ode_coeffs, ode_residual, raising_check
 from .orthogonality import verify_type1
 from .polynomials import (
@@ -446,7 +449,10 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 2 on usage errors already
         return int(e.code) if e.code is not None else _EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DegenerateParameters as e:
+        return _usage_fail(f"degenerate parameters: {e}")
 
 
 if __name__ == "__main__":

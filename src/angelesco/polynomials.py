@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 from .numerics import (
@@ -42,6 +43,7 @@ __all__ = [
     "TypeIVector",
     "Constants",
     "base_poly",
+    "base_coeffs_mp",
     "shifted_base_poly",
     "leading_coefficient",
     "normalization_constants",
@@ -203,6 +205,27 @@ def base_poly(n, params):
     _check_cap(n)
     r, a, b = params.r, params.alpha, params.beta
     return Poly([_base_coef(n, t, r, a, b) for t in range(n + 1)])
+
+
+def base_coeffs_mp(n, params):
+    """Coefficients c_0..c_n of p_n as mpmath numbers, evaluated from the
+    closed form at the caller's working precision (``mp.workdps``).
+
+    This is the one extended-precision copy of the formula; the zero finder
+    and the extended ODE check both build on it.
+    """
+    r = params.r
+    a = mp.mpf(params.alpha)
+    b = mp.mpf(params.beta)
+    out = []
+    for k in range(n + 1):
+        v = (
+            mp.binomial(n, k)
+            * mp.gamma(n + a + (b + k) / r + 1)
+            / (mp.gamma(n + a + 1) * mp.gamma((b + k) / r + 1))
+        )
+        out.append(v if (n - k) % 2 == 0 else -v)
+    return out
 
 
 def shifted_base_poly(n, params):
@@ -367,6 +390,10 @@ def type1_down(n, k, params):
     r, a, b = params.r, params.alpha, params.beta
     if not 1 <= k <= r:
         raise ValueError(f"ray k must be in 1..{r}")
+    tag = MultiIndexTag(n, "minus", k)
+    if n == 1 and r == 1:
+        # empty multi-index: the zero vector, whose normalizer would be singular
+        return TypeIVector(params, tag, [Poly(np.zeros(1))])
 
     db = r * n + r * a + b - 1.0
     t1 = np.empty(n)  # nu^(beta) coef_t(p_(n-1); beta-1) / gamma, fused
@@ -404,11 +431,8 @@ def type1_down(n, k, params):
         wj = root_of_unity(r, j - 1)
         wk = root_of_unity(r, k - 1)
         phases = np.array([root_of_unity(r, (-j + 1) * t) for t in range(n)])
-        coeffs = phases * (wj * t1 - wk * t2)
-        if n == 1 and r == 1:
-            coeffs = np.zeros(1)  # empty multi-index: the zero vector
-        polys.append(Poly(coeffs))
-    return TypeIVector(params, MultiIndexTag(n, "minus", k), polys)
+        polys.append(Poly(phases * (wj * t1 - wk * t2)))
+    return TypeIVector(params, tag, polys)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,22 @@ def test_family_k_validation():
     assert code == 2
 
 
+def test_empty_minus_index_is_zero_vector():
+    code, out = run_cli(["coeffs", "--r", "1", "--alpha", "-0.5", "--beta", "-0.5",
+                         "--n", "1", "--family", "down", "--k", "1"])
+    assert code == 0
+    assert out.strip().splitlines() == ["ray,k,re,im", "1,0,0,0"]
+
+
+def test_degenerate_parameters_exit_2(capsys):
+    code, out = run_cli(["coeffs", "--r", "1", "--alpha", "-0.5", "--beta", "-0.5",
+                         "--n", "0", "--family", "base"])
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_degree_cap_exits_3():
     code, _ = run_cli(["coeffs", "--r", "2", "--n", "99", "--family", "base"])
     assert code == 3

@@ -126,6 +126,20 @@ def test_ode_residual_sensitivity():
     assert dirty >= 1e2 * max(clean, 1e-300)
 
 
+@pytest.mark.parametrize("n", [12, 20])
+def test_ode_residual_sensitivity_extended(n):
+    # past n = 9 the check runs in mpmath; it must still test the
+    # coefficients it is handed, not rebuild them from the formula
+    import dataclasses
+
+    spec = ode_coeffs(n, Params(2, 0.0, 0.0))
+    assert ode_residual(spec) <= 1e-8
+    dirty = ode_residual(
+        dataclasses.replace(spec, c=(spec.c[0], spec.c[1] * (1 + 1e-6)) + spec.c[2:])
+    )
+    assert dirty > 1e-8
+
+
 def test_ode_r1_shape():
     # r=1 collapses to the hypergeometric-type second-order operator
     spec = ode_coeffs(4, Params(1, 0.0, 0.0))

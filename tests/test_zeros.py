@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,3 +151,35 @@ def test_rotated_entry_zeros_are_rotations():
     scale = float(np.abs(np.asarray(entry.coeffs, dtype=complex)).max())
     for x in zs.zeros:
         assert abs(poly_eval(entry, w * float(x))) <= 1e-9 * scale
+
+
+def _closed_form_mp(n, r, a, b):
+    # the paper's closed form for p_n, written out independently of the library
+    a, b = mp.mpf(a), mp.mpf(b)
+    return [
+        (-1) ** (n - k)
+        * mp.binomial(n, k)
+        * mp.gamma(n + a + (b + k) / r + 1)
+        / (mp.gamma(n + a + 1) * mp.gamma((b + k) / r + 1))
+        for k in range(n + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [13, 60])
+@pytest.mark.parametrize("r, a, b", [(1, 0.0, 0.0), (3, 0.7, -0.5), (5, 2.0, 2.0)])
+def test_extended_zeros_correctly_rounded(n, r, a, b):
+    # p_n changes sign between the midpoints to the neighbouring doubles, so
+    # each reported zero is the double nearest the true one; the residual is
+    # that of the reported double itself
+    zs = find_zeros(n, Params(r, a, b))
+    with mp.workdps(160):
+        c = _closed_form_mp(n, r, a, b)
+        crev = c[::-1]
+        absrev = [abs(v) for v in crev]
+        for x, res in zip(zs.zeros, zs.residuals):
+            x = float(x)
+            lo = (mp.mpf(math.nextafter(x, 0.0)) + x) / 2
+            hi = (mp.mpf(x) + math.nextafter(x, 1.0)) / 2
+            assert mp.polyval(crev, lo) * mp.polyval(crev, hi) < 0
+            want = abs(mp.polyval(crev, mp.mpf(x))) / mp.polyval(absrev, mp.mpf(x))
+            assert res == pytest.approx(float(want), rel=1e-9, abs=0.0)
