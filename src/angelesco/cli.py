@@ -392,7 +392,7 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, beta_too=True):
+    def add_common(p):
         p.add_argument("--r", type=int, required=True, help="ray count, >= 1")
         p.add_argument("--alpha", type=float, default=0.0)
         p.add_argument("--beta", type=float, default=0.0)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .numerics import pochhammer
-from .poly import Poly, poly_eval
-from .polynomials import Params, base_coeffs_mp, base_poly
+from .poly import Poly, identity_residual, padded_coeffs
+from .polynomials import Params, base_poly
 
 __all__ = [
     "lowering_check",
@@ -142,67 +141,27 @@ def ode_coeffs(n, params):
     return OdeSpec(n, params, tuple(c))
 
 
-def ode_residual(spec, sample_points=None):
-    """Max normalized residual of the ODE applied to p_n over sample points.
+def ode_residual(spec):
+    """Max normalized residual of the ODE applied to p_n, checked as a
+    polynomial identity on coefficients.
 
-    Derivatives are taken exactly on the coefficient representation; the
-    residual at each point is divided by the magnitude of its largest single
-    term, since near zeros of p_n the raw left-hand side is a difference of
-    large terms.  That same cancellation amplifies coefficient rounding
-    exponentially in n, so past n = 9 p_n and its derivatives are taken in
-    extended precision from the closed form while the ODE coefficients stay
-    the doubles ``spec.c`` as handed in: the residual then measures those
-    coefficients, not double-precision construction noise in p_n.
+    p_n is ``base_poly(n)``; its derivatives are taken exactly on the
+    coefficient representation, and the ODE coefficients are the doubles
+    ``spec.c`` as handed in.  The terms x(1-x^r) y^(r+1), (r+beta) y^(r)
+    and c_k x^k y^(k) are coefficient vectors; at each coefficient index
+    the magnitude of their sum is divided by the largest term there, and
+    the worst ratio over indices is returned.
     """
     params, n = spec.params, spec.n
     r, b = params.r, params.beta
-    if sample_points is None:
-        sample_points = np.linspace(0.05, 0.95, 32)
-    if n > 9:
-        return _ode_residual_mp(spec, sample_points)
-
-    derivs = [base_poly(n, params)]
+    size = n + 1  # every term has degree <= n
+    derivs = [base_poly(n, params).coeffs]
     for _ in range(r + 1):
-        derivs.append(derivs[-1].derivative())
-
-    worst = 0.0
-    for x in sample_points:
-        x = float(x)
-        terms = [
-            x * (1.0 - x**r) * poly_eval(derivs[r + 1], x),
-            (r + b) * poly_eval(derivs[r], x),
-        ]
-        terms.extend(spec.c[k] * x**k * poly_eval(derivs[k], x) for k in range(r + 1))
-        num = abs(math.fsum(terms))
-        den = max(abs(t) for t in terms)
-        if den > 0.0:
-            worst = max(worst, num / den)
-    return worst
-
-
-def _ode_residual_mp(spec, sample_points):
-    params, n = spec.params, spec.n
-    r = params.r
-    with mp.workdps(30 + int(1.2 * n)):
-        b = mp.mpf(params.beta)
-        derivs = [base_coeffs_mp(n, params)]
-        for _ in range(r + 1):
-            last = derivs[-1]
-            derivs.append([last[k] * k for k in range(1, len(last))] or [mp.mpf(0)])
-        # the coefficients under test, taken exactly as given
-        cs = [mp.mpf(c) for c in spec.c]
-        worst = mp.mpf(0)
-        for xv in sample_points:
-            x = mp.mpf(float(xv))
-            terms = [
-                x * (1 - x**r) * mp.polyval(derivs[r + 1][::-1], x),
-                (r + b) * mp.polyval(derivs[r][::-1], x),
-            ]
-            terms.extend(
-                cs[k] * x**k * mp.polyval(derivs[k][::-1], x) for k in range(r + 1)
-            )
-            num = abs(mp.fsum(terms))
-            den = max(abs(t) for t in terms)
-            if den > 0:
-                worst = max(worst, num / den)
-    return float(worst)
+        derivs.append(derivs[-1][1:] * np.arange(1, len(derivs[-1])))
+    top = derivs[r + 1]
+    terms = [
+        padded_coeffs(top, size, 1) - padded_coeffs(top, size, r + 1),
+        (r + b) * padded_coeffs(derivs[r], size),
+    ]
+    terms.extend(spec.c[k] * padded_coeffs(derivs[k], size, k) for k in range(r + 1))
+    return identity_residual(terms)

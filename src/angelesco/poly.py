@@ -202,6 +202,27 @@ def poly_derivative(p):
     return Poly(p.coeffs[1:] * k)
 
 
+def padded_coeffs(c, size, shift=0):
+    """Coefficients of x^shift * c as a vector of length ``size``."""
+    out = np.zeros(size, dtype=c.dtype)
+    out[shift : shift + len(c)] = c
+    return out
+
+
+def identity_residual(terms):
+    """Worst normalized residual of a polynomial identity sum_i T_i = 0.
+
+    ``terms`` stacks the coefficient vectors T_i as rows of equal length.
+    At each coefficient index the magnitude of the sum is divided by the
+    largest term there; indices where every term is zero are skipped.
+    """
+    terms = np.asarray(terms)
+    num = np.abs(terms.sum(axis=0))
+    den = np.abs(terms).max(axis=0)
+    live = den > 0.0
+    return float((num[live] / den[live]).max()) if live.any() else 0.0
+
+
 def poly_axpy(a, p, q):
     """a*p + q with exact degree bookkeeping."""
     return p.scale(a) + q

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import gamma_ratio, root_of_unity
-from .poly import poly_eval
+from .poly import identity_residual, padded_coeffs
 from .polynomials import type1_diagonal, type1_down, type1_up
 
 __all__ = [
@@ -117,25 +117,15 @@ def recurrence_row(n, params):
     return RecurrenceRow(n, coeff_a(n, params), coeff_b(n, params))
 
 
-def _cheb_ray_points(params, deg):
-    # Chebyshev-distributed points on each ray, scaled into |x| <= 1; deg+2
-    # points per ray suffice to pin a degree-deg polynomial identity
-    npts = deg + 2
-    t = 0.5 * (1.0 + np.cos(np.pi * np.arange(npts) / (npts - 1)))
-    pts = []
-    for j in range(params.r):
-        w = root_of_unity(params.r, j)
-        pts.extend(complex(w * ti) for ti in t)
-    return pts
-
-
-def recurrence_residual(n, k, params, sample_points=None):
+def recurrence_residual(n, k, params):
     """Largest normalized deviation of the nearest-neighbor relation at
-    level n, ray k, sampled over points and all ray entries j.
+    level n, ray k, checked as a polynomial identity on coefficients.
 
-    Every vector comes from its closed-form construction; the residual is
-    |x A - A_down - b A - sum_l a_l A_up,l| over the magnitude of the
-    largest participating term.
+    Every vector comes from its closed-form construction.  For each ray
+    entry j the terms x A_n, -A_(n-e_k), -b_k A_n and -a_l A_(n+e_l) are
+    coefficient vectors; at each coefficient index the magnitude of their
+    sum is divided by the largest term there, and the worst ratio over
+    indices and entries is returned.
     """
     if n < 1:
         raise ValueError("recurrence_residual needs n >= 1")
@@ -150,19 +140,19 @@ def recurrence_residual(n, k, params, sample_points=None):
     bk = b_n * root_of_unity(r, k - 1)
     al = [a_n * root_of_unity(r, 2 * l) for l in range(r)]  # ray l+1 phase
 
-    if sample_points is None:
-        sample_points = _cheb_ray_points(params, n)
-
+    size = n + 2  # every term has degree <= n
     worst = 0.0
     for j in range(r):
-        for x in sample_points:
-            cj = poly_eval(cur.polys[j], x)
-            terms = [x * cj, -poly_eval(dn.polys[j], x), -bk * cj]
-            terms.extend(-al[l] * poly_eval(ups[l].polys[j], x) for l in range(r))
-            num = abs(sum(terms))
-            den = max(abs(t) for t in terms)
-            if den > 0.0:
-                worst = max(worst, num / den)
+        cj = cur.polys[j].coeffs
+        terms = [
+            padded_coeffs(cj, size, 1),
+            -padded_coeffs(dn.polys[j].coeffs, size),
+            -bk * padded_coeffs(cj, size),
+        ]
+        terms.extend(
+            -al[l] * padded_coeffs(ups[l].polys[j].coeffs, size) for l in range(r)
+        )
+        worst = max(worst, identity_residual(terms))
     return worst
 
 

@@ -128,8 +128,8 @@ def test_ode_residual_sensitivity():
 
 @pytest.mark.parametrize("n", [12, 20])
 def test_ode_residual_sensitivity_extended(n):
-    # past n = 9 the check runs in mpmath; it must still test the
-    # coefficients it is handed, not rebuild them from the formula
+    # the check must test the coefficients it is handed, not rebuild them
+    # from the formula
     import dataclasses
 
     spec = ode_coeffs(n, Params(2, 0.0, 0.0))
@@ -138,6 +138,18 @@ def test_ode_residual_sensitivity_extended(n):
         dataclasses.replace(spec, c=(spec.c[0], spec.c[1] * (1 + 1e-6)) + spec.c[2:])
     )
     assert dirty > 1e-8
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_ode_residual_sensitivity_high_degree(n):
+    import dataclasses
+
+    spec = ode_coeffs(n, Params(3, 0.7, -0.5))
+    assert ode_residual(spec) <= 1e-12
+    dirty = ode_residual(
+        dataclasses.replace(spec, c=(spec.c[0], spec.c[1] * (1 + 1e-9)) + spec.c[2:])
+    )
+    assert dirty >= 5e-10
 
 
 def test_ode_r1_shape():

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from angelesco import (
@@ -96,16 +95,34 @@ def test_residual_sensitive_to_coefficient():
     assert dirty >= 1e3 * max(clean, 1e-300)
 
 
-def test_ray_symmetry_of_residual():
-    # rotating the sample points by omega while cyclically shifting k leaves
-    # the residual unchanged (the omega-power structure of the coefficients)
+@pytest.mark.parametrize("n", [12, 30, 59])
+@pytest.mark.parametrize("name", ["coeff_a", "coeff_b"])
+def test_residual_sensitive_at_high_degree(n, name):
+    # a 1e-8 relative change in either profile must show far above the
+    # clean residual, at degrees where a sampled check loses its precision
+    import angelesco.recurrence as rec
+
     p = Params(3, 0.7, -0.5)
-    n = 2
-    pts = [complex(t) for t in np.linspace(0.08, 0.97, n + 3)]
-    w = root_of_unity(3, 1)
-    r1 = recurrence_residual(n, 1, p, sample_points=pts)
-    r2 = recurrence_residual(n, 2, p, sample_points=[w * z for z in pts])
-    assert abs(r1 - r2) <= 1e-12
+    assert max(recurrence_residual(n, k, p) for k in (1, 2, 3)) <= 1e-12
+    orig = getattr(rec, name)
+    try:
+        setattr(rec, name, lambda n, params: orig(n, params) * (1 + 1e-8))
+        dirty = recurrence_residual(n, 2, p)
+    finally:
+        setattr(rec, name, orig)
+    assert dirty > 1e-9
+
+
+def test_ray_symmetry_of_residual():
+    # moving from ray k to ray k+1 multiplies every coefficient by a unit
+    # phase (the omega-power structure of the coefficients), which leaves
+    # the coefficientwise residual unchanged
+    for r in (3, 4, 5):
+        p = Params(r, 0.7, -0.5)
+        for n in (2, 7, 20):
+            res = [recurrence_residual(n, k, p) for k in range(1, r + 1)]
+            for k in range(r - 1):
+                assert abs(res[k] - res[k + 1]) <= 1e-12
 
 
 def test_declines_r1():
