@@ -41,7 +41,11 @@ print("\nthe density is singular at both endpoints, harder at 1:")
 for x in (0.001, 0.01, 0.5, 0.99, 0.999):
     print(f"  u_2({x}) = {u_density(x, 2):10.4f}")
 
-print("\nzeros above n = 12 come from the extended-precision path:")
-zs40 = find_zeros(40, params)
-print(f"  n=40: precision={zs40.precision}, first={zs40.zeros[0]:.6f}, "
-      f"last={zs40.zeros[-1]:.6f}")
+print("\none zero finder at every degree, correctly rounded doubles:")
+for n in (8, 40):
+    zsn = find_zeros(n, params)
+    print(f"  n={n}: precision={zsn.precision}, first={zsn.zeros[0]:.6f}, "
+          f"last={zsn.zeros[-1]:.6f}, max residual={zsn.residuals.max():.1e}")
+edge = find_zeros(13, Params(1, 0.0, -1.0 + 1e-7))
+print(f"  beta = -1 + 1e-7 (r=1, n=13): first zero {edge.zeros[0]:.3e}, "
+      "bracketed by the grid's end at 0")

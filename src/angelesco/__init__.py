@@ -45,7 +45,6 @@ from .operators import (
     raising_coeffs,
 )
 from .orthogonality import (
-    MomentTable,
     OrthoReport,
     check_modr,
     gauss_jacobi_rstar,
@@ -54,7 +53,7 @@ from .orthogonality import (
     ray_form_direct,
     verify_type1,
 )
-from .poly import Poly, poly_axpy, poly_derivative, poly_eval, poly_rotate
+from .poly import Poly, poly_derivative, poly_eval, poly_rotate
 from .polynomials import (
     DEGREE_CAP,
     Constants,
@@ -75,7 +74,6 @@ from .polynomials import (
     up_normalizer,
 )
 from .recurrence import (
-    RecurrenceRow,
     coeff_a,
     coeff_b,
     limit_a,
@@ -83,7 +81,6 @@ from .recurrence import (
     r2_recurrence_a,
     r2_recurrence_c,
     recurrence_residual,
-    recurrence_row,
 )
 from .zeros import ZeroFindingError, ZeroSet, empirical_cdf, find_zeros, stieltjes_empirical
 

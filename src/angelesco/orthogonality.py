@@ -22,7 +22,6 @@ from .polynomials import base_poly, Params
 
 __all__ = [
     "moment",
-    "MomentTable",
     "OrthoReport",
     "ray_form",
     "ray_form_direct",
@@ -46,19 +45,6 @@ def _moment_row(r, alpha, beta, max_m):
     vals = np.array([moment(m, p) for m in range(max_m + 1)])
     vals.setflags(write=False)
     return vals
-
-
-class MomentTable:
-    """Moments 0..max_m for fixed parameters; immutable after construction."""
-
-    __slots__ = ("params", "values")
-
-    def __init__(self, params, max_m):
-        self.params = params
-        self.values = _moment_row(params.r, params.alpha, params.beta, max_m)
-
-    def __getitem__(self, m):
-        return self.values[m]
 
 
 @lru_cache(maxsize=4096)

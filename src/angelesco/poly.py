@@ -13,7 +13,7 @@ import numpy as np
 
 from .numerics import root_of_unity
 
-__all__ = ["Poly", "poly_eval", "poly_rotate", "poly_derivative", "poly_axpy"]
+__all__ = ["Poly", "poly_eval", "poly_rotate", "poly_derivative"]
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -221,8 +221,3 @@ def identity_residual(terms):
     den = np.abs(terms).max(axis=0)
     live = den > 0.0
     return float((num[live] / den[live]).max()) if live.any() else 0.0
-
-
-def poly_axpy(a, p, q):
-    """a*p + q with exact degree bookkeeping."""
-    return p.scale(a) + q

@@ -57,8 +57,8 @@ __all__ = [
 ]
 
 # Coefficients grow combinatorially with n; past ~60 double precision cannot
-# evaluate p_n near its zeros even with compensation (the root finder switches
-# to extended precision already past 40, see zeros.py).
+# evaluate p_n near its zeros even with compensation (the root finder works
+# in extended precision at every degree, see zeros.py).
 DEGREE_CAP = 60
 
 
@@ -212,7 +212,7 @@ def base_coeffs_mp(n, params):
     closed form at the caller's working precision (``mp.workdps``).
 
     This is the one extended-precision copy of the formula; the zero finder
-    and the extended ODE check both build on it.
+    builds on it.
     """
     r = params.r
     a = mp.mpf(params.alpha)

@@ -13,21 +13,15 @@ translation (see ``r2_recurrence_a`` / ``r2_recurrence_c``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .numerics import gamma_ratio, root_of_unity
 from .poly import identity_residual, padded_coeffs
 from .polynomials import type1_diagonal, type1_down, type1_up
 
 __all__ = [
-    "RecurrenceRow",
     "coeff_a",
     "coeff_b",
     "limit_a",
     "limit_b",
-    "recurrence_row",
     "recurrence_residual",
     "r2_recurrence_a",
     "r2_recurrence_c",
@@ -95,26 +89,6 @@ def limit_a(r):
 def limit_b(r):
     """n -> infinity limit of coeff_b (r > 1): r/(r+1)^(1+1/r)."""
     return r / (r + 1.0) ** (1.0 + 1.0 / r)
-
-
-@dataclass(frozen=True)
-class RecurrenceRow:
-    """Level n with its scalar profiles; ray-resolved values are
-    a*omega^(2(k-1)) and b*omega^(k-1)."""
-
-    n: int
-    a_scalar: float
-    b_scalar: float
-
-    def a_ray(self, k, r):
-        return self.a_scalar * root_of_unity(r, 2 * (k - 1))
-
-    def b_ray(self, k, r):
-        return self.b_scalar * root_of_unity(r, k - 1)
-
-
-def recurrence_row(n, params):
-    return RecurrenceRow(n, coeff_a(n, params), coeff_b(n, params))
 
 
 def recurrence_residual(n, k, params):

@@ -1,23 +1,18 @@
 """Zeros of the kernel polynomials and their empirical measure.
 
-All n zeros of p_n lie simple in (0,1).  For small degrees they come from
-the balanced companion matrix of the monic-normalized coefficients plus
-Newton polish with compensated evaluation.  These zeros are backward stable
-(residual at most 1e-10 relative to sum |c_k| x^k) but not forward accurate:
-over r = 1..5 and (alpha, beta) in {(0,0), (0.7,-0.5), (2,2)} they were
-measured up to 1.7e-10 (n = 6) to 1.5e-4 (n = 12) off the true zeros.
-
-Past n = 12 the monomial-basis root conditioning exhausts double precision.
-The coefficients then come from the closed form at max(50, 30 + 1.2 n)
-digits and are rounded once to integers at scale 2^prec (the working
-precision plus 32 guard bits).  Grid points and iterates are dyadic, so
-Horner's rule runs on Python integers as shift-and-add.  Sign changes on the
-exact quantile grid of the limit zero distribution bracket every zero, and a
-safeguarded Newton iteration (bisection whenever a step would leave the
-bracket) converges inside each bracket.  The reported doubles are the
-correctly rounded zeros: p_n changes sign between the midpoints to the
-neighbouring doubles.  Each residual is evaluated exactly at the reported
-double, so it depends only on the output.
+All n zeros of p_n lie simple in the open interval (0,1).  The monomial-basis
+root conditioning exhausts double precision already at moderate n, so the
+coefficients come from the closed form at max(50, 30 + 1.2 n) digits and are
+rounded once to integers at scale 2^prec (the working precision plus 32 guard
+bits).  Grid points and iterates are dyadic, so Horner's rule runs on Python
+integers as shift-and-add.  Sign changes on the exact quantile grid of the
+limit zero distribution, closed by the endpoints 0 and 1 where p_n does not
+vanish, bracket every zero, and a safeguarded Newton iteration (bisection
+whenever a step would leave the bracket) converges inside each bracket.  The
+reported doubles are the correctly rounded zeros at every degree: p_n
+changes sign between the midpoints to the neighbouring doubles.  Each
+residual is evaluated exactly at the reported double, so it depends only on
+the output.
 
 Zeros of the rotated star entries are rotations of this one zero set, so
 they are never recomputed.
@@ -31,18 +26,10 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .poly import poly_eval
-from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp, base_poly
+from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp
 
 __all__ = ["ZeroSet", "ZeroFindingError", "find_zeros", "empirical_cdf", "stieltjes_empirical"]
 
-# The companion eigenproblem of the monic coefficient vector is reliable only
-# for small degrees here: the monomial-basis root condition numbers grow so
-# fast that by n ~ 20 the eigenvalues of the (balanced) companion matrix stray
-# far off the real axis.  Measured thresholds for the 1e-8 imaginary-part
-# filter lie between 13 and 20 over the parameter grid, so the double path is
-# used through n = 12 and everything above runs in extended precision.
-_EXTENDED_FROM = 13
 _RESIDUAL_TOL = 1e-10
 _MIN_SEPARATION = 1e-12
 
@@ -59,7 +46,8 @@ class ZeroFindingError(RuntimeError):
 @dataclass(frozen=True)
 class ZeroSet:
     """Sorted simple zeros of p_n in (0,1) with evaluation residuals
-    relative to the local term magnitude sum |c_k| x^k."""
+    relative to the local term magnitude sum |c_k| x^k.  ``precision`` names
+    the arithmetic of the zero finder; it is always "extended"."""
 
     params: object
     n: int
@@ -74,49 +62,6 @@ class ZeroSet:
         self.newton_iters.setflags(write=False)
 
 
-def _companion_roots(coeffs):
-    mon = coeffs / coeffs[-1]
-    n = len(mon) - 1
-    comp = np.zeros((n, n))
-    comp[0, :] = -mon[-2::-1]
-    comp[1:, :-1] = np.eye(n - 1)
-    return np.linalg.eigvals(comp)  # LAPACK balances internally
-
-
-def _extract_real(raw, n):
-    mask = np.abs(raw.imag) <= 1e-8 * (1.0 + np.abs(raw.real))
-    real = np.sort(raw.real[mask])
-    if real.size != n:
-        bad = np.nonzero(~mask)[0]
-        raise ZeroFindingError(
-            f"expected {n} real roots, eigenvalue filter kept {real.size}",
-            indices=bad,
-        )
-    return real
-
-
-def _newton_double(p, dp, x0, max_iter=12):
-    x = x0
-    prev = abs(poly_eval(p, x))
-    iters = 0
-    for it in range(1, max_iter + 1):
-        d = poly_eval(dp, x)
-        if d == 0.0:
-            break
-        step = poly_eval(p, x) / d
-        xn = x - step
-        fn = abs(poly_eval(p, xn))
-        iters = it
-        if fn >= prev:  # machine-precision plateau
-            if fn < prev * 4.0:
-                x = xn if fn < prev else x
-            break
-        x, prev = xn, fn
-        if step == 0.0:
-            break
-    return x, iters
-
-
 def _quantile_grid(n, r, per_root):
     # grid points at the quantiles of the limit zero distribution, whose CDF
     # inverts in closed form through the theta parametrization; the zeros are
@@ -128,9 +73,9 @@ def _quantile_grid(n, r, per_root):
     qs = np.arange(1, m) / m
     theta = math.pi * (1.0 - qs) / (r + 1)
     pts = np.array([hatx_of_theta(t, r) ** (1.0 / r) for t in theta])
-    lo = min(pts[0] * 0.25, 1e-8)
-    hi = 1.0 - min((1.0 - pts[-1]) * 0.25, 1e-12)
-    return np.concatenate([[lo], pts, [hi]])
+    # p_n(0) and p_n(1) are nonzero, so the closed interval's ends close the
+    # outer brackets however close a zero lies to either end
+    return np.concatenate([[0.0], pts, [1.0]])
 
 
 def _fixed(x, prec):
@@ -192,7 +137,23 @@ def _safeguarded_newton(crev, prec, lo, hi, f_lo, f_hi, tol):
     return X, d, it
 
 
-def _find_zeros_extended(n, params):
+def find_zeros(n, params):
+    """All n zeros of p_n(.; alpha, beta) in (0,1), correctly rounded.
+
+    The zeros are found by a safeguarded Newton iteration in integer fixed
+    point at 50+ digits, inside sign-change brackets from the quantile grid
+    of the limit zero distribution.  ``residuals`` are |p_n(x)| / sum |c_k|
+    x^k at each reported x; ``newton_iters`` counts the safeguarded steps
+    per root, bisections included.  Violations of the zero-set invariants
+    raise :class:`ZeroFindingError` rather than returning partial output;
+    among them a zero within half an ulp of 1, whose correctly rounded
+    double is 1.0 (alpha within about 1e-13 to 1e-15 of -1, by r and n).
+    """
+    if n < 1:
+        raise ValueError("find_zeros needs n >= 1")
+    if n > DEGREE_CAP:
+        raise DegreeCapError(n)
+
     dps = max(50, 30 + int(1.2 * n))
     with mp.workdps(dps):
         # coefficients rounded once to integers at scale 2^prec; the 32 guard
@@ -229,52 +190,6 @@ def _find_zeros_extended(n, params):
         zeros[i] = x
         residuals[i] = _dyadic_residual(crev, x)
         iters[i] = it
-    return zeros, residuals, iters
-
-
-def find_zeros(n, params, precision="auto"):
-    """All n zeros of p_n(.; alpha, beta) in (0,1).
-
-    ``precision``: "double" (companion matrix + Newton), "extended"
-    (safeguarded Newton in integer fixed point at 50+ digits, inside
-    brackets from the quantile grid), or "auto" (extended from n = 13 on).
-    Extended-path zeros are correctly rounded; double-path zeros are only
-    backward stable.  ``residuals`` are |p_n(x)| / sum |c_k| x^k at each
-    reported x; ``newton_iters`` counts polish steps per root (safeguarded
-    steps, bisections included, on the extended path).  Violations of the
-    zero-set invariants raise :class:`ZeroFindingError` rather than
-    returning partial output.
-    """
-    if n < 1:
-        raise ValueError("find_zeros needs n >= 1")
-    if n > DEGREE_CAP:
-        raise DegreeCapError(n)
-    if precision == "auto":
-        precision = "extended" if n >= _EXTENDED_FROM else "double"
-
-    if precision == "extended":
-        zeros, residuals, iters = _find_zeros_extended(n, params)
-    elif precision == "double":
-        p = base_poly(n, params)
-        dp = p.derivative()
-        start = _extract_real(_companion_roots(p.coeffs), n)
-        absc = np.abs(p.coeffs)
-        zeros = np.empty(n)
-        residuals = np.empty(n)
-        iters = np.empty(n, dtype=np.int64)
-        for i, x0 in enumerate(start):
-            x, it = _newton_double(p, dp, float(x0))
-            zeros[i] = x
-            iters[i] = it
-            scale = float(np.dot(absc, np.abs(x) ** np.arange(len(absc))))
-            residuals[i] = abs(poly_eval(p, x)) / scale
-            if poly_eval(dp, x) == 0.0:
-                raise ZeroFindingError(f"derivative vanishes at root {i}", indices=[i])
-    else:
-        raise ValueError(f"unknown precision mode {precision!r}")
-
-    order = np.argsort(zeros)
-    zeros, residuals, iters = zeros[order], residuals[order], iters[order]
 
     bad = [i for i, x in enumerate(zeros) if not 0.0 < x < 1.0]
     if bad:
@@ -285,12 +200,8 @@ def find_zeros(n, params, precision="auto"):
         raise ZeroFindingError(f"root separation below {_MIN_SEPARATION} at {bad}", indices=bad)
     bad = list(np.nonzero(residuals > _RESIDUAL_TOL)[0])
     if bad:
-        raise ZeroFindingError(
-            f"evaluation residuals above {_RESIDUAL_TOL} at {bad} "
-            "(precision exhausted; try the extended mode)",
-            indices=bad,
-        )
-    return ZeroSet(params, n, zeros, residuals, iters, precision)
+        raise ZeroFindingError(f"evaluation residuals above {_RESIDUAL_TOL} at {bad}", indices=bad)
+    return ZeroSet(params, n, zeros, residuals, iters, "extended")
 
 
 def empirical_cdf(zs, x):

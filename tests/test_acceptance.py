@@ -62,10 +62,10 @@ def test_criterion_1_orthogonality_suite():
                     vecs.append(type1_up(n, k, params))
                     if r * n - 1 >= 1:
                         vecs.append(type1_down(n, k, params))
-                for v in vecs:
-                    rep = verify_type1(v, tol=1e-9)
-                    assert rep.passed, (r, a, b, n, v.tag)
-                    checked += 1
+            for v in vecs:
+                rep = verify_type1(v, tol=1e-9)
+                assert rep.passed, (r, a, b, v.tag)
+                checked += 1
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"orthogonality sweep took {elapsed:.1f}s"
     _report(1, f"orthogonality suite ({checked} vectors, {elapsed:.1f}s, tol 1e-9)")

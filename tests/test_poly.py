@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from angelesco import Poly, poly_axpy, poly_derivative, poly_eval, poly_rotate
+from angelesco import Poly, poly_derivative, poly_eval, poly_rotate
 
 
 def test_eval_examples():
@@ -62,8 +62,6 @@ def test_derivative_and_axpy():
     assert poly_derivative(Poly([3.0])).is_zero
     d = poly_derivative(Poly([1.0, -3.75, 3.0]))
     assert np.allclose(d.coeffs, [-3.75, 6.0])
-    s = poly_axpy(2.0, Poly([0.0, 1.0]), Poly([1.0]))
-    assert np.allclose(s.coeffs, [1.0, 2.0])
 
 
 def test_degree_bookkeeping():

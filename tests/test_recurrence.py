@@ -9,7 +9,6 @@ from angelesco import (
     r2_recurrence_a,
     r2_recurrence_c,
     recurrence_residual,
-    recurrence_row,
     root_of_unity,
 )
 
@@ -130,12 +129,3 @@ def test_declines_r1():
         coeff_b(3, Params(1, 0.0, 0.0))
     with pytest.raises(ValueError):
         recurrence_residual(2, 1, Params(1, 0.0, 0.0))
-
-
-def test_recurrence_row_phases():
-    p = Params(4, 0.0, 0.0)
-    row = recurrence_row(2, p)
-    assert row.a_scalar > 0
-    assert row.a_ray(1, 4) == pytest.approx(row.a_scalar)
-    assert row.a_ray(2, 4) == pytest.approx(row.a_scalar * root_of_unity(4, 2))
-    assert row.b_ray(3, 4) == pytest.approx(row.b_scalar * root_of_unity(4, 2))

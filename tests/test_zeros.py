@@ -6,7 +6,6 @@ import pytest
 
 from angelesco import (
     Params,
-    ZeroFindingError,
     base_poly,
     empirical_cdf,
     find_zeros,
@@ -38,16 +37,6 @@ def test_counts_and_interval(r):
             assert np.all(zs.residuals <= 1e-10)
 
 
-def test_double_path_matches_extended():
-    params = Params(3, 0.7, -0.5)
-    zd = find_zeros(10, params, precision="double")
-    ze = find_zeros(10, params, precision="extended")
-    assert zd.precision == "double" and ze.precision == "extended"
-    # the double path carries its own coefficient rounding through the root
-    # condition number, so agreement is limited, not machine-level
-    assert np.max(np.abs(zd.zeros - ze.zeros)) <= 1e-6
-
-
 def test_simplicity_via_derivative():
     params = Params(2, 0.0, 0.0)
     p = base_poly(12, params)
@@ -57,7 +46,7 @@ def test_simplicity_via_derivative():
 
 
 def test_newton_polish_diagnostic():
-    # double path: polish settles within 6 iterations for (almost) all roots
+    # safeguarded Newton settles within 6 steps for (almost) all low-degree roots
     iters = []
     for n in (4, 8, 12):
         for a, b in ((0.0, 0.0), (2.0, 0.7)):
@@ -78,13 +67,6 @@ def test_degree_cap():
 
     with pytest.raises(DegreeCapError):
         find_zeros(61, Params(2, 0.0, 0.0))
-
-
-def test_forced_double_fails_loudly_at_high_degree():
-    # the companion eigenproblem cannot deliver 40 real roots in doubles;
-    # the error carries diagnostics instead of returning a partial set
-    with pytest.raises(ZeroFindingError):
-        find_zeros(40, Params(2, 0.0, 0.0), precision="double")
 
 
 def test_empirical_cdf_steps():
@@ -165,16 +147,12 @@ def _closed_form_mp(n, r, a, b):
     ]
 
 
-@pytest.mark.parametrize("n", [13, 60])
-@pytest.mark.parametrize("r, a, b", [(1, 0.0, 0.0), (3, 0.7, -0.5), (5, 2.0, 2.0)])
-def test_extended_zeros_correctly_rounded(n, r, a, b):
+def _assert_correctly_rounded(zs, r, a, b):
     # p_n changes sign between the midpoints to the neighbouring doubles, so
     # each reported zero is the double nearest the true one; the residual is
     # that of the reported double itself
-    zs = find_zeros(n, Params(r, a, b))
     with mp.workdps(160):
-        c = _closed_form_mp(n, r, a, b)
-        crev = c[::-1]
+        crev = _closed_form_mp(zs.n, r, a, b)[::-1]
         absrev = [abs(v) for v in crev]
         for x, res in zip(zs.zeros, zs.residuals):
             x = float(x)
@@ -183,3 +161,19 @@ def test_extended_zeros_correctly_rounded(n, r, a, b):
             assert mp.polyval(crev, lo) * mp.polyval(crev, hi) < 0
             want = abs(mp.polyval(crev, mp.mpf(x))) / mp.polyval(absrev, mp.mpf(x))
             assert res == pytest.approx(float(want), rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 13, 60])
+@pytest.mark.parametrize("r, a, b", [(1, 0.0, 0.0), (3, 0.7, -0.5), (5, 2.0, 2.0)])
+def test_extended_zeros_correctly_rounded(n, r, a, b):
+    _assert_correctly_rounded(find_zeros(n, Params(r, a, b)), r, a, b)
+
+
+def test_zero_next_to_origin():
+    # beta near -1 pushes the first zero to 5.9e-10, below any interior grid
+    # point; the grid's end at 0 still brackets it
+    r, a, b = 1, 0.0, -1.0 + 1e-7
+    zs = find_zeros(13, Params(r, a, b))
+    assert zs.n == 13
+    assert zs.zeros[0] == pytest.approx(5.9e-10, rel=0.01)
+    _assert_correctly_rounded(zs, r, a, b)
