@@ -45,7 +45,7 @@ print("\nbelow diagonal (-e_2)")
 print("  entry degrees:", dn.degrees(), "(ray 2 drops to n-2)")
 print(f"  verified: {verify_type1(dn).passed}")
 
-# --- the moment functional itself: vanishing except at the normalization power
+# --- the moment functional itself: zero to rounding except at the normalization power
 print("\nstar moment functional of the diagonal vector (size |n| = 12):")
 for k in range(12):
     val = ray_form(k, v)

@@ -50,7 +50,6 @@ from .orthogonality import (
     gauss_jacobi_rstar,
     moment,
     ray_form,
-    ray_form_direct,
     verify_type1,
 )
 from .poly import Poly, poly_derivative, poly_eval, poly_rotate

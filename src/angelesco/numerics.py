@@ -9,7 +9,6 @@ pole/pole cancellations that occur at degenerate parameter combinations
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from scipy.special import gammasgn

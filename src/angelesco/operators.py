@@ -32,12 +32,9 @@ __all__ = [
 
 def _coef_dev(left, right):
     # max coefficientwise deviation relative to the larger inf-norm
-    a, b = left.coeffs, right.coeffs
-    n = max(len(a), len(b))
-    fa = np.zeros(n, dtype=np.result_type(a, b))
-    fb = np.zeros(n, dtype=np.result_type(a, b))
-    fa[: len(a)] = a
-    fb[: len(b)] = b
+    n = max(len(left.coeffs), len(right.coeffs))
+    fa = padded_coeffs(left.coeffs, n)
+    fb = padded_coeffs(right.coeffs, n)
     scale = max(np.abs(fa).max(), np.abs(fb).max(), 1e-300)
     return float(np.abs(fa - fb).max() / scale)
 

@@ -5,6 +5,9 @@ beta integral, so every star integral of a polynomial reduces to a finite
 linear combination of exact moments.  That turns each orthogonality and
 normalization condition into a residual carrying only rounding error, i.e.
 a true oracle against which the closed-form constructions are checked.
+Every condition is a row of the moment Hankel matrix H[k, m] = moment(k+m)
+applied to the phase-rotated coefficients of each entry, so a check reads
+all r entries of the vector it is handed; no family takes a shortcut.
 A Gauss-Jacobi quadrature rule (after t = x^r) is provided as a secondary
 cross-check utility; verification itself never uses quadrature.
 """
@@ -15,16 +18,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi
 
 from .numerics import gamma_ratio, root_of_unity
+from .poly import padded_coeffs
 from .polynomials import base_poly, Params
 
 __all__ = [
     "moment",
     "OrthoReport",
     "ray_form",
-    "ray_form_direct",
     "verify_type1",
     "check_modr",
     "gauss_jacobi_rstar",
@@ -47,59 +51,49 @@ def _moment_row(r, alpha, beta, max_m):
     return vals
 
 
-@lru_cache(maxsize=4096)
-def _phase_vec(r, e, length):
-    v = np.array([root_of_unity(r, e * m) for m in range(length)])
+def _hankel(params, rows, cols):
+    """H[k, m] = moment(k + m) for k < rows, m < cols: a read-only window
+    on the cached moment row."""
+    mom = _moment_row(params.r, params.alpha, params.beta, rows + cols - 2)
+    return sliding_window_view(mom, cols)
+
+
+@lru_cache(maxsize=64)
+def _roots(r):
+    # omega^e for e = 0..r-1; index with exponents reduced mod r
+    v = np.array([root_of_unity(r, e) for e in range(r)])
     v.setflags(write=False)
     return v
 
 
-def _table_for(v, k):
-    max_m = k + max(len(p.coeffs) for p in v.polys) - 1
-    return _moment_row(v.params.r, v.params.alpha, v.params.beta, max_m)
+def _star_forms(v, ks):
+    """Star moment functional of ``v`` at the powers ``ks`` and its
+    positive-mass scale.
 
-
-def ray_form_direct(k, v):
-    """sum_j omega^((j-1)(k+1)) sum_m c_{j,m} omega^((j-1)m) moment(k+m),
-    i.e. the star integral sum_j int_0^(omega^(j-1)) x^k A_j(x) w(x) dx
-    reduced to [0,1] moments by the ray parametrization x = omega^(j-1) t."""
+    Entry j (0-based, on the ray x = omega^j t) contributes
+    omega^(j(k+1)) sum_m c_(j,m) omega^(jm) moment(k+m).  The scale replaces
+    every term by its modulus: the size against which cancellation is
+    measured, since coefficient growth makes absolute tolerances
+    meaningless.  Both are Hankel products over all ks at once.
+    """
     r = v.params.r
-    mom = _table_for(v, k)
-    total = 0j
-    for j, p in enumerate(v.polys, start=1):
-        c = p.coeffs
-        inner = np.dot(c * _phase_vec(r, j - 1, len(c)), mom[k : k + len(c)])
-        total += root_of_unity(r, (j - 1) * (k + 1)) * inner
-    return total
+    width = max(len(p.coeffs) for p in v.polys)
+    c = np.array([padded_coeffs(p.coeffs, width) for p in v.polys])
+    h = _hankel(v.params, int(ks.max()) + 1, width)[ks]
+    roots = _roots(r)
+    j = np.arange(r)
+    rotated = c * roots[np.outer(j, np.arange(width)) % r]
+    forms = ((h @ rotated.T) * roots[np.outer(ks + 1, j) % r]).sum(axis=1)
+    scale = (h @ np.abs(c).T).sum(axis=1)
+    return forms, scale
 
 
 def ray_form(k, v):
-    """Star moment functional of a type I vector at power k.
-
-    Diagonal vectors short-circuit: their entries are rotations of one real
-    base polynomial, so the ray sum collapses to a root-of-unity sum that
-    vanishes identically unless k+1 = 0 mod r.
-    """
-    r = v.params.r
-    if v.tag.kind == "diagonal" and v.base is not None:
-        if (k + 1) % r != 0:
-            return 0j
-        mom = _table_for(v, k)
-        c = v.base.coeffs
-        return complex(r * np.dot(c, mom[k : k + len(c)]))
-    return ray_form_direct(k, v)
-
-
-def _residual_scale(v, k):
-    # positive-mass counterpart of ray_form: the natural size against which
-    # cancellation must be measured (coefficient growth makes absolute
-    # tolerances meaningless)
-    mom = _table_for(v, k)
-    s = 0.0
-    for p in v.polys:
-        c = np.abs(p.coeffs)
-        s += float(np.dot(c, mom[k : k + len(c)]))
-    return max(s, 1e-300)
+    """Star moment functional of a type I vector at power k:
+    sum_j int_0^(omega^(j-1)) x^k A_j(x) w(x) dx, reduced to [0,1] moments by
+    the ray parametrization x = omega^(j-1) t.  Reads every entry of ``v``."""
+    forms, _ = _star_forms(v, np.array([k]))
+    return complex(forms[0])
 
 
 @dataclass(frozen=True)
@@ -122,13 +116,11 @@ def verify_type1(v, tol=1e-9):
     size = v.size
     if size < 1:
         raise ValueError("vector has an empty multi-index: nothing to verify")
-    worst = 0.0
-    for k in range(size - 1):
-        res = abs(ray_form(k, v)) / _residual_scale(v, k)
-        worst = max(worst, res)
-    norm = ray_form(size - 1, v)
-    scale = max(1.0, _residual_scale(v, size - 1))
-    norm_res = abs(norm - 1.0) / scale
+    forms, scale = _star_forms(v, np.arange(size))
+    ortho = np.abs(forms[:-1]) / np.maximum(scale[:-1], 1e-300)
+    worst = float(ortho.max(initial=0.0))
+    norm = complex(forms[-1])
+    norm_res = float(abs(norm - 1.0) / max(1.0, scale[-1]))
     return OrthoReport(
         max_ortho_residual=worst,
         norm_value=norm,
@@ -147,15 +139,9 @@ def check_modr(n, params, tol=1e-12):
     """
     if n < 1:
         raise ValueError("check_modr needs n >= 1")
-    p = base_poly(n, params)
-    c = p.coeffs
-    mom = _moment_row(params.r, params.alpha, params.beta, params.r * n - 1 + n)
-    ok = True
-    for j in range(1, n + 1):
-        k = params.r * j - 1
-        val = float(np.dot(c, mom[k : k + len(c)]))
-        scale = float(np.dot(np.abs(c), mom[k : k + len(c)]))
-        ok = ok and abs(val) <= tol * max(scale, 1.0)
+    c = base_poly(n, params).coeffs
+    h = _hankel(params, params.r * n, len(c))[params.r - 1 :: params.r]
+    ok = bool(np.all(np.abs(h @ c) <= tol * np.maximum(h @ np.abs(c), 1.0)))
 
     shifted = np.array(
         [moment(m + params.r - 1, params, alpha_shift=n) for m in range(len(c))]
