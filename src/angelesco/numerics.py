@@ -1,5 +1,6 @@
 """Scalar building blocks: log-gamma, Pochhammer symbols, generalized
-binomials, signed gamma ratios, and roots of unity.
+binomials, signed gamma ratios, and roots of unity (one at a time, or as
+a cached read-only table of all r of them).
 
 Every gamma ratio in the library is funneled through :func:`gamma_ratio`,
 which accumulates log-gamma terms with exact summation and resolves
@@ -10,7 +11,9 @@ pole/pole cancellations that occur at degenerate parameter combinations
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
+import numpy as np
 from scipy.special import gammasgn
 
 __all__ = [
@@ -19,6 +22,7 @@ __all__ = [
     "gen_binomial",
     "gamma_ratio",
     "root_of_unity",
+    "roots_of_unity",
     "DegenerateParameters",
 ]
 
@@ -169,3 +173,17 @@ def root_of_unity(r, k=1):
     k = k % r
     t = 2.0 * k / r
     return complex(_cospi(t), _sinpi(t))
+
+
+@lru_cache(maxsize=64)
+def roots_of_unity(r):
+    """Read-only table of omega^e, e = 0..r-1, each from :func:`root_of_unity`.
+
+    Index it with exponents reduced mod r (``roots_of_unity(r)[e % r]``, or
+    an integer array of exponents ``% r``): the entries are the values
+    ``root_of_unity(r, e)`` returns, so table lookups are bitwise equal to
+    the scalar calls.
+    """
+    v = np.array([root_of_unity(r, e) for e in range(r)])
+    v.setflags(write=False)
+    return v

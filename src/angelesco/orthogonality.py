@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi
 
-from .numerics import gamma_ratio, root_of_unity
+from .numerics import gamma_ratio, roots_of_unity
 from .poly import padded_coeffs
 from .polynomials import base_poly, Params
 
@@ -53,17 +53,13 @@ def _moment_row(r, alpha, beta, max_m):
 
 def _hankel(params, rows, cols):
     """H[k, m] = moment(k + m) for k < rows, m < cols: a read-only window
-    on the cached moment row."""
-    mom = _moment_row(params.r, params.alpha, params.beta, rows + cols - 2)
-    return sliding_window_view(mom, cols)
-
-
-@lru_cache(maxsize=64)
-def _roots(r):
-    # omega^e for e = 0..r-1; index with exponents reduced mod r
-    v = np.array([root_of_unity(r, e) for e in range(r)])
-    v.setflags(write=False)
-    return v
+    on the cached moment row.  The row's length is rounded up to a power of
+    two, so the vectors of one ``verify`` share O(log n) rows; each moment
+    is computed on its own, so a slice equals a row of exact length."""
+    need = rows + cols - 1
+    max_m = (1 << (need - 1).bit_length()) - 1
+    mom = _moment_row(params.r, params.alpha, params.beta, max_m)
+    return sliding_window_view(mom[:need], cols)
 
 
 def _star_forms(v, ks):
@@ -80,7 +76,7 @@ def _star_forms(v, ks):
     width = max(len(p.coeffs) for p in v.polys)
     c = np.array([padded_coeffs(p.coeffs, width) for p in v.polys])
     h = _hankel(v.params, int(ks.max()) + 1, width)[ks]
-    roots = _roots(r)
+    roots = roots_of_unity(r)
     j = np.arange(r)
     rotated = c * roots[np.outer(j, np.arange(width)) % r]
     forms = ((h @ rotated.T) * roots[np.outer(ks + 1, j) % r]).sum(axis=1)

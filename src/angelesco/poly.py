@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import root_of_unity
+from .numerics import roots_of_unity
 
 __all__ = ["Poly", "poly_eval", "poly_rotate", "poly_derivative"]
 
@@ -188,7 +188,7 @@ def poly_rotate(p, m, r):
     """Compose with a ray rotation: returns q with q(x) = p(omega^m x)."""
     if p.is_zero:
         return p
-    phases = np.array([root_of_unity(r, m * k) for k in range(len(p.coeffs))])
+    phases = roots_of_unity(r)[(m * np.arange(len(p.coeffs))) % r]
     out = p.coeffs * phases
     if np.all(out.imag == 0.0):
         out = out.real

@@ -15,6 +15,13 @@ Every stored coefficient is produced by a single fused gamma-ratio call
 (normalization constants folded in), so parameter combinations where the
 normalizer vanishes while a polynomial coefficient blows up, e.g. r=1 with
 alpha+beta = -1, evaluate to their finite limit instead of inf*0.
+
+The vectors at (n,...,n) +/- e_k depend on the ray k only through
+root-of-unity phases.  Their fused gamma-ratio tables (the r combinations
+of the up family, the two coefficient rows of the down family) are built
+once per level and shared by every k, in a memo of a few levels; the
+tables are read-only, and each k multiplies them by phases from the one
+table of roots of unity into fresh arrays.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -31,7 +39,7 @@ from .numerics import (
     gamma_ratio,
     gen_binomial,
     pochhammer,
-    root_of_unity,
+    roots_of_unity,
 )
 from .poly import Poly, poly_rotate
 
@@ -319,24 +327,13 @@ def type1_diagonal(level, params):
     return TypeIVector(params, MultiIndexTag(level, "diagonal"), polys, base=base)
 
 
-def type1_up(n, k, params):
-    """Type I vector one step above the diagonal: multi-index (n,..,n)+e_k.
-
-    Built from the r combinations A_l(x) = (1/tau) sum_m omega^(l m)
-    p_n(x; alpha, beta-m)/nu_n^(beta-m); entry j is then
-    A_((j-k) mod r)(omega^(-j+1) x) omega^(-k+1).  The leading coefficient
-    of A_l for l != 0 cancels exactly by the root-of-unity sum.
-    """
-    if n < 0:
-        raise ValueError("type1_up needs n >= 0")
-    _check_cap(n + 1)
-    r, a, b = params.r, params.alpha, params.beta
-    if not 1 <= k <= r:
-        raise ValueError(f"ray k must be in 1..{r}")
-
-    # ratio[m][t]: coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)),
+@lru_cache(maxsize=4)
+def _up_combos(n, params):
+    # combos[l, t]: coefficient t of A_l, shared by every ray k of level n.
+    # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)),
     # all gamma factors fused; the m-dependence of the t=n entry cancels
     # exactly, which is what makes the degree drop structural.
+    r, a, b = params.r, params.alpha, params.beta
     ratio = np.empty((r, n + 1))
     for m in range(r):
         for t in range(n + 1):
@@ -360,44 +357,49 @@ def type1_up(n, k, params):
                 ],
             ) / r
             ratio[m, t] = -val if (n - t) % 2 else val
+    lm = np.arange(r)
+    combos = roots_of_unity(r)[np.outer(lm, lm) % r] @ ratio
+    combos.setflags(write=False)
+    return combos
 
-    omega_mat = np.array(
-        [[root_of_unity(r, l * m) for m in range(r)] for l in range(r)]
-    )
-    combos = omega_mat @ ratio  # combos[l, t] = coefficients of A_l
 
+def type1_up(n, k, params):
+    """Type I vector one step above the diagonal: multi-index (n,..,n)+e_k.
+
+    Built from the r combinations A_l(x) = (1/tau) sum_m omega^(l m)
+    p_n(x; alpha, beta-m)/nu_n^(beta-m); entry j is then
+    A_((j-k) mod r)(omega^(-j+1) x) omega^(-k+1).  The leading coefficient
+    of A_l for l != 0 cancels exactly by the root-of-unity sum.
+
+    The combinations do not depend on k: level n builds their r x (n+1)
+    table once (a memo of a few levels, read-only), and each ray k applies
+    only its phases.
+    """
+    if n < 0:
+        raise ValueError("type1_up needs n >= 0")
+    _check_cap(n + 1)
+    r = params.r
+    if not 1 <= k <= r:
+        raise ValueError(f"ray k must be in 1..{r}")
+    combos = _up_combos(n, params)
+    roots = roots_of_unity(r)
+    t = np.arange(n + 1)
     polys = []
     for j in range(1, r + 1):
-        l = (j - k) % r
-        phases = np.array(
-            [root_of_unity(r, (-j + 1) * t + (-k + 1)) for t in range(n + 1)]
-        )
-        polys.append(Poly(combos[l] * phases))
+        phases = roots[((-j + 1) * t + (-k + 1)) % r]
+        polys.append(Poly(combos[(j - k) % r] * phases))
     return TypeIVector(params, MultiIndexTag(n, "plus", k), polys)
 
 
-def type1_down(n, k, params):
-    """Type I vector one step below the diagonal: multi-index (n,..,n)-e_k.
-
-    gamma * A_j(x) = omega^(j-1) nu^(beta) p_(n-1)(omega^(-j+1)x; beta-1)
-                   - omega^(k-1) nu^(beta-1) p_(n-1)(omega^(-j+1)x; beta);
-    on ray j = k the two leading terms coincide and the degree drops to n-2.
-    For r = 1, n = 1 the multi-index is empty and the vector is zero.
-    """
-    if n < 1:
-        raise ValueError("type1_down needs n >= 1")
-    _check_cap(n - 1)
+@lru_cache(maxsize=4)
+def _down_terms(n, params):
+    # t1 = nu^(beta) coef_t(p_(n-1); beta-1) / gamma and
+    # t2 = nu^(beta-1) coef_t(p_(n-1); beta) / gamma, each fused; shared by
+    # every ray k of level n.
     r, a, b = params.r, params.alpha, params.beta
-    if not 1 <= k <= r:
-        raise ValueError(f"ray k must be in 1..{r}")
-    tag = MultiIndexTag(n, "minus", k)
-    if n == 1 and r == 1:
-        # empty multi-index: the zero vector, whose normalizer would be singular
-        return TypeIVector(params, tag, [Poly(np.zeros(1))])
-
     db = r * n + r * a + b - 1.0
-    t1 = np.empty(n)  # nu^(beta) coef_t(p_(n-1); beta-1) / gamma, fused
-    t2 = np.empty(n)  # nu^(beta-1) coef_t(p_(n-1); beta) / gamma, fused
+    t1 = np.empty(n)
+    t2 = np.empty(n)
     for t in range(n):
         v1 = gamma_ratio(
             [(db + n, r), n - 1 + a + (b - 1.0 + t) / r + 1.0],
@@ -425,13 +427,42 @@ def type1_down(n, k, params):
         sign = -1.0 if (n - 1 - t) % 2 else 1.0
         t1[t] = sign * v1
         t2[t] = sign * v2
+    t1.setflags(write=False)
+    t2.setflags(write=False)
+    return t1, t2
 
+
+def type1_down(n, k, params):
+    """Type I vector one step below the diagonal: multi-index (n,..,n)-e_k.
+
+    gamma * A_j(x) = omega^(j-1) nu^(beta) p_(n-1)(omega^(-j+1)x; beta-1)
+                   - omega^(k-1) nu^(beta-1) p_(n-1)(omega^(-j+1)x; beta);
+    on ray j = k the two leading terms coincide and the degree drops to n-2.
+    For r = 1, n = 1 the multi-index is empty and the vector is zero.
+
+    The two fused coefficient rows do not depend on k: level n builds them
+    once (a memo of a few levels, read-only), and each ray k applies only
+    its phases.
+    """
+    if n < 1:
+        raise ValueError("type1_down needs n >= 1")
+    _check_cap(n - 1)
+    r = params.r
+    if not 1 <= k <= r:
+        raise ValueError(f"ray k must be in 1..{r}")
+    tag = MultiIndexTag(n, "minus", k)
+    if n == 1 and r == 1:
+        # empty multi-index: the zero vector, whose normalizer would be singular
+        return TypeIVector(params, tag, [Poly(np.zeros(1))])
+
+    t1, t2 = _down_terms(n, params)
+    roots = roots_of_unity(r)
+    wk = roots[(k - 1) % r]
+    t = np.arange(n)
     polys = []
     for j in range(1, r + 1):
-        wj = root_of_unity(r, j - 1)
-        wk = root_of_unity(r, k - 1)
-        phases = np.array([root_of_unity(r, (-j + 1) * t) for t in range(n)])
-        polys.append(Poly(phases * (wj * t1 - wk * t2)))
+        phases = roots[((-j + 1) * t) % r]
+        polys.append(Poly(phases * (roots[j - 1] * t1 - wk * t2)))
     return TypeIVector(params, tag, polys)
 
 

@@ -13,7 +13,7 @@ translation (see ``r2_recurrence_a`` / ``r2_recurrence_c``).
 
 from __future__ import annotations
 
-from .numerics import gamma_ratio, root_of_unity
+from .numerics import gamma_ratio, roots_of_unity
 from .poly import identity_residual, padded_coeffs
 from .polynomials import type1_diagonal, type1_down, type1_up
 
@@ -111,8 +111,9 @@ def recurrence_residual(n, k, params):
     ups = [type1_up(n, l, params) for l in range(1, r + 1)]
     a_n = coeff_a(n, params)
     b_n = coeff_b(n, params)
-    bk = b_n * root_of_unity(r, k - 1)
-    al = [a_n * root_of_unity(r, 2 * l) for l in range(r)]  # ray l+1 phase
+    roots = roots_of_unity(r)
+    bk = b_n * roots[(k - 1) % r]
+    al = [a_n * roots[(2 * l) % r] for l in range(r)]  # ray l+1 phase
 
     size = n + 2  # every term has degree <= n
     worst = 0.0

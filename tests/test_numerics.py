@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from angelesco import (
@@ -11,6 +12,7 @@ from angelesco import (
     pochhammer,
     root_of_unity,
 )
+from angelesco.numerics import roots_of_unity
 
 
 def test_log_gamma_reference_values():
@@ -123,3 +125,12 @@ def test_alternating_binomial_reciprocal_sum_exact_rational():
     for j in range(n + 1):
         den *= t + j
     assert lhs == rhs / den
+
+
+def test_roots_of_unity_table_is_the_scalar_values():
+    for r in range(1, 9):
+        table = roots_of_unity(r)
+        scalar = np.array([root_of_unity(r, e) for e in range(-2 * r, 2 * r)])
+        assert table[np.arange(-2 * r, 2 * r) % r].tobytes() == scalar.tobytes()
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -16,6 +16,7 @@ from angelesco import (
     type1_up,
     verify_type1,
 )
+from angelesco.orthogonality import _hankel, _moment_row
 from angelesco.polynomials import TypeIVector
 from angelesco.poly import Poly
 
@@ -153,3 +154,29 @@ def test_norm_value_is_one_on_grid():
             rep = verify_type1(type1_diagonal(n, params))
             assert rep.norm_residual <= 1e-9  # mass-scaled deviation from 1
             assert rep.norm_value == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+@pytest.mark.parametrize("max_m", [7, 8, 9, 63, 64, 65])
+def test_hankel_slices_equal_exact_moments(r, max_m):
+    params = Params(r, 0.7, -0.5)
+    for rows in (1, max_m // 2 + 1, max_m + 1):
+        cols = max_m + 2 - rows
+        h = _hankel(params, rows, cols)
+        want = np.array(
+            [[moment(k + m, params) for m in range(cols)] for k in range(rows)]
+        )
+        assert h.shape == want.shape
+        assert h.tobytes() == want.tobytes()
+
+
+def test_verify_shares_power_of_two_moment_rows():
+    params = Params(3, 0.0, 2.0)
+    _moment_row.cache_clear()
+    for n in range(1, 13):
+        verify_type1(type1_diagonal(n, params))
+        for k in range(1, 4):
+            verify_type1(type1_up(n, k, params))
+            verify_type1(type1_down(n, k, params))
+    # lengths 1, 2, 4, ..., 64 cover every row rows + cols - 1 <= 50
+    assert _moment_row.cache_info().currsize <= 7

@@ -22,6 +22,7 @@ from angelesco import (
     type1_up,
     up_normalizer,
 )
+from angelesco import polynomials
 from angelesco.poly import Poly
 
 GRID = (-0.5, 0.0, 0.7, 2.0)
@@ -294,3 +295,61 @@ def test_normalization_constants_positive_and_consistent():
                 assert down_normalizer(n, params) == pytest.approx(want, rel=1e-11)
                 assert up_normalizer(n, params) > 0
                 assert diagonal_normalizer(n, params) > 0
+
+
+# ---------------------------------------------------------------------------
+# per-level tables shared by every ray
+# ---------------------------------------------------------------------------
+
+
+def _clear_level_tables():
+    polynomials._up_combos.cache_clear()
+    polynomials._down_terms.cache_clear()
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+@pytest.mark.parametrize("n", [2, 7])
+def test_level_tables_built_once_per_level(monkeypatch, r, n):
+    calls = 0
+    real = polynomials.gamma_ratio
+
+    def counting(nums, dens):
+        nonlocal calls
+        calls += 1
+        return real(nums, dens)
+
+    _clear_level_tables()
+    monkeypatch.setattr(polynomials, "gamma_ratio", counting)
+    params = Params(r, 0.7, -0.5)
+    for k in range(1, r + 1):
+        type1_up(n, k, params)
+        type1_down(n, k, params)
+    # one r x (n+1) up table and one pair of n-long down rows for the level
+    assert calls == r * (n + 1) + 2 * n
+
+
+def _level_coeff_bytes(n, params, ks):
+    out = {}
+    for k in ks:
+        for fam, build in (("up", type1_up), ("down", type1_down)):
+            v = build(n, k, params)
+            out[fam, k] = [(p.coeffs.dtype.str, p.coeffs.tobytes()) for p in v.polys]
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_level_tables_are_shared_safely(r):
+    params = Params(r, -0.5, 2.0)
+    n = 6
+    _clear_level_tables()
+    forward = _level_coeff_bytes(n, params, range(1, r + 1))
+    _clear_level_tables()
+    backward = _level_coeff_bytes(n, params, range(r, 0, -1))
+    assert forward == backward
+
+    combos = polynomials._up_combos(n, params)
+    t1, t2 = polynomials._down_terms(n, params)
+    for table in (combos, t1, t2):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+    assert not np.shares_memory(type1_up(n, 1, params).polys[0].coeffs, combos)
