@@ -41,10 +41,11 @@ print("\nthe density is singular at both endpoints, harder at 1:")
 for x in (0.001, 0.01, 0.5, 0.99, 0.999):
     print(f"  u_2({x}) = {u_density(x, 2):10.4f}")
 
-print("\none zero finder at every degree, correctly rounded doubles:")
-for n in (8, 40):
-    zsn = find_zeros(n, params)
-    print(f"  n={n}: precision={zsn.precision}, first={zsn.zeros[0]:.6f}, "
+print("\none zero finder at every degree, certified correctly rounded doubles;")
+print("the digits grow with the root condition, so with n and r:")
+for r, n in ((2, 8), (2, 40), (20, 40)):
+    zsn = find_zeros(n, Params(r, 0.0, 0.0))
+    print(f"  r={r} n={n}: dps={zsn.dps}, first={zsn.zeros[0]:.6f}, "
           f"last={zsn.zeros[-1]:.6f}, max residual={zsn.residuals.max():.1e}")
 edge = find_zeros(13, Params(1, 0.0, -1.0 + 1e-7))
 print(f"  beta = -1 + 1e-7 (r=1, n=13): first zero {edge.zeros[0]:.3e}, "

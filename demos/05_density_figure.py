@@ -8,13 +8,14 @@ hand: no plotting dependency.
 """
 
 import io
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 from angelesco import limit_cdf, u_density
 from angelesco.cli import main
 
 buf = io.StringIO()
-with redirect_stdout(buf):
+# the CLI notes the SVG it wrote on stderr; the line below says it instead
+with redirect_stdout(buf), redirect_stderr(io.StringIO()):
     code = main(["figure2", "--samples", "1201", "--svg", "figure2.svg"])
 assert code == 0
 with open("figure2.csv", "w", encoding="utf-8") as fh:

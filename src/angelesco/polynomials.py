@@ -21,7 +21,8 @@ root-of-unity phases.  Their fused gamma-ratio tables (the r combinations
 of the up family, the two coefficient rows of the down family) are built
 once per level and shared by every k, in a memo of a few levels; the
 tables are read-only, and each k multiplies them by phases from the one
-table of roots of unity into fresh arrays.
+table of roots of unity into fresh arrays.  The diagonal's fused row is
+memoized the same way, so the r ray checks of one level build it once.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "Constants",
     "base_poly",
     "base_coeffs_mp",
+    "coeff_error_units",
     "shifted_base_poly",
     "leading_coefficient",
     "normalization_constants",
@@ -217,23 +219,66 @@ def base_poly(n, params):
 
 def base_coeffs_mp(n, params):
     """Coefficients c_0..c_n of p_n as mpmath numbers, evaluated from the
-    closed form at the caller's working precision (``mp.workdps``).
+    closed form at the caller's working precision (``mp.workdps``; at least
+    53 bits, which hold alpha and beta exactly).
 
     This is the one extended-precision copy of the formula; the zero finder
-    builds on it.
+    builds on it.  With s_k = (beta + k)/r, the quotient
+    R_k = Gamma(n + alpha + s_k + 1) / Gamma(s_k + 1) advances along each
+    chain k = j, j + r, j + 2r, ... by a rising factor,
+
+        R_(k+r) = R_k (n + alpha + s_k + 1) / (s_k + 1)
+                = R_k (r (n + alpha + 1) + beta + k) / (beta + k + r),
+
+    so the gamma function runs only at the chain heads k < r and once for
+    Gamma(n + alpha + 1): 2 min(r, n + 1) + 1 calls.  The binomials are
+    exact integers (C(n, k+1) = C(n, k) (n - k)/(k + 1)).
+
+    Error model, at w working bits: the factor's numerator and denominator
+    are exact sums of doubles and integers, and the gamma arguments carry
+    enough guard bits that their rounding moves a gamma by at most one unit
+    of 2^-w.  Counting two units for the gamma function itself, one for
+    each argument, and one for each product and quotient, every c_k has
+    relative error at most ``coeff_error_units(n, r) * 2^-w``; the zero
+    finder's rounding test relies on that bound.
     """
     r = params.r
     a = mp.mpf(params.alpha)
     b = mp.mpf(params.beta)
-    out = []
+    top = mp.fadd(mp.fmul(r, a, exact=True), r * (n + 1), exact=True)  # r (n + alpha + 1)
+    # every gamma argument y lies in (0, (top + beta + r)/r], where
+    # y |psi(y)| <= (y + 1)^2
+    guard = 2 * (int((top + b + r) / r) + 2).bit_length() + 1
+    arg_prec = mp.mp.prec + guard
+    quot = []
     for k in range(n + 1):
-        v = (
-            mp.binomial(n, k)
-            * mp.gamma(n + a + (b + k) / r + 1)
-            / (mp.gamma(n + a + 1) * mp.gamma((b + k) / r + 1))
-        )
+        if k < r:
+            bk = mp.fadd(b, k, exact=True)
+            y = mp.fdiv(mp.fadd(top, bk, exact=True), r, prec=arg_prec)  # n + alpha + s_k + 1
+            s1 = mp.fdiv(mp.fadd(bk, r, exact=True), r, prec=arg_prec)  # s_k + 1
+            quot.append(mp.gamma(y) / mp.gamma(s1))
+        else:
+            bj = mp.fadd(b, k - r, exact=True)
+            quot.append(quot[k - r] * mp.fadd(top, bj, exact=True) / mp.fadd(bj, r, exact=True))
+    g = mp.gamma(mp.fadd(a, n + 1, exact=True))
+    out = []
+    binom = 1
+    for k in range(n + 1):
+        v = binom * quot[k] / g
         out.append(v if (n - k) % 2 == 0 else -v)
+        binom = binom * (n - k) // (k + 1)
     return out
+
+
+def coeff_error_units(n, r):
+    """K of the error model of :func:`base_coeffs_mp`: each coefficient of
+    p_n has relative error at most K 2^-w at w working bits.  A chain head
+    costs 3 + 3 + 1 units (two gammas with their arguments, one quotient),
+    each of the at most floor(n/r) chain steps 2 (a product and a
+    quotient), and the last step 4 (the product with the binomial, the
+    quotient by Gamma(n + alpha + 1) and that gamma's 2).  That makes
+    2 floor(n/r) + 11; the bound leaves 5 units for second-order terms."""
+    return 2 * (n // r) + 16
 
 
 def shifted_base_poly(n, params):
@@ -302,16 +347,10 @@ def normalization_constants(n, params):
 # ---------------------------------------------------------------------------
 
 
-def type1_diagonal(level, params):
-    """Type I vector at the diagonal multi-index (level, ..., level).
-
-    Entry j is lambda * p_(level-1)(omega^(-j+1) x); the normalizer is fused
-    into the coefficients, so entries stay finite where lambda alone would
-    vanish against a pole of p.
-    """
-    if level < 1:
-        raise ValueError("diagonal level must be >= 1")
-    _check_cap(level - 1)
+@lru_cache(maxsize=4)
+def _diagonal_base(level, params):
+    # lambda * p_(level-1), one fused gamma ratio per coefficient; Poly is
+    # immutable, so every call at the level shares it
     r, a, b = params.r, params.alpha, params.beta
     m = level - 1
     pb = r * m + r * a + b + r
@@ -322,7 +361,22 @@ def type1_diagonal(level, params):
             [(pb, r), m + a + 1.0, (b + t) / r + 1.0, t + 1.0, m - t + 1.0, m + 1.0],
         ) / r
         coef.append(-val if (m - t) % 2 else val)
-    base = Poly(coef)
+    return Poly(coef)
+
+
+def type1_diagonal(level, params):
+    """Type I vector at the diagonal multi-index (level, ..., level).
+
+    Entry j is lambda * p_(level-1)(omega^(-j+1) x); the normalizer is fused
+    into the coefficients, so entries stay finite where lambda alone would
+    vanish against a pole of p.  The fused row is built once per level (a
+    memo of a few levels, read-only) and shared by the r rays' checks.
+    """
+    if level < 1:
+        raise ValueError("diagonal level must be >= 1")
+    _check_cap(level - 1)
+    r = params.r
+    base = _diagonal_base(level, params)
     polys = [poly_rotate(base, -(j - 1), r) for j in range(1, r + 1)]
     return TypeIVector(params, MultiIndexTag(level, "diagonal"), polys, base=base)
 

@@ -1,18 +1,31 @@
 """Zeros of the kernel polynomials and their empirical measure.
 
 All n zeros of p_n lie simple in the open interval (0,1).  The monomial-basis
-root conditioning exhausts double precision already at moderate n, so the
-coefficients come from the closed form at max(50, 30 + 1.2 n) digits and are
-rounded once to integers at scale 2^prec (the working precision plus 32 guard
-bits).  Grid points and iterates are dyadic, so Horner's rule runs on Python
-integers as shift-and-add.  Sign changes on the exact quantile grid of the
-limit zero distribution, closed by the endpoints 0 and 1 where p_n does not
-vanish, bracket every zero, and a safeguarded Newton iteration (bisection
-whenever a step would leave the bracket) converges inside each bracket.  The
-reported doubles are the correctly rounded zeros at every degree: p_n
-changes sign between the midpoints to the neighbouring doubles.  Each
-residual is evaluated exactly at the reported double, so it depends only on
-the output.
+root condition sum |c_k| x^k / |x p_n'(x)| reaches 10^42 (r = 1) to 10^112
+(r = 40) at n = 60, so the coefficients come from the closed form
+(``base_coeffs_mp``) at a precision sized by that condition: an estimate
+that grows like n log(r + 1), plus a 30-digit margin that also keeps the
+reported residuals accurate.  They are rounded once to integers at scale
+2^prec (the working precision plus 32 guard bits).  Grid points and iterates
+are dyadic, so Horner's rule runs on Python integers as shift-and-add.  Sign
+changes on the exact quantile grid of the limit zero distribution, closed by
+the endpoints 0 and 1 where p_n does not vanish, bracket every zero, and a
+safeguarded Newton iteration (bisection whenever a step would leave the
+bracket) runs inside each bracket until its step nears double resolution.
+
+Every reported double is certified by a rounding test in the style of Ziv:
+p_n is evaluated in integers at the two midpoints to the neighbouring
+doubles, and the double is accepted only if the two values differ in sign
+and each exceeds a bound on its own error.  The bound adds three parts, in
+units of 2^-prec:
+  - the coefficients' relative error K 2^-w from ``coeff_error_units``,
+    times sum |c_k| x^k;
+  - the rounding of each coefficient to an integer, half a unit each;
+  - the n truncations of Horner's rule, less than a unit each.
+So an accepted double is the correctly rounded zero, which is unique.  Two
+certain values of one sign send Newton on; an undecided test redoes the
+polynomial at twice the digits.  Each residual is evaluated at the reported
+double, which is exact at scale 2^prec.
 
 Zeros of the rotated star entries are rotations of this one zero set, so
 they are never recomputed.
@@ -26,17 +39,31 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp
+from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp, coeff_error_units
 
 __all__ = ["ZeroSet", "ZeroFindingError", "find_zeros", "empirical_cdf", "stieltjes_empirical"]
 
 _RESIDUAL_TOL = 1e-10
 _MIN_SEPARATION = 1e-12
+# digits beyond the condition estimate; they keep the residuals accurate to
+# about 1e-9 relative, which 20 digits miss at well-conditioned zeros that
+# lie unusually close to their double
+_MARGIN_DIGITS = 30
+# the first attempt and two doublings of its digits
+_ATTEMPTS = 3
+# Newton stops to certify once its step is below 2^-30 of the iterate: a
+# quadratically converging step leaves the next iterate near 2^-60 of it.
+# Over r = 1..5, n = 13..60 this re-tests 19 of 3,090 roots and saves 14% of
+# the steps that a stop at 2^-40 takes.
+_STOP_BITS = 30
+_UNDECIDED = "undecided"
+_UNISOLATED = "unisolated"
 
 
 class ZeroFindingError(RuntimeError):
     """Raised when the computed roots fail the count/location/residual
-    invariants; carries the offending indices."""
+    invariants, or no attempt certifies them; carries the offending
+    indices."""
 
     def __init__(self, message, indices=()):
         super().__init__(message)
@@ -47,7 +74,8 @@ class ZeroFindingError(RuntimeError):
 class ZeroSet:
     """Sorted simple zeros of p_n in (0,1) with evaluation residuals
     relative to the local term magnitude sum |c_k| x^k.  ``precision`` names
-    the arithmetic of the zero finder; it is always "extended"."""
+    the arithmetic of the zero finder; it is always "extended".  ``dps`` is
+    the number of digits of the attempt that certified the zeros."""
 
     params: object
     n: int
@@ -55,11 +83,18 @@ class ZeroSet:
     residuals: np.ndarray
     newton_iters: np.ndarray
     precision: str
+    dps: int
 
     def __post_init__(self):
         self.zeros.setflags(write=False)
         self.residuals.setflags(write=False)
         self.newton_iters.setflags(write=False)
+
+
+def _condition_digits(n, r):
+    # log10 of the worst root condition, fitted over r = 1..40 at n = 60
+    # (within 1.2 digits there) and above the measured one at smaller n
+    return n * (0.07 + 1.1 * (1.0 + 1.0 / r) * math.log10(r + 1.0))
 
 
 def _quantile_grid(n, r, per_root):
@@ -79,9 +114,16 @@ def _quantile_grid(n, r, per_root):
 
 
 def _fixed(x, prec):
-    # a double is a dyadic rational, so at the scales used here it is exact
+    # a grid point at scale 2^prec, truncated where it is not exact
     num, den = x.as_integer_ratio()
     return (num << prec) // den
+
+
+def _fixed_exact(x, prec):
+    # the double x at scale 2^prec, or None where that scale cannot hold it
+    num, den = x.as_integer_ratio()
+    q, rem = divmod(num << prec, den)
+    return None if rem else q
 
 
 def _fixed_eval(crev, X, prec):
@@ -100,96 +142,146 @@ def _fixed_eval_d(crev, X, prec):
     return f, d
 
 
-def _dyadic_residual(crev, x):
-    # |p(x)| / sum |c_k| x^k at the double x = num / 2^s, exact in integers:
-    # both sums carry the common factor 2^(s n), which cancels in the ratio
-    num, den = x.as_integer_ratio()
-    s = den.bit_length() - 1
-    val = mag = 0
-    for k, c in enumerate(crev):
-        val = val * num + (c << (s * k))
-        mag = mag * num + (abs(c) << (s * k))
-    return abs(val) / mag
+def _fixed_eval_mag(crev, X, prec):
+    # p(x) and sum |c_k| x^k in one pass
+    f = m = 0
+    for c in crev:
+        f = ((f * X) >> prec) + c
+        m = ((m * X) >> prec) + abs(c)
+    return f, m
 
 
-def _safeguarded_newton(crev, prec, lo, hi, f_lo, f_hi, tol):
+def _rounding_test(crev, prec, w, K, X):
+    """Certify the double nearest X/2^prec: (x, f, mag) with p(x) and
+    sum |c_k| x^k at scale 2^prec, None if p has one certain sign at both
+    midpoints (so the zero lies elsewhere), or _UNDECIDED."""
+    n = len(crev) - 1
+    x = X / (1 << prec)  # int / int rounds correctly
+    Xx = _fixed_exact(x, prec)
+    Xlo = _fixed_exact(math.nextafter(x, 0.0), prec)
+    Xhi = _fixed_exact(math.nextafter(x, 2.0), prec)
+    if Xx is None or Xlo is None or Xhi is None or (Xx + Xlo) & 1 or (Xx + Xhi) & 1:
+        return _UNDECIDED
+    f_lo = _fixed_eval(crev, (Xx + Xlo) >> 1, prec)
+    f_hi = _fixed_eval(crev, (Xx + Xhi) >> 1, prec)
+    f, mag = _fixed_eval_mag(crev, Xx, prec)
+    # 2 (mag + 2n + 2) bounds sum |c_k| m^k at either midpoint m; the
+    # rounding to integers and Horner's truncations add at most 2n + 4
+    bound = ((2 * K * (mag + 2 * n + 2)) >> w) + 2 * n + 4
+    if abs(f_lo) <= bound or abs(f_hi) <= bound:
+        return _UNDECIDED
+    if (f_lo > 0) == (f_hi > 0):
+        return None
+    return x, f, mag
+
+
+def _certified_newton(crev, prec, w, K, lo, hi, f_lo, f_hi):
     # Newton iteration kept inside the sign-change bracket [lo, hi]; each
     # step moves the endpoint whose sign the new value shares, and a step
-    # that would leave the closed bracket is replaced by bisection
+    # that would leave the closed bracket is replaced by bisection.  Once a
+    # step nears double resolution the rounding test decides.
     X = lo + f_lo * (hi - lo) // (f_lo - f_hi)
     for it in range(1, prec + 1):
         f, d = _fixed_eval_d(crev, X, prec)
         if f == 0:
-            break
-        if (f > 0) == (f_lo > 0):
-            lo = X
+            Xn = X
         else:
-            hi = X
-        Xn = (lo + hi) >> 1
-        if d:
-            newton = X - (f << prec) // d
-            if lo <= newton <= hi:
-                Xn = newton
+            if (f > 0) == (f_lo > 0):
+                lo = X
+            else:
+                hi = X
+            Xn = (lo + hi) >> 1
+            if d:
+                newton = X - (f << prec) // d
+                if lo <= newton <= hi:
+                    Xn = newton
         step = abs(Xn - X)
         X = Xn
-        if step < tol + ((tol * X) >> prec):
+        if step <= X >> _STOP_BITS:
+            cert = _rounding_test(crev, prec, w, K, X)
+            if cert is not None:
+                return cert, it
+            if step == 0:
+                break  # a fixed point whose double the test rejects
+    return _UNDECIDED, it
+
+
+def _certify_at(n, params, dps):
+    """All n zeros of p_n from coefficients at ``dps`` digits, each
+    certified: (zeros, residuals, newton_iters), or _UNDECIDED when a
+    rounding test cannot decide, or _UNISOLATED when the grid does not
+    isolate n sign changes."""
+    with mp.workdps(dps):
+        w = mp.mp.prec
+        # coefficients rounded once to integers at scale 2^prec; the 32 guard
+        # bits keep the truncations in Horner below the coefficients' own
+        # rounding
+        prec = w + 32
+        crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(base_coeffs_mp(n, params))]
+    K = coeff_error_units(n, params.r)
+
+    for per_root in (8, 16, 32, 64):
+        grid = [_fixed(float(g), prec) for g in _quantile_grid(n, params.r, per_root)]
+        vals = [_fixed_eval(crev, X, prec) for X in grid]
+        brackets = [
+            (grid[i], grid[i + 1], vals[i], vals[i + 1])
+            for i in range(len(grid) - 1)
+            if vals[i] * vals[i + 1] < 0
+        ]
+        if len(brackets) == n:
             break
-    return X, d, it
+    else:
+        return _UNISOLATED
+
+    zeros = np.empty(n)
+    residuals = np.empty(n)
+    iters = np.empty(n, dtype=np.int64)
+    for i, bracket in enumerate(brackets):
+        cert, it = _certified_newton(crev, prec, w, K, *bracket)
+        if cert is _UNDECIDED:
+            return _UNDECIDED
+        zeros[i], f, mag = cert
+        residuals[i] = abs(f) / mag
+        iters[i] = it
+    return zeros, residuals, iters
 
 
 def find_zeros(n, params):
-    """All n zeros of p_n(.; alpha, beta) in (0,1), correctly rounded.
+    """All n zeros of p_n(.; alpha, beta) in (0,1), certified correctly
+    rounded.
 
-    The zeros are found by a safeguarded Newton iteration in integer fixed
-    point at 50+ digits, inside sign-change brackets from the quantile grid
-    of the limit zero distribution.  ``residuals`` are |p_n(x)| / sum |c_k|
-    x^k at each reported x; ``newton_iters`` counts the safeguarded steps
-    per root, bisections included.  Violations of the zero-set invariants
-    raise :class:`ZeroFindingError` rather than returning partial output;
-    among them a zero within half an ulp of 1, whose correctly rounded
-    double is 1.0 (alpha within about 1e-13 to 1e-15 of -1, by r and n).
+    The coefficients come from the closed form at a precision sized by the
+    root condition, which grows with n and r; the zeros are found by a
+    safeguarded Newton iteration in integer fixed point, inside sign-change
+    brackets from the quantile grid of the limit zero distribution, and
+    each reported double passes the rounding test of the module docstring.
+    An undecided test, or a grid that does not isolate n sign changes,
+    redoes the polynomial at twice the digits, at most twice; ``dps`` is
+    the digits of the attempt that certified.  ``residuals`` are
+    |p_n(x)| / sum |c_k| x^k at each reported x; ``newton_iters`` counts
+    the safeguarded steps per root, bisections included.  Violations of the
+    zero-set invariants raise :class:`ZeroFindingError` rather than
+    returning partial output; among them a zero within half an ulp of 1,
+    whose correctly rounded double is 1.0 (alpha within about 1e-13 to
+    1e-15 of -1, by r and n).
     """
     if n < 1:
         raise ValueError("find_zeros needs n >= 1")
     if n > DEGREE_CAP:
         raise DegreeCapError(n)
 
-    dps = max(50, 30 + int(1.2 * n))
-    with mp.workdps(dps):
-        # coefficients rounded once to integers at scale 2^prec; the 32 guard
-        # bits keep the truncations in Horner below the coefficients' own
-        # rounding
-        prec = mp.mp.prec + 32
-        crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(base_coeffs_mp(n, params))]
-    tol = (1 << prec) // 10 ** (dps - 6)
-
-    brackets = None
-    for per_root in (8, 16, 32, 64):
-        grid = [_fixed(float(g), prec) for g in _quantile_grid(n, params.r, per_root)]
-        vals = [_fixed_eval(crev, X, prec) for X in grid]
-        cand = [
-            (grid[i], grid[i + 1], vals[i], vals[i + 1])
-            for i in range(len(grid) - 1)
-            if vals[i] * vals[i + 1] < 0
-        ]
-        if len(cand) == n:
-            brackets = cand
+    dps = math.ceil(_condition_digits(n, params.r)) + _MARGIN_DIGITS
+    found = _certify_at(n, params, dps)
+    for _ in range(_ATTEMPTS - 1):
+        if not isinstance(found, str):
             break
-    if brackets is None:
+        dps *= 2
+        found = _certify_at(n, params, dps)
+    if found is _UNISOLATED:
         raise ZeroFindingError(f"quantile grid failed to isolate {n} sign changes")
-
-    zeros = np.empty(n)
-    residuals = np.empty(n)
-    iters = np.empty(n, dtype=np.int64)
-    one = 1 << prec
-    for i, (lo, hi, f_lo, f_hi) in enumerate(brackets):
-        X, d, it = _safeguarded_newton(crev, prec, lo, hi, f_lo, f_hi, tol)
-        if d == 0:
-            raise ZeroFindingError(f"derivative vanishes at root {i}", indices=[i])
-        x = X / one  # int / int rounds correctly
-        zeros[i] = x
-        residuals[i] = _dyadic_residual(crev, x)
-        iters[i] = it
+    if found is _UNDECIDED:
+        raise ZeroFindingError(f"rounding test undecided at {dps} digits")
+    zeros, residuals, iters = found
 
     bad = [i for i, x in enumerate(zeros) if not 0.0 < x < 1.0]
     if bad:
@@ -201,7 +293,7 @@ def find_zeros(n, params):
     bad = list(np.nonzero(residuals > _RESIDUAL_TOL)[0])
     if bad:
         raise ZeroFindingError(f"evaluation residuals above {_RESIDUAL_TOL} at {bad}", indices=bad)
-    return ZeroSet(params, n, zeros, residuals, iters, "extended")
+    return ZeroSet(params, n, zeros, residuals, iters, "extended", dps)
 
 
 def empirical_cdf(zs, x):

@@ -303,6 +303,7 @@ def test_normalization_constants_positive_and_consistent():
 
 
 def _clear_level_tables():
+    polynomials._diagonal_base.cache_clear()
     polynomials._up_combos.cache_clear()
     polynomials._down_terms.cache_clear()
 
@@ -322,10 +323,12 @@ def test_level_tables_built_once_per_level(monkeypatch, r, n):
     monkeypatch.setattr(polynomials, "gamma_ratio", counting)
     params = Params(r, 0.7, -0.5)
     for k in range(1, r + 1):
+        type1_diagonal(n, params)  # the recurrence check builds it once per ray
         type1_up(n, k, params)
         type1_down(n, k, params)
-    # one r x (n+1) up table and one pair of n-long down rows for the level
-    assert calls == r * (n + 1) + 2 * n
+    # one n-long diagonal row, one r x (n+1) up table and one pair of
+    # n-long down rows for the level
+    assert calls == n + r * (n + 1) + 2 * n
 
 
 def _level_coeff_bytes(n, params, ks):
@@ -349,7 +352,8 @@ def test_level_tables_are_shared_safely(r):
 
     combos = polynomials._up_combos(n, params)
     t1, t2 = polynomials._down_terms(n, params)
-    for table in (combos, t1, t2):
+    diag = polynomials._diagonal_base(n, params).coeffs
+    for table in (combos, t1, t2, diag):
         with pytest.raises(ValueError):
             table[0] = 1.0
     assert not np.shares_memory(type1_up(n, 1, params).polys[0].coeffs, combos)

@@ -12,6 +12,8 @@ from angelesco import (
     poly_eval,
     stieltjes_empirical,
 )
+from angelesco import zeros as zero_finder
+from angelesco.polynomials import base_coeffs_mp, coeff_error_units
 
 
 def test_single_zero():
@@ -60,6 +62,8 @@ def test_extended_mode_high_degree():
     assert zs.precision == "extended"
     assert zs.n == 60
     assert np.all(zs.residuals <= 1e-10)
+    # the condition estimate (66 digits at r = 5, n = 60) plus the margin
+    assert zs.dps == 96
 
 
 def test_degree_cap():
@@ -147,11 +151,29 @@ def _closed_form_mp(n, r, a, b):
     ]
 
 
-def _assert_correctly_rounded(zs, r, a, b):
+@pytest.mark.parametrize("r", range(1, 8))
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (0.7, -0.5), (2.0, 2.0)])
+def test_base_coeffs_mp_matches_closed_form(r, a, b):
+    # the chained coefficients against the closed form at 40 more digits,
+    # chains shorter than r included
+    dps = 30
+    for n in sorted({1, 2, r - 1, r, r + 1, 60} - {0}):
+        with mp.workdps(dps):
+            w = mp.mp.prec
+            got = base_coeffs_mp(n, Params(r, a, b))
+        with mp.workdps(dps + 40):
+            want = _closed_form_mp(n, r, a, b)
+            err = max(abs(g / v - 1) for g, v in zip(got, want))
+        assert len(got) == n + 1
+        assert err <= coeff_error_units(n, r) * mp.mpf(2) ** -w
+        assert err <= 2 * mp.mpf(10) ** -dps
+
+
+def _assert_correctly_rounded(zs, r, a, b, dps=160):
     # p_n changes sign between the midpoints to the neighbouring doubles, so
     # each reported zero is the double nearest the true one; the residual is
     # that of the reported double itself
-    with mp.workdps(160):
+    with mp.workdps(dps):
         crev = _closed_form_mp(zs.n, r, a, b)[::-1]
         absrev = [abs(v) for v in crev]
         for x, res in zip(zs.zeros, zs.residuals):
@@ -167,6 +189,21 @@ def _assert_correctly_rounded(zs, r, a, b):
 @pytest.mark.parametrize("r, a, b", [(1, 0.0, 0.0), (3, 0.7, -0.5), (5, 2.0, 2.0)])
 def test_extended_zeros_correctly_rounded(n, r, a, b):
     _assert_correctly_rounded(find_zeros(n, Params(r, a, b)), r, a, b)
+
+
+@pytest.mark.parametrize("r", [16, 20, 40])
+def test_large_r_zeros_correctly_rounded(r):
+    # the root condition reaches 10^90 to 10^112 here, past what a precision
+    # that ignores r provides
+    a, b = 0.7, -0.5
+    _assert_correctly_rounded(find_zeros(60, Params(r, a, b)), r, a, b, dps=220)
+
+
+def test_rounding_test_can_fail():
+    # at 30 + 1.2 n digits the coefficients of r = 20, n = 60 cannot settle
+    # the rounding of every zero (the root condition is 10^95): the attempt
+    # reports that instead of returning doubles
+    assert zero_finder._certify_at(60, Params(20, 0.7, -0.5), 30 + int(1.2 * 60)) == "undecided"
 
 
 def test_zero_next_to_origin():
