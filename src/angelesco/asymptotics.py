@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -52,47 +53,56 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=64)
+def _consts(r):
+    # theta_max = pi/(r+1), c_r = (r+1)^(r+1)/r^r and log c_r, once per r
+    c_r = (r + 1.0) ** (r + 1) / r**r
+    return math.pi / (r + 1), c_r, math.log(c_r)
+
+
 def _theta_max(r):
-    return math.pi / (r + 1)
-
-
-def _c_r(r):
-    return (r + 1.0) ** (r + 1) / r**r
+    return _consts(r)[0]
 
 
 def _sin_top(theta, r):
     # sin((r+1)theta) evaluated through the distance to the right endpoint,
     # where (r+1)theta is a cancellation-prone sliver below pi
-    if theta > 0.5 * _theta_max(r):
-        return math.sin((r + 1) * (_theta_max(r) - theta))
+    tm = _consts(r)[0]
+    if theta > 0.5 * tm:
+        return math.sin((r + 1) * (tm - theta))
     return math.sin((r + 1) * theta)
 
 
 def hatx_of_theta(theta, r):
     """xhat(t): strictly decreasing from 1 (t -> 0) to 0 (t -> pi/(r+1))."""
-    if not 0.0 < theta < _theta_max(r):
+    tm, c_r, _ = _consts(r)
+    if not 0.0 < theta < tm:
         raise ValueError("theta must lie strictly inside (0, pi/(r+1))")
-    return _sin_top(theta, r) ** (r + 1) / (
-        _c_r(r) * math.sin(theta) * math.sin(r * theta) ** r
+    return _sin_top(theta, r) ** (r + 1) / (c_r * math.sin(theta) * math.sin(r * theta) ** r)
+
+
+def _log_hatx_terms(top, theta, r, lib=math):
+    # log xhat(theta) = a - b - c - log c_r, returned as (a, b, c), with
+    # top = (r+1) theta or its reflection (r+1)(tm - theta); lib is math for
+    # one point or numpy for an array of them
+    return (
+        (r + 1) * lib.log(lib.sin(top)),
+        lib.log(lib.sin(theta)),
+        r * lib.log(lib.sin(r * theta)),
     )
 
 
 def _log_hatx_of_delta(delta, r):
     # log xhat at theta = theta_max - delta; accurate for tiny delta
-    tm = _theta_max(r)
-    th = tm - delta
-    return (
-        (r + 1) * math.log(math.sin((r + 1) * delta))
-        - math.log(math.sin(th))
-        - r * math.log(math.sin(r * th))
-        - math.log(_c_r(r))
-    )
+    tm, _, log_c = _consts(r)
+    a, b, c = _log_hatx_terms((r + 1) * delta, tm - delta, r)
+    return a - b - c - log_c
 
 
 def _dlog_hatx(theta, r):
     # d log xhat / d theta = (r+1)^2 cot((r+1)t) - cot t - r^2 cot(rt);
     # near the right endpoint, cot((r+1)t) = -cot((r+1)(tm-t)) keeps precision
-    tm = _theta_max(r)
+    tm = _consts(r)[0]
     if theta > 0.5 * tm:
         top = -((r + 1) ** 2) / math.tan((r + 1) * (tm - theta))
     else:
@@ -112,22 +122,27 @@ def _check_monotone(r):
     return True
 
 
-def theta_of_hatx(xh, r):
-    """The unique t in (0, pi/(r+1)) with xhat(t) = xh, for xh in (0,1).
+# theta(xh) is found in three stages: a bracket, 90 bisection steps and a
+# Newton polish.  For small xh the unknown is delta = tm - theta and the
+# level is log xh (log xhat increases in delta); otherwise the unknown is
+# theta itself and the level is xh (xhat decreases in theta).  A stage state
+# is (in_delta, level, lo, hi).
 
-    Bracketed bisection plus Newton polish; solved in the distance to the
-    right endpoint (log form) for small xh, in t directly otherwise.
-    """
+_BISECTION_STEPS = 90
+
+
+def _bracket(xh, r):
     if not 0.0 < xh < 1.0:
         raise ValueError("xhat must lie strictly inside (0,1)")
     _check_monotone(r)
-    tm = _theta_max(r)
+    tm, c_r, _ = _consts(r)
 
     if xh <= 0.5:
-        # delta-space: log xhat is increasing in delta = tm - theta
         target = math.log(xh)
-        k_r = (r + 1.0) ** (r + 1) / (_c_r(r) * math.sin(tm) * math.sin(r * tm) ** r)
+        k_r = (r + 1.0) ** (r + 1) / (c_r * math.sin(tm) * math.sin(r * tm) ** r)
         delta = (xh / k_r) ** (1.0 / (r + 1))  # leading-order inverse
+        if delta == 0.0:  # xh / k_r underflowed
+            delta = xh ** (1.0 / (r + 1)) / k_r ** (1.0 / (r + 1))
         lo, hi = delta * 0.5, min(delta * 2.0, tm * 0.5)
         flo = _log_hatx_of_delta(lo, r) - target
         fhi = _log_hatx_of_delta(hi, r) - target
@@ -139,39 +154,138 @@ def theta_of_hatx(xh, r):
             fhi = _log_hatx_of_delta(hi, r) - target
             if hi >= tm * (1.0 - 1e-12) and fhi < 0.0:
                 break
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if _log_hatx_of_delta(mid, r) < target:
-                lo = mid
-            else:
-                hi = mid
-        delta = 0.5 * (lo + hi)
-        for _ in range(3):
-            g = _log_hatx_of_delta(delta, r) - target
-            dg = -_dlog_hatx(tm - delta, r)
-            step = g / dg
-            cand = delta - step
-            if lo / 2 < cand < hi * 2:
-                delta = cand
-        return tm - delta
+        return True, target, lo, hi
 
     lo, hi = tm * 1e-9, tm * 0.5
     while hatx_of_theta(hi, r) > xh:
         hi = 0.5 * (hi + tm)
-    for _ in range(90):
+    return False, xh, lo, hi
+
+
+def _bisect(in_delta, level, r, lo, hi, steps):
+    # bisection that stops at its fixed point: once a step leaves (lo, hi)
+    # unchanged, every later step would too, so the result is that of all
+    # `steps` steps
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        if hatx_of_theta(mid, r) > xh:
+        if in_delta:
+            below = _log_hatx_of_delta(mid, r) < level
+        else:
+            below = hatx_of_theta(mid, r) > level
+        if below:
+            if lo == mid:
+                break
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
-    theta = 0.5 * (lo + hi)
+    return lo, hi
+
+
+def _polish(in_delta, level, r, lo, hi):
+    # up to three Newton steps from the bisection midpoint.  A step that
+    # would leave (lo/2, 2 hi) or not move, or whose slope is zero or not
+    # finite, ends the polish: repeating it would change nothing.  Returns
+    # theta, which rounds to tm when delta is below half an ulp of tm.
+    tm = _consts(r)[0]
+    x = 0.5 * (lo + hi)
     for _ in range(3):
-        f = hatx_of_theta(theta, r) - xh
-        df = hatx_of_theta(theta, r) * _dlog_hatx(theta, r)
-        cand = theta - f / df
-        if lo / 2 < cand < 2 * hi:
-            theta = cand
+        if in_delta:
+            g = _log_hatx_of_delta(x, r) - level
+            try:
+                slope = -_dlog_hatx(tm - x, r)
+            except ZeroDivisionError:  # cot 0, where tm - x rounds to tm
+                break
+        else:
+            h = hatx_of_theta(x, r)
+            g = h - level
+            slope = h * _dlog_hatx(x, r)
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        cand = x - g / slope
+        if not lo / 2 < cand < hi * 2 or cand == x:
+            break
+        x = cand
+    return tm - x if in_delta else x
+
+
+def _solve(xh, r):
+    # theta(xh) through the three stages, possibly rounded to tm
+    in_delta, level, lo, hi = _bracket(xh, r)
+    lo, hi = _bisect(in_delta, level, r, lo, hi, _BISECTION_STEPS)
+    return _polish(in_delta, level, r, lo, hi)
+
+
+def _inside(theta, r):
+    if not 0.0 < theta < _consts(r)[0]:
+        raise ValueError("xhat is too close to 0: theta rounds to pi/(r+1)")
     return theta
+
+
+def theta_of_hatx(xh, r):
+    """The unique t in (0, pi/(r+1)) with xhat(t) = xh, for xh in (0,1).
+
+    Bracketed bisection plus Newton polish; solved in the distance to the
+    right endpoint (log form) for small xh, in t directly otherwise.  The
+    bisection stops once a step would leave its bracket unchanged.  Raises
+    ValueError outside (0,1), and for xh so small that t rounds to
+    pi/(r+1) (below about (1e-16)^(r+1)).
+    """
+    return _inside(_solve(xh, r), r)
+
+
+# a bisection step is taken from numpy's array evaluation only when its
+# margin exceeds this share of the terms' size; numpy's log and sin can
+# differ from libm's in the last bits, by far less than this
+_CERTAIN = 1e-12
+
+
+def _certified_steps(in_delta, level, r, lo, hi, left, live):
+    # bisection steps for the samples `live` of one branch at once, in place.
+    # A sample leaves at its first step whose sign numpy cannot certify, or
+    # at a step that would not move its bracket (left is then set to 0);
+    # `left` counts the steps still owed by the scalar tail.
+    tm, _, log_c = _consts(r)
+    while live.size:
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        if in_delta:
+            top, theta = (r + 1) * mid, tm - mid
+            ref = level[live]
+        else:
+            top, theta = (r + 1) * np.where(mid > 0.5 * tm, tm - mid, mid), mid
+            ref = np.log(level[live])
+        t1, t2, t3 = _log_hatx_terms(top, theta, r, np)
+        margin = t1 - t2 - t3 - log_c - ref
+        if in_delta:
+            margin = -margin  # delta moves up while log xhat < log xh
+        scale = np.abs(t1) + np.abs(t2) + np.abs(t3) + log_c + np.abs(ref)
+        sure = np.abs(margin) > _CERTAIN * scale
+        up = sure & (margin > 0.0)
+        down = sure & (margin < 0.0)
+        lo[live[up]] = mid[up]
+        hi[live[down]] = mid[down]
+        left[live[sure]] -= 1
+        left[live[(up & (mid == a)) | (down & (mid == b))]] = 0
+        live = live[sure & (left[live] > 0)]
+
+
+def _theta_curve(xh, r):
+    # theta_of_hatx at every xh, bitwise equal to calling it per sample:
+    # brackets, undecided bisection steps and the polish run per sample as
+    # there, the certain bisection steps for all samples at once
+    states = [_bracket(v, r) for v in xh]
+    in_delta = np.array([s[0] for s in states], dtype=bool)
+    level, lo, hi = (np.array([s[i] for s in states], dtype=float) for i in (1, 2, 3))
+    left = np.full(len(states), _BISECTION_STEPS)
+    for branch in (True, False):
+        _certified_steps(branch, level, r, lo, hi, left, np.flatnonzero(in_delta == branch))
+    theta = []
+    for (branch, v, _, _), a, b, k in zip(states, lo.tolist(), hi.tolist(), left.tolist()):
+        a, b = _bisect(branch, v, r, a, b, k)
+        theta.append(_inside(_polish(branch, v, r, a, b), r))
+    return np.array(theta)
 
 
 def _w_at_theta(theta, r, xh=None):
@@ -184,23 +298,35 @@ def _w_at_theta(theta, r, xh=None):
 
 
 def w_density(xh, r):
-    """Density of the pushed-forward measure in xhat = x^r, on (0,1)."""
-    theta = theta_of_hatx(xh, r)
-    return _w_at_theta(theta, r, xh)
+    """Density of the pushed-forward measure in xhat = x^r, on (0,1).
+
+    Raises ValueError where it overflows, for xh below about 1e-307.
+    """
+    w = _w_at_theta(theta_of_hatx(xh, r), r, xh)
+    if w == math.inf:
+        raise ValueError("xhat is too close to 0: w overflows")
+    return w
 
 
 def u_density(x, r):
-    """Limit density of the zero distribution: u(x) = r x^(r-1) w(x^r)."""
+    """Limit density of the zero distribution: u(x) = r x^(r-1) w(x^r).
+
+    Raises ValueError where x^r underflows (to 0 or a subnormal), and
+    where theta(x^r) rounds to pi/(r+1) or w(x^r) overflows.
+    """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie strictly inside (0,1)")
     xh = x**r
-    if xh == 0.0:
+    if xh < sys.float_info.min:
         raise ValueError("x^r underflows; too close to the endpoint")
     return r * x ** (r - 1) * w_density(xh, r)
 
 
 def limit_cdf(x, r):
-    """F(x) = 1 - (r+1) theta(x^r)/pi, the exact CDF of the limit measure."""
+    """F(x) = 1 - (r+1) theta(x^r)/pi, the exact CDF of the limit measure.
+
+    Reads 0 where x^r underflows or theta(x^r) rounds to pi/(r+1).
+    """
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -208,7 +334,8 @@ def limit_cdf(x, r):
     xh = x**r
     if xh == 0.0:
         return 0.0
-    return 1.0 - (r + 1) * theta_of_hatx(xh, r) / math.pi
+    # where theta rounds to pi/(r+1), the difference is 0 or one ulp below
+    return max(0.0, 1.0 - (r + 1) * _solve(xh, r) / math.pi)
 
 
 def u_closed_r2(x):
@@ -243,7 +370,10 @@ def density_curve(r, samples, spacing="theta"):
     ``spacing="theta"`` places samples uniformly in the parameter, which
     concentrates x-points near both endpoints (the right grid for plotting a
     density with endpoint singularities); ``spacing="x"`` uses the interior
-    grid x_i = i/(samples+1).
+    grid x_i = i/(samples+1) and inverts all of it at once: numpy takes the
+    bisection steps whose sign it certifies, and each sample finishes in
+    the scalar steps of ``theta_of_hatx``, so theta is bitwise equal to
+    ``theta_of_hatx(x_i**r, r)``.
     """
     tm = _theta_max(r)
     if spacing == "theta":
@@ -256,9 +386,11 @@ def density_curve(r, samples, spacing="theta"):
         F = 1.0 - (r + 1) * theta / math.pi
     elif spacing == "x":
         x = np.arange(1, samples + 1) / (samples + 1.0)
-        theta = np.array([theta_of_hatx(xi**r, r) for xi in x])
+        # per-sample scalar powers: the array power can differ in the last bit
+        xh = [xi**r for xi in x]
+        theta = _theta_curve(xh, r)
         u = np.array(
-            [r * xi ** (r - 1) * _w_at_theta(t, r, xi**r) for xi, t in zip(x, theta)]
+            [r * xi ** (r - 1) * _w_at_theta(t, r, xhi) for xi, t, xhi in zip(x, theta, xh)]
         )
         F = 1.0 - (r + 1) * theta / math.pi
     else:

@@ -66,6 +66,82 @@ def test_theta_round_trips():
             assert abs(hatx_of_theta(t, r) - xh) <= 1e-13 * max(1.0, xh)
 
 
+def test_theta_near_domain_ends():
+    # tiny xh puts theta within half an ulp of pi/(r+1); xh near 1 makes the
+    # Newton slope vanish.  Either way: a theta inside the interval, or a
+    # ValueError, never a ZeroDivisionError
+    for r in (1, 2, 3, 5, 12):
+        tm = math.pi / (r + 1)
+        for xh in [10.0**-k for k in range(1, 330)] + [1 - 10.0**-k for k in range(1, 18)]:
+            try:
+                t = theta_of_hatx(xh, r)
+            except ValueError:
+                continue
+            assert math.isfinite(t) and 0.0 < t < tm
+            assert abs(hatx_of_theta(t, r) - xh) <= 1e-13 * max(1.0, xh)
+        for k in range(1, 330):
+            x = 10.0 ** (-k / r)
+            assert 0.0 <= limit_cdf(x, r) < 1.0
+            try:
+                assert 0.0 < u_density(x, r) < math.inf
+            except ValueError:
+                pass
+    for x, r in ((1e-60, 1), (1e-20, 5)):
+        with pytest.raises(ValueError):
+            u_density(x, r)
+    assert limit_cdf(1e-20, 5) == 0.0
+    assert u_density(1 - 1e-16, 5) > 0.0
+
+
+def _count_evaluations(monkeypatch):
+    # count the scalar xhat and log xhat evaluations made through the module
+    import angelesco.asymptotics as asym
+
+    calls = [0]
+    for name in ("hatx_of_theta", "_log_hatx_of_delta"):
+        fn = getattr(asym, name)
+
+        def counted(*args, _fn=fn):
+            calls[0] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(asym, name, counted)
+    return calls
+
+
+def test_theta_bisection_stops_at_fixed_point(monkeypatch):
+    theta_of_hatx(0.5, 3)  # the one-off monotonicity probe
+    calls = _count_evaluations(monkeypatch)
+    for xh in (0.2, 0.8):
+        calls[0] = 0
+        theta_of_hatx(xh, 3)
+        assert calls[0] <= 65  # all 90 bisection steps would exceed this
+
+
+def test_density_curve_scalar_evaluations(monkeypatch):
+    density_curve(3, 9, spacing="x")
+    calls = _count_evaluations(monkeypatch)
+    density_curve(3, 999, spacing="x")
+    assert calls[0] < 30_000  # 95,406 with one scalar inversion per sample
+
+
+def test_density_curve_matches_scalar_inversion_bitwise(monkeypatch):
+    import angelesco.asymptotics as asym
+
+    def per_sample(r, samples):
+        x = np.arange(1, samples + 1) / (samples + 1.0)
+        return np.array([theta_of_hatx(xi**r, r) for xi in x])
+
+    want = {(r, s): per_sample(r, s) for r in range(1, 13) for s in (1, 99, 999, 4000)}
+
+    def refuse(xh, r):
+        raise AssertionError("the curve called theta_of_hatx per sample")
+
+    monkeypatch.setattr(asym, "theta_of_hatx", refuse)
+    for (r, s), theta in want.items():
+        assert density_curve(r, s, spacing="x").theta.tobytes() == theta.tobytes(), (r, s)
+
+
 def test_theta_derivative_matches_finite_differences():
     from angelesco.asymptotics import _dlog_hatx
 
