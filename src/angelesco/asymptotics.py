@@ -294,13 +294,20 @@ def _w_at_theta(theta, r, xh=None):
     st = _sin_top(theta, r)
     s1, sr = math.sin(theta), math.sin(r * theta)
     denom = abs((r + 1) * sr - r * cmath.exp(1j * theta) * st) ** 2
-    return (r + 1) / (math.pi * xh) * s1 * sr * st / denom
+    scale = (r + 1) / (math.pi * xh)
+    if scale == math.inf:
+        # xh near 0, where the sine product is small: take it first
+        return (r + 1) / math.pi * (s1 * sr * st / denom) / xh
+    return scale * s1 * sr * st / denom
 
 
 def w_density(xh, r):
     """Density of the pushed-forward measure in xhat = x^r, on (0,1).
 
-    Raises ValueError where it overflows, for xh below about 1e-307.
+    Raises ValueError where :func:`theta_of_hatx` does (xh below about
+    (1e-16)^(r+1)), and where w itself overflows: w grows like
+    xh^(-r/(r+1)), so only subnormal xh at large r reach that (for example
+    xh = 5e-324 at r = 30).
     """
     w = _w_at_theta(theta_of_hatx(xh, r), r, xh)
     if w == math.inf:

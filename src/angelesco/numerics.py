@@ -2,10 +2,14 @@
 binomials, signed gamma ratios, and roots of unity (one at a time, or as
 a cached read-only table of all r of them).
 
-Every gamma ratio in the library is funneled through :func:`gamma_ratio`,
-which accumulates log-gamma terms with exact summation and resolves
-pole/pole cancellations that occur at degenerate parameter combinations
-(e.g. ``r=1`` with ``alpha+beta = -1``).
+This is the library's one double-precision gamma kernel: every gamma
+ratio, and so every double coefficient, moment and normalizer, is a
+:func:`gamma_ratio` call (the extended-precision copy of the formula runs
+on mpmath).  It sums signed log-gammas exactly with one rounding
+(``math.fsum``, Shewchuk's summation), so equal numerator and denominator
+arguments cancel inside the sum, and it resolves the pole/pole
+cancellations of degenerate parameter combinations (e.g. ``r=1`` with
+``alpha+beta = -1``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammasgn
 
 __all__ = [
     "log_gamma",
@@ -67,26 +70,28 @@ def gen_binomial(x, k):
     return out
 
 
-def _is_pole(x):
-    # Gamma poles sit at 0, -1, -2, ...
-    return x <= 0.0 and x == math.floor(x)
-
-
-def _norm_args(args):
-    # each argument is a value or a (value, rate) pair; the rate is the speed
-    # at which the argument crosses zero under a parameter perturbation and
-    # only matters when the argument sits exactly on a gamma pole
-    out = []
+def _log_gammas(args, logs, poles, side):
+    # appends side * lgamma(x) of each regular argument to logs and each pole
+    # (value, rate) to poles; returns the sign of the regular gammas' product
+    sign = 1.0
     for a in args:
+        rate = 1.0
         if isinstance(a, tuple):
-            out.append((float(a[0]), float(a[1])))
-        else:
-            out.append((float(a), 1.0))
-    return out
+            a, rate = a
+        x = float(a)
+        if x <= 0.0:
+            f = math.floor(x)
+            if x == f:
+                poles.append((x, float(rate)))
+                continue
+            if f % 2:  # Gamma(x) < 0 exactly where floor(x) is odd
+                sign = -sign
+        logs.append(side * math.lgamma(x))
+    return sign
 
 
 def gamma_ratio(nums, dens):
-    """Signed ratio  prod Gamma(nums) / prod Gamma(dens).
+    """Signed ratio  prod Gamma(nums) / prod Gamma(dens), as a ``float``.
 
     Arguments may carry a rate as a ``(value, rate)`` pair.  Pole arguments
     (non-positive integers) are resolved as a joint limit: writing each pole
@@ -96,52 +101,29 @@ def gamma_ratio(nums, dens):
     their removable parameter degeneracies (the pole loci of a fused
     coefficient always coincide, with rates 1 or r).  A surplus denominator
     pole gives 0 (1/Gamma is entire); a surplus numerator pole raises
-    :class:`DegenerateParameters`.  Equal non-pole arguments cancel exactly;
-    everything else is accumulated as exactly-summed log-gammas with signs.
-    """
-    nums = sorted(_norm_args(nums))
-    dens = sorted(_norm_args(dens))
-    num_poles = [a for a in nums if _is_pole(a[0])]
-    den_poles = [a for a in dens if _is_pole(a[0])]
-    nums = [a for a in nums if not _is_pole(a[0])]
-    dens = [a for a in dens if not _is_pole(a[0])]
+    :class:`DegenerateParameters`.
 
+    Every other argument adds +-lgamma(x) to one list, and the sign of
+    Gamma(x) < 0 (x < 0 with floor(x) odd) flips the result's sign.  The
+    list is summed exactly and rounded once (``math.fsum``), so the order of
+    the arguments does not matter and an argument that is both a numerator
+    and a denominator cancels exactly.  Arguments are finite.
+    """
+    logs, num_poles, den_poles = [], [], []
+    sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
+    num_poles.sort()
+    den_poles.sort()
     if len(num_poles) > len(den_poles):
         raise DegenerateParameters(
             f"gamma ratio has an unpaired pole: {num_poles!r} over {den_poles!r}"
         )
     if len(den_poles) > len(num_poles):
         return 0.0
-
-    # exact cancellation of equal regular arguments
-    rn, rd = [], []
-    i = j = 0
-    while i < len(nums) and j < len(dens):
-        if nums[i][0] == dens[j][0]:
-            i += 1
-            j += 1
-        elif nums[i][0] < dens[j][0]:
-            rn.append(nums[i])
-            i += 1
-        else:
-            rd.append(dens[j])
-            j += 1
-    rn.extend(nums[i:])
-    rd.extend(dens[j:])
-
-    sign = 1.0
-    logs = []
     for (a, ra), (b, rb) in zip(num_poles, den_poles):
         ka, kb = int(-a), int(-b)
         sign *= -1.0 if (ka - kb) % 2 else 1.0
         logs.append(math.lgamma(kb + 1.0) - math.lgamma(ka + 1.0))
         logs.append(math.log(rb / ra))
-    for x, _ in rn:
-        sign *= gammasgn(x)
-        logs.append(math.lgamma(x))
-    for x, _ in rd:
-        sign *= gammasgn(x)
-        logs.append(-math.lgamma(x))
     return sign * math.exp(math.fsum(logs))
 
 

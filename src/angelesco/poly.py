@@ -79,12 +79,12 @@ class Poly:
         if arr.ndim != 1:
             raise ValueError("Poly expects a 1-d coefficient sequence")
         if np.iscomplexobj(arr):
-            arr = arr.astype(np.complex128)
-            if np.all(arr.imag == 0.0):
-                arr = arr.real.copy()
+            arr = arr.astype(np.complex128, copy=False)
+            if not arr.imag.any():
+                arr = arr.real
         else:
-            arr = arr.astype(np.float64)
-        nz = np.nonzero(arr)[0]
+            arr = arr.astype(np.float64, copy=False)
+        nz = np.flatnonzero(arr)
         end = nz[-1] + 1 if nz.size else 1
         arr = arr[:end].copy()
         arr.setflags(write=False)

@@ -435,13 +435,11 @@ def type1_up(n, k, params):
     r = params.r
     if not 1 <= k <= r:
         raise ValueError(f"ray k must be in 1..{r}")
-    combos = _up_combos(n, params)
-    roots = roots_of_unity(r)
-    t = np.arange(n + 1)
-    polys = []
-    for j in range(1, r + 1):
-        phases = roots[((-j + 1) * t + (-k + 1)) % r]
-        polys.append(Poly(combos[(j - k) % r] * phases))
+    # row j - 1 is A_((j-k) mod r) times its phases omega^(-(j-1) t - (k-1))
+    j = np.arange(r)
+    combos = _up_combos(n, params)[(j - k + 1) % r]
+    phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k + 1) % r]
+    polys = [Poly(row) for row in combos * phases]
     return TypeIVector(params, MultiIndexTag(n, "plus", k), polys)
 
 
@@ -509,14 +507,11 @@ def type1_down(n, k, params):
         # empty multi-index: the zero vector, whose normalizer would be singular
         return TypeIVector(params, tag, [Poly(np.zeros(1))])
 
+    # row j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2)
     t1, t2 = _down_terms(n, params)
     roots = roots_of_unity(r)
-    wk = roots[(k - 1) % r]
-    t = np.arange(n)
-    polys = []
-    for j in range(1, r + 1):
-        phases = roots[((-j + 1) * t) % r]
-        polys.append(Poly(phases * (roots[j - 1] * t1 - wk * t2)))
+    phases = roots[(-np.arange(r)[:, None] * np.arange(n)) % r]
+    polys = [Poly(row) for row in phases * (roots[:, None] * t1 - roots[k - 1] * t2)]
     return TypeIVector(params, tag, polys)
 
 

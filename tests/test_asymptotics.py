@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -199,6 +200,40 @@ def test_w_density_positive_and_normalized():
         )
         assert left + right == pytest.approx(1.0, abs=1e-8)
         assert w_density(0.37, r) > 0.0
+
+
+def _w_mp(xh, r):
+    # the formula of w at the double theta the library solves for, in mpmath;
+    # sin((r+1) theta) is taken through the double pi/(r+1), as there
+    theta = theta_of_hatx(xh, r)
+    with mp.workdps(50):
+        t = mp.mpf(theta)
+        st = mp.sin((r + 1) * (mp.mpf(math.pi / (r + 1)) - t))
+        s1, sr = mp.sin(t), mp.sin(r * t)
+        denom = abs((r + 1) * sr - r * mp.expj(t) * st) ** 2
+        return (r + 1) / (mp.pi * xh) * s1 * sr * st / denom
+
+
+@pytest.mark.parametrize(
+    "xh,r", [(3e-308, 20), (1e-310, 20), (1e-300, 20), (1e-320, 30), (1e-315, 40), (2.5e-308, 60)]
+)
+def test_w_density_near_zero_matches_mpmath(xh, r):
+    # (r+1)/(pi xh) alone overflows below about (r+1) 1.8e-309; w does not
+    w = w_density(xh, r)
+    assert math.isfinite(w)
+    assert abs(w - _w_mp(xh, r)) <= 1e-12 * w
+
+
+def test_u_density_where_x_r_is_near_the_smallest_normal():
+    x, r = 2.5e-308 ** (1 / 20), 20
+    assert u_density(x, r) == r * x ** (r - 1) * w_density(x**r, r)
+    assert abs(w_density(x**r, r) - _w_mp(x**r, r)) <= 1e-12 * w_density(x**r, r)
+
+
+def test_w_density_overflow_raises():
+    # w ~ xh^(-r/(r+1)) exceeds the double range only at subnormal xh and large r
+    with pytest.raises(ValueError, match="w overflows"):
+        w_density(5e-324, 30)
 
 
 def test_u_density_normalization_and_mean():

@@ -4,7 +4,9 @@ Every name a library module imports is used in that module
 (``__init__.py`` is skipped: its imports are the package's re-exports).
 Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
-passes.
+passes.  No module but ``numerics.py`` uses a double-precision gamma
+function: ``gamma_ratio`` is the one double kernel (mpmath's gamma is the
+extended-precision one).
 """
 
 import ast
@@ -93,3 +95,69 @@ def test_scan_sees_an_unbounded_cache():
         "g = cache(a)\n"
     )
     assert _unbounded_caches(tree) == [7, 9, 11, 13, 14]
+
+
+_GAMMA = {
+    "math": {"lgamma", "gamma"},
+    "scipy.special": {"gamma", "gammaln", "loggamma", "gammasgn", "beta", "poch"},
+}
+
+
+def _dotted(node, modules):
+    # the module a Name or an attribute chain refers to, if it is one
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value, modules)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def _gamma_uses(tree):
+    """Lines that import or name a double-precision gamma function."""
+    modules, bad = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    modules[alias.asname] = alias.name
+                else:
+                    top = alias.name.split(".")[0]
+                    modules[top] = top
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in _GAMMA.get(node.module, ()):
+                    bad.append(node.lineno)
+                modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _GAMMA.get(
+            _dotted(node.value, modules), ()
+        ):
+            bad.append(node.lineno)
+    return sorted(bad)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in ALL_MODULES if p.name != "numerics.py"], ids=lambda p: p.name
+)
+def test_one_double_gamma_kernel(path):
+    assert _gamma_uses(ast.parse(path.read_text())) == []
+
+
+def test_scan_sees_a_gamma_call():
+    tree = ast.parse(
+        "import math\n"
+        "import math as m\n"
+        "import scipy.special as sc\n"
+        "from scipy.special import gammaln, roots_jacobi\n"
+        "from scipy import special\n"
+        "import mpmath as mp\n"
+        "import scipy\n"
+        "a = math.lgamma(2.0) + math.log(2.0)\n"
+        "b = m.gamma(2.0)\n"
+        "c = sc.beta(1.0, 2.0) + sc.roots_jacobi\n"
+        "d = special.poch(1.0, 2)\n"
+        "e = mp.gamma(2) + mp.loggamma(2) + roots_jacobi\n"
+        "f = scipy.special.gammasgn(-0.5)\n"
+    )
+    assert _gamma_uses(tree) == [4, 8, 9, 10, 11, 13]

@@ -1,8 +1,12 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammasgn
 
 from angelesco import (
     DegenerateParameters,
@@ -80,6 +84,67 @@ def test_gamma_ratio_pole_semantics():
     assert gamma_ratio([-1.0], [0.0]) == pytest.approx(-1.0, rel=1e-14)
     with pytest.raises(DegenerateParameters):
         gamma_ratio([0.0], [1.0])
+
+
+# regular gamma arguments: positive, or negative and at least 1e-6 from a pole
+regular = st.one_of(
+    st.floats(1e-6, 60.0),
+    st.integers(1, 30).map(float),
+    st.floats(-8.0, -1e-6).filter(lambda x: abs(x - round(x)) > 1e-6),
+)
+# poles, bare or with a rate
+pole = st.tuples(st.integers(-5, 0).map(float), st.sampled_from((1.0, 2.0, 3.0)))
+argument = st.one_of(regular, regular, pole, pole.map(lambda p: p[0]))
+bounded = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _outcome(nums, dens):
+    try:
+        return float(gamma_ratio(nums, dens)).hex()
+    except DegenerateParameters:
+        return "DegenerateParameters"
+
+
+@bounded
+@given(nums=st.lists(argument, max_size=6), dens=st.lists(argument, max_size=8), data=st.data())
+def test_gamma_ratio_ignores_argument_order(nums, dens, data):
+    perm_n = data.draw(st.permutations(nums))
+    perm_d = data.draw(st.permutations(dens))
+    assert _outcome(perm_n, perm_d) == _outcome(nums, dens)
+
+
+@bounded
+@given(
+    nums=st.lists(argument, max_size=6),
+    dens=st.lists(argument, max_size=8),
+    shared=st.lists(regular, min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_gamma_ratio_cancels_equal_regular_arguments(nums, dens, shared, data):
+    # an argument on both sides cancels inside the exact sum, wherever it sits
+    more_n = data.draw(st.permutations(nums + shared))
+    more_d = data.draw(st.permutations(dens + shared))
+    assert _outcome(more_n, more_d) == _outcome(nums, dens)
+
+
+@bounded
+@given(nums=st.lists(regular, max_size=6), dens=st.lists(regular, max_size=8))
+def test_gamma_ratio_sign_and_value_against_references(nums, dens):
+    val = gamma_ratio(nums, dens)
+    assert type(val) is float
+    sign = math.prod(gammasgn(x) for x in nums) * math.prod(gammasgn(x) for x in dens)
+    assert math.copysign(1.0, val) == sign
+    with mp.workdps(50):
+        ref = mp.fprod(mp.gamma(x) for x in nums) / mp.fprod(mp.gamma(x) for x in dens)
+        err = abs((mp.mpf(val) - ref) / ref)
+    bound = 8 * 2.0**-52 * (1.0 + sum(abs(math.lgamma(x)) for x in nums + dens))
+    assert err <= bound
+
+
+def test_gamma_ratio_returns_float():
+    assert type(gamma_ratio([5.0, np.float64(-0.5)], [3.0])) is float
+    assert type(gamma_ratio([(-1.0, 2.0)], [0.0])) is float
+    assert type(gamma_ratio([], [0.0])) is float
 
 
 def test_root_of_unity_exact_quarter_turns():

@@ -180,3 +180,15 @@ def test_verify_shares_power_of_two_moment_rows():
             verify_type1(type1_down(n, k, params))
     # lengths 1, 2, 4, ..., 64 cover every row rows + cols - 1 <= 50
     assert _moment_row.cache_info().currsize <= 7
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="r = 1 down vectors lose precision near beta = -1 (about eps / (1 + beta)); "
+    "their gamma arguments are formed from beta, not from 1 + beta",
+)
+def test_down_vectors_near_r1_beta_corner():
+    # verify --suite orthogonality at these parameters fails the same levels
+    params = Params(1, 0.0, -1.0 + 1e-9)
+    failed = [n for n in range(2, 6) if not verify_type1(type1_down(n, 1, params)).passed]
+    assert failed == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -23,6 +24,7 @@ from angelesco import (
     up_normalizer,
 )
 from angelesco import polynomials
+from angelesco.numerics import roots_of_unity
 from angelesco.poly import Poly
 
 GRID = (-0.5, 0.0, 0.7, 2.0)
@@ -357,3 +359,38 @@ def test_level_tables_are_shared_safely(r):
         with pytest.raises(ValueError):
             table[0] = 1.0
     assert not np.shares_memory(type1_up(n, 1, params).polys[0].coeffs, combos)
+
+
+def _reference_rows(n, k, params, family):
+    # the per-ray loops the one-product assembly replaced
+    r = params.r
+    roots = roots_of_unity(r)
+    rows = []
+    if family == "up":
+        combos = polynomials._up_combos(n, params)
+        t = np.arange(n + 1)
+        for j in range(1, r + 1):
+            phases = roots[((-j + 1) * t + (-k + 1)) % r]
+            rows.append(Poly(combos[(j - k) % r] * phases))
+    else:
+        t1, t2 = polynomials._down_terms(n, params)
+        wk = roots[(k - 1) % r]
+        t = np.arange(n)
+        for j in range(1, r + 1):
+            phases = roots[((-j + 1) * t) % r]
+            rows.append(Poly(phases * (roots[j - 1] * t1 - wk * t2)))
+    return rows
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_rows_equal_per_ray_assembly_bitwise(r, n):
+    for params, k in itertools.product((Params(r, 0.7, -0.5), Params(r, -0.5, 2.0)), range(1, r + 1)):
+        for family, build in (("up", type1_up), ("down", type1_down)):
+            if family == "down" and r == 1 and n == 1:
+                continue  # the empty multi-index
+            got = build(n, k, params).polys
+            want = _reference_rows(n, k, params, family)
+            assert [(p.coeffs.dtype.str, p.coeffs.tobytes()) for p in got] == [
+                (p.coeffs.dtype.str, p.coeffs.tobytes()) for p in want
+            ], (family, k)
