@@ -227,7 +227,6 @@ def test_w_density_near_zero_matches_mpmath(xh, r):
 def test_u_density_where_x_r_is_near_the_smallest_normal():
     x, r = 2.5e-308 ** (1 / 20), 20
     assert u_density(x, r) == r * x ** (r - 1) * w_density(x**r, r)
-    assert abs(w_density(x**r, r) - _w_mp(x**r, r)) <= 1e-12 * w_density(x**r, r)
 
 
 def test_w_density_overflow_raises():
