@@ -20,6 +20,9 @@ r = 2 the three solution branches are produced with Cardano's formula and
 labeled by analytic continuation from the real far field, where
 z S_1 -> -2 and z S_2, z S_3 -> 1; branch 2 is the Stieltjes transform and
 its boundary values recover the density via Stieltjes-Perron inversion.
+
+The inversion t(xhat) and the sampled curves are supported for
+r <= MAX_R = 64 and raise ValueError above it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from itertools import permutations
 import numpy as np
 
 __all__ = [
+    "MAX_R",
     "hatx_of_theta",
     "theta_of_hatx",
     "w_density",
@@ -51,6 +55,19 @@ __all__ = [
     "ks_distance",
     "endpoint_exponents",
 ]
+
+
+# The inversion theta(xhat) and density_curve are supported for r <= MAX_R.
+# A sweep of both over r <= 70 (xhat from 1e-329 to 1 - 2^-53, curves of up
+# to 1e5 samples) gave finite, positive values everywhere; from r = 90 the
+# constant of the bracket's leading-order start overflows.
+MAX_R = 64
+_TINY = sys.float_info.min
+
+
+def _check_r(r):
+    if r > MAX_R:
+        raise ValueError(f"the limit density is supported for r <= {MAX_R}, got r={r}")
 
 
 @lru_cache(maxsize=64)
@@ -73,12 +90,26 @@ def _sin_top(theta, r):
     return math.sin((r + 1) * theta)
 
 
+def _sines(theta, r):
+    # (sin((r+1)theta), sin theta, sin r theta), shared by xhat and w
+    return _sin_top(theta, r), math.sin(theta), math.sin(r * theta)
+
+
+def _hatx(st, s1, sr, r, c_r):
+    num, den = st ** (r + 1), sr**r
+    if num < _TINY or den < _TINY:
+        # a sine power left the normal range (small theta at large r, where
+        # both do): the ratio of the sines keeps full precision
+        return (st / sr) ** r * st / (c_r * s1)
+    return num / (c_r * s1 * den)
+
+
 def hatx_of_theta(theta, r):
     """xhat(t): strictly decreasing from 1 (t -> 0) to 0 (t -> pi/(r+1))."""
     tm, c_r, _ = _consts(r)
     if not 0.0 < theta < tm:
         raise ValueError("theta must lie strictly inside (0, pi/(r+1))")
-    return _sin_top(theta, r) ** (r + 1) / (c_r * math.sin(theta) * math.sin(r * theta) ** r)
+    return _hatx(*_sines(theta, r), r, c_r)
 
 
 def _log_hatx_terms(top, theta, r, lib=math):
@@ -134,6 +165,7 @@ _BISECTION_STEPS = 90
 def _bracket(xh, r):
     if not 0.0 < xh < 1.0:
         raise ValueError("xhat must lie strictly inside (0,1)")
+    _check_r(r)
     _check_monotone(r)
     tm, c_r, _ = _consts(r)
 
@@ -166,12 +198,15 @@ def _bisect(in_delta, level, r, lo, hi, steps):
     # bisection that stops at its fixed point: once a step leaves (lo, hi)
     # unchanged, every later step would too, so the result is that of all
     # `steps` steps
+    c_r = _consts(r)[1]
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if in_delta:
             below = _log_hatx_of_delta(mid, r) < level
         else:
-            below = hatx_of_theta(mid, r) > level
+            # hatx_of_theta(mid, r) without its domain check (0 < lo < mid <
+            # hi < tm), spelled out: this loop runs most x-hat evaluations
+            below = _hatx(_sin_top(mid, r), math.sin(mid), math.sin(r * mid), r, c_r) > level
         if below:
             if lo == mid:
                 break
@@ -230,7 +265,7 @@ def theta_of_hatx(xh, r):
     right endpoint (log form) for small xh, in t directly otherwise.  The
     bisection stops once a step would leave its bracket unchanged.  Raises
     ValueError outside (0,1), and for xh so small that t rounds to
-    pi/(r+1) (below about (1e-16)^(r+1)).
+    pi/(r+1) (below about (1e-16)^(r+1)), and for r > ``MAX_R``.
     """
     return _inside(_solve(xh, r), r)
 
@@ -288,11 +323,8 @@ def _theta_curve(xh, r):
     return np.array(theta)
 
 
-def _w_at_theta(theta, r, xh=None):
-    if xh is None:
-        xh = hatx_of_theta(theta, r)
-    st = _sin_top(theta, r)
-    s1, sr = math.sin(theta), math.sin(r * theta)
+def _w_at_theta(theta, r, xh, sines):
+    st, s1, sr = sines
     denom = abs((r + 1) * sr - r * cmath.exp(1j * theta) * st) ** 2
     scale = (r + 1) / (math.pi * xh)
     if scale == math.inf:
@@ -309,7 +341,8 @@ def w_density(xh, r):
     xh^(-r/(r+1)), so only subnormal xh at large r reach that (for example
     xh = 5e-324 at r = 30).
     """
-    w = _w_at_theta(theta_of_hatx(xh, r), r, xh)
+    theta = theta_of_hatx(xh, r)
+    w = _w_at_theta(theta, r, xh, _sines(theta, r))
     if w == math.inf:
         raise ValueError("xhat is too close to 0: w overflows")
     return w
@@ -332,7 +365,8 @@ def u_density(x, r):
 def limit_cdf(x, r):
     """F(x) = 1 - (r+1) theta(x^r)/pi, the exact CDF of the limit measure.
 
-    Reads 0 where x^r underflows or theta(x^r) rounds to pi/(r+1).
+    Reads 0 where x^r underflows or theta(x^r) rounds to pi/(r+1).  Raises
+    ValueError for r > ``MAX_R``.
     """
     if x <= 0.0:
         return 0.0
@@ -380,15 +414,21 @@ def density_curve(r, samples, spacing="theta"):
     grid x_i = i/(samples+1) and inverts all of it at once: numpy takes the
     bisection steps whose sign it certifies, and each sample finishes in
     the scalar steps of ``theta_of_hatx``, so theta is bitwise equal to
-    ``theta_of_hatx(x_i**r, r)``.
+    ``theta_of_hatx(x_i**r, r)``.  Raises ValueError for r > ``MAX_R``.
     """
+    _check_r(r)
     tm = _theta_max(r)
     if spacing == "theta":
         theta = tm * np.arange(samples, 0, -1) / (samples + 1.0)
-        xh = np.array([hatx_of_theta(t, r) for t in theta])
+        sines = [_sines(t, r) for t in theta.tolist()]
+        c_r = _consts(r)[1]
+        xh = np.array([_hatx(*s, r, c_r) for s in sines])
         x = xh ** (1.0 / r)
         u = np.array(
-            [r * xi ** (r - 1) * _w_at_theta(t, r, xhi) for xi, t, xhi in zip(x, theta, xh)]
+            [
+                r * xi ** (r - 1) * _w_at_theta(t, r, xhi, s)
+                for xi, t, xhi, s in zip(x, theta, xh, sines)
+            ]
         )
         F = 1.0 - (r + 1) * theta / math.pi
     elif spacing == "x":
@@ -397,7 +437,10 @@ def density_curve(r, samples, spacing="theta"):
         xh = [xi**r for xi in x]
         theta = _theta_curve(xh, r)
         u = np.array(
-            [r * xi ** (r - 1) * _w_at_theta(t, r, xhi) for xi, t, xhi in zip(x, theta, xh)]
+            [
+                r * xi ** (r - 1) * _w_at_theta(t, r, xhi, _sines(t, r))
+                for xi, t, xhi in zip(x, theta, xh)
+            ]
         )
         F = 1.0 - (r + 1) * theta / math.pi
     else:

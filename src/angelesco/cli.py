@@ -16,13 +16,19 @@ significant digits and round-trip exactly; `--format json` wraps the payload
 in a record with schema_version "1".  Exit codes: 0 ok, 1 verification
 failure, 2 usage error or degenerate parameters (a closed formula that is
 singular at the exact parameter values given, reported as one `error:` line),
-3 degree-cap/resource error.
+3 degree-cap/resource error (including an output file that cannot be
+written).
+
+``main`` parses with one parser built on its first call and reused for the
+life of the process; ``build_parser`` returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,10 +93,10 @@ def _usage_fail(msg):
 def _params_or_none(args):
     if args.r < 1:
         return None, _usage_fail("--r must be an integer >= 1")
-    if not args.alpha > -1.0:
-        return None, _usage_fail("--alpha must be > -1")
-    if not args.beta > -1.0:
-        return None, _usage_fail("--beta must be > -1")
+    if not (math.isfinite(args.alpha) and args.alpha > -1.0):
+        return None, _usage_fail("--alpha must be finite and > -1")
+    if not (math.isfinite(args.beta) and args.beta > -1.0):
+        return None, _usage_fail("--beta must be finite and > -1")
     return Params(args.r, args.alpha, args.beta), None
 
 
@@ -298,7 +304,10 @@ def _cmd_density(args, out=None):
         return _usage_fail("--r must be an integer >= 1")
     if args.samples < 1:
         return _usage_fail("--samples must be >= 1")
-    curve = density_curve(args.r, args.samples, spacing="x")
+    try:
+        curve = density_curve(args.r, args.samples, spacing="x")
+    except ValueError as e:
+        return _usage_fail(str(e))
     if args.format == "csv":
         out.write("x,u,F\n")
         for x, u, F in zip(curve.x, curve.u, curve.F):
@@ -369,14 +378,18 @@ def _cmd_figure2(args, out=None):
     if args.samples < 10:
         return _usage_fail("--samples must be >= 10")
     curves = [density_curve(r, args.samples, spacing="theta") for r in range(1, 6)]
+    if args.svg:
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(_svg_figure(curves))
+        except OSError as e:
+            print(f"error: cannot write --svg {args.svg}: {e.strerror or e}", file=sys.stderr)
+            return _EXIT_CAP
+        print(f"wrote {args.svg}", file=sys.stderr)
     out.write("r,x,u,F\n")
     for curve in curves:
         for x, u, F in zip(curve.x, curve.u, curve.F):
             out.write(f"{curve.r},{_fmt(float(x))},{_fmt(float(u))},{_fmt(float(F))}\n")
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_svg_figure(curves))
-        print(f"wrote {args.svg}", file=sys.stderr)
     return _EXIT_OK
 
 
@@ -442,8 +455,17 @@ def build_parser():
     return ap
 
 
+@lru_cache(maxsize=1)
+def _shared_parser():
+    # parse_args builds a new Namespace on every call and leaves the parser
+    # as it was, the _cmd_* handlers look library functions up as module
+    # globals when they run, and argparse reads sys.stdout / sys.stderr
+    # when it prints, so one parser serves every call of main
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _shared_parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -90,6 +90,35 @@ class Poly:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
+    @classmethod
+    def rows(cls, mat):
+        """The polys of the rows of a 2-d coefficient array, in one pass.
+
+        Bitwise equal to ``[Poly(row) for row in mat]``: the same dtype, the
+        same trimmed length and read-only coefficients.  A complex row whose
+        imaginary parts are all zero becomes real; the imaginary test and the
+        trailing nonzero index are found for all rows at once.
+        """
+        arr = np.asarray(mat)
+        if arr.ndim != 2:
+            raise ValueError("Poly.rows expects a 2-d coefficient array")
+        if np.iscomplexobj(arr):
+            arr = arr.astype(np.complex128, copy=False)
+            real = ~arr.imag.any(axis=1)
+        else:
+            arr = arr.astype(np.float64, copy=False)
+            real = np.ones(len(arr), dtype=bool)
+        # one past the last nonzero entry of each row, at least 1
+        ends = ((arr != 0) * np.arange(1, arr.shape[1] + 1)).max(axis=1, initial=1)
+        polys = []
+        for row, end, is_real in zip(arr, ends.tolist(), real.tolist()):
+            c = (row.real if is_real else row)[:end].copy()
+            c.setflags(write=False)
+            p = object.__new__(cls)
+            object.__setattr__(p, "coeffs", c)
+            polys.append(p)
+        return polys
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 

@@ -42,7 +42,7 @@ from .numerics import (
     pochhammer,
     roots_of_unity,
 )
-from .poly import Poly, poly_rotate
+from .poly import Poly
 
 __all__ = [
     "DEGREE_CAP",
@@ -377,7 +377,9 @@ def type1_diagonal(level, params):
     _check_cap(level - 1)
     r = params.r
     base = _diagonal_base(level, params)
-    polys = [poly_rotate(base, -(j - 1), r) for j in range(1, r + 1)]
+    # row j - 1 is base(omega^(-(j-1)) x)
+    phases = roots_of_unity(r)[(-np.arange(r)[:, None] * np.arange(len(base))) % r]
+    polys = Poly.rows(base.coeffs * phases)
     return TypeIVector(params, MultiIndexTag(level, "diagonal"), polys, base=base)
 
 
@@ -439,7 +441,7 @@ def type1_up(n, k, params):
     j = np.arange(r)
     combos = _up_combos(n, params)[(j - k + 1) % r]
     phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k + 1) % r]
-    polys = [Poly(row) for row in combos * phases]
+    polys = Poly.rows(combos * phases)
     return TypeIVector(params, MultiIndexTag(n, "plus", k), polys)
 
 
@@ -511,7 +513,7 @@ def type1_down(n, k, params):
     t1, t2 = _down_terms(n, params)
     roots = roots_of_unity(r)
     phases = roots[(-np.arange(r)[:, None] * np.arange(n)) % r]
-    polys = [Poly(row) for row in phases * (roots[:, None] * t1 - roots[k - 1] * t2)]
+    polys = Poly.rows(phases * (roots[:, None] * t1 - roots[k - 1] * t2))
     return TypeIVector(params, tag, polys)
 
 

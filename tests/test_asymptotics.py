@@ -26,6 +26,7 @@ from angelesco import (
     u_density,
     w_density,
 )
+from angelesco.asymptotics import MAX_R
 
 U2_HALF = 0.6989522791685144  # 50-digit evaluation of the closed r=2 form at 1/2
 
@@ -69,9 +70,10 @@ def test_theta_round_trips():
 
 def test_theta_near_domain_ends():
     # tiny xh puts theta within half an ulp of pi/(r+1); xh near 1 makes the
-    # Newton slope vanish.  Either way: a theta inside the interval, or a
-    # ValueError, never a ZeroDivisionError
-    for r in (1, 2, 3, 5, 12):
+    # Newton slope vanish (and, from r = 51, both sine powers of xhat
+    # underflow).  Either way: a theta inside the interval, or a ValueError,
+    # never a ZeroDivisionError
+    for r in (1, 2, 3, 5, 12, 52, MAX_R):
         tm = math.pi / (r + 1)
         for xh in [10.0**-k for k in range(1, 330)] + [1 - 10.0**-k for k in range(1, 18)]:
             try:
@@ -92,6 +94,17 @@ def test_theta_near_domain_ends():
             u_density(x, r)
     assert limit_cdf(1e-20, 5) == 0.0
     assert u_density(1 - 1e-16, 5) > 0.0
+
+
+def test_supported_ray_counts():
+    for spacing in ("x", "theta"):
+        curve = density_curve(MAX_R, 99, spacing)
+        assert np.all(np.isfinite(curve.u)) and np.all(curve.u > 0.0)
+        with pytest.raises(ValueError, match="supported"):
+            density_curve(MAX_R + 1, 99, spacing)
+    for fn in (theta_of_hatx, w_density, limit_cdf):
+        with pytest.raises(ValueError, match="supported"):
+            fn(0.5, MAX_R + 1)
 
 
 def _count_evaluations(monkeypatch):

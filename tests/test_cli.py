@@ -214,3 +214,69 @@ def test_parser_structure():
     assert ap.prog == "angelesco"
     with pytest.raises(SystemExit):
         ap.parse_args(["nonsense"])
+
+
+def run_fresh(argv):
+    # the same call through a parser built for it alone
+    import contextlib
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            return e.code, out.getvalue()
+        code = args.func(args)
+    return code, out.getvalue()
+
+
+def test_shared_parser_is_built_once():
+    from angelesco.cli import _shared_parser
+
+    assert _shared_parser() is _shared_parser()
+    assert build_parser() is not build_parser()
+
+
+def test_main_reuses_parser_across_calls(capsys):
+    sequence = [
+        ["coeffs", "--r", "3", "--alpha", "0.7", "--beta", "-0.5", "--n", "4",
+         "--family", "up", "--k", "2", "--format", "json"],
+        ["verify", "--suite", "ode", "--r", "2", "--n-max", "4"],
+        ["coeffs", "--r", "2", "--n", "1", "--family", "nonsense"],  # argparse usage error
+        ["zeros", "--r", "2", "--n", "4"],
+        ["verify", "--suite", "orthogonality", "--r", "3", "--n-max", "2"],
+        ["coeffs", "--r", "3", "--alpha", "0.7", "--beta", "-0.5", "--n", "4",
+         "--family", "up", "--k", "2", "--format", "json"],
+    ]
+    codes = []
+    for argv in sequence:
+        shared = run_cli(argv)
+        assert shared == run_fresh(argv)
+        codes.append(shared[0])
+    assert codes == [0, 0, 2, 0, 0, 0]
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["zeros", "--r", "2", "--alpha", "inf", "--n", "3"], 2),
+        (["zeros", "--r", "2", "--beta", "inf", "--n", "3"], 2),
+        (["coeffs", "--r", "2", "--alpha=-inf", "--n", "2"], 2),
+        (["verify", "--suite", "ode", "--r", "2", "--beta", "nan", "--n-max", "2"], 2),
+        (["figure2", "--samples", "10", "--svg", "{tmp}/missing/x.svg"], 3),
+        (["figure2", "--samples", "10", "--svg", "{tmp}"], 3),  # a directory
+        (["density", "--r", "90", "--samples", "5"], 2),
+        (["density", "--r", "100", "--samples", "5"], 2),
+        (["density", "--r", "400", "--samples", "5"], 2),
+    ],
+)
+def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
+    code, out = run_cli([a.format(tmp=tmp_path) for a in argv])
+    assert code == want
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

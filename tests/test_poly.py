@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from angelesco import Poly, poly_derivative, poly_eval, poly_rotate
 
@@ -88,3 +90,44 @@ def test_poly_arithmetic():
     assert np.allclose((a * b).coeffs, [3.0, 6.0, 1.0, 2.0])
     assert np.allclose(a.shift_up(2).coeffs, [0.0, 0.0, 1.0, 2.0])
     assert math.isclose((2.0 * a)(1.0), 6.0)
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e300, math.inf, math.nan])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(0, 4),
+    cols=st.integers(0, 6),
+    complex_=st.booleans(),
+    data=st.data(),
+)
+def test_rows_match_per_row_construction(rows, cols, complex_, data):
+    def draw_matrix():
+        return np.array(
+            data.draw(st.lists(_ENTRIES, min_size=rows * cols, max_size=rows * cols)),
+            dtype=float,
+        ).reshape(rows, cols)
+
+    mat = draw_matrix()
+    if complex_:
+        # some rows keep an imaginary part of zeros (signed ones included)
+        # and must come back real
+        imag = draw_matrix()
+        real_rows = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        imag[real_rows] = np.copysign(0.0, imag[real_rows])
+        mat = mat.astype(complex)
+        mat.imag = imag
+    got = Poly.rows(mat)
+    want = [Poly(row) for row in mat]
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert p.coeffs.dtype == q.coeffs.dtype
+        assert len(p.coeffs) == len(q.coeffs)
+        assert p.coeffs.tobytes() == q.coeffs.tobytes()
+        assert not p.coeffs.flags.writeable
+
+
+def test_rows_rejects_non_matrix():
+    with pytest.raises(ValueError):
+        Poly.rows([1.0, 2.0])
