@@ -29,6 +29,7 @@ from .asymptotics import (
 )
 from .numerics import (
     DegenerateParameters,
+    DoubleRangeError,
     gamma_ratio,
     gen_binomial,
     log_gamma,
@@ -80,6 +81,7 @@ from .recurrence import (
     r2_recurrence_a,
     r2_recurrence_c,
     recurrence_residual,
+    recurrence_residuals,
 )
 from .zeros import ZeroFindingError, ZeroSet, empirical_cdf, find_zeros, stieltjes_empirical
 

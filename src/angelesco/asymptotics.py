@@ -72,8 +72,13 @@ def _check_r(r):
 
 @lru_cache(maxsize=64)
 def _consts(r):
-    # theta_max = pi/(r+1), c_r = (r+1)^(r+1)/r^r and log c_r, once per r
-    c_r = (r + 1.0) ** (r + 1) / r**r
+    # theta_max = pi/(r+1), c_r = (r+1)^(r+1)/r^r and log c_r, once per r;
+    # from r = 143 the powers overflow, and c_r = (r+1) exp(r log1p(1/r))
+    # takes their place (c_r itself is below e (r+1))
+    try:
+        c_r = (r + 1.0) ** (r + 1) / r**r
+    except OverflowError:
+        c_r = (r + 1.0) * math.exp(r * math.log1p(1.0 / r))
     return math.pi / (r + 1), c_r, math.log(c_r)
 
 

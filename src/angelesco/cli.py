@@ -17,7 +17,7 @@ in a record with schema_version "1".  Exit codes: 0 ok, 1 verification
 failure, 2 usage error or degenerate parameters (a closed formula that is
 singular at the exact parameter values given, reported as one `error:` line),
 3 degree-cap/resource error (including an output file that cannot be
-written).
+written, and a coefficient or gamma ratio outside the double range).
 
 ``main`` parses with one parser built on its first call and reused for the
 life of the process; ``build_parser`` returns a fresh one.
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .asymptotics import density_curve
-from .numerics import DegenerateParameters
+from .numerics import DegenerateParameters, DoubleRangeError
 from .operators import lowering_check, ode_coeffs, ode_residual, raising_check
 from .orthogonality import verify_type1
 from .polynomials import (
@@ -44,7 +44,7 @@ from .polynomials import (
     type1_down,
     type1_up,
 )
-from .recurrence import coeff_a, coeff_b, limit_a, limit_b, recurrence_residual
+from .recurrence import coeff_a, coeff_b, limit_a, limit_b, recurrence_residuals
 from .zeros import ZeroFindingError, find_zeros
 
 _EXIT_OK = 0
@@ -201,9 +201,7 @@ def _cmd_verify(args, out=None):
         if suite == "orthogonality":
             return _ortho_residual_level(n, params, args.tol)
         if suite == "recurrence":
-            return max(
-                recurrence_residual(n, k, params) for k in range(1, params.r + 1)
-            )
+            return max(recurrence_residuals(n, params))
         if suite == "ode":
             return ode_residual(ode_coeffs(n, params))
         if suite == "lowering":
@@ -475,6 +473,9 @@ def main(argv=None):
         return args.func(args)
     except DegenerateParameters as e:
         return _usage_fail(f"degenerate parameters: {e}")
+    except DoubleRangeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return _EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -3,13 +3,17 @@ binomials, signed gamma ratios, and roots of unity (one at a time, or as
 a cached read-only table of all r of them).
 
 This is the library's one double-precision gamma kernel: every gamma
-ratio, and so every double coefficient, moment and normalizer, is a
-:func:`gamma_ratio` call (the extended-precision copy of the formula runs
-on mpmath).  It sums signed log-gammas exactly with one rounding
-(``math.fsum``, Shewchuk's summation), so equal numerator and denominator
-arguments cancel inside the sum, and it resolves the pole/pole
+function value in doubles, whether a moment, a normalizer, a base
+coefficient or the head of a coefficient chain, is a :func:`gamma_ratio`
+call (the extended-precision copy of the formula runs on mpmath).  The
+coefficient tables of the type I vectors call it only at the heads of
+their chains and advance every other entry by an exact rational factor
+(see ``polynomials.py``).  It sums signed log-gammas exactly with one
+rounding (``math.fsum``, Shewchuk's summation), so equal numerator and
+denominator arguments cancel inside the sum, and it resolves the pole/pole
 cancellations of degenerate parameter combinations (e.g. ``r=1`` with
-``alpha+beta = -1``).
+``alpha+beta = -1``).  A ratio whose value leaves the double range raises
+:class:`DoubleRangeError`.
 """
 
 from __future__ import annotations
@@ -27,12 +31,18 @@ __all__ = [
     "root_of_unity",
     "roots_of_unity",
     "DegenerateParameters",
+    "DoubleRangeError",
 ]
 
 
 class DegenerateParameters(ValueError):
     """A gamma ratio has an unpaired pole: the requested formula is
     singular at these exact parameter values."""
+
+
+class DoubleRangeError(ValueError):
+    """A closed-form value leaves the double range: a gamma ratio, or a
+    coefficient of a type I vector, is too large for a double."""
 
 
 def log_gamma(x):
@@ -107,24 +117,31 @@ def gamma_ratio(nums, dens):
     Gamma(x) < 0 (x < 0 with floor(x) odd) flips the result's sign.  The
     list is summed exactly and rounded once (``math.fsum``), so the order of
     the arguments does not matter and an argument that is both a numerator
-    and a denominator cancels exactly.  Arguments are finite.
+    and a denominator cancels exactly.  Arguments are finite.  A result (or
+    a log-gamma) above the double range raises :class:`DoubleRangeError`;
+    a result below it underflows to 0.
     """
-    logs, num_poles, den_poles = [], [], []
-    sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
-    num_poles.sort()
-    den_poles.sort()
-    if len(num_poles) > len(den_poles):
-        raise DegenerateParameters(
-            f"gamma ratio has an unpaired pole: {num_poles!r} over {den_poles!r}"
-        )
-    if len(den_poles) > len(num_poles):
-        return 0.0
-    for (a, ra), (b, rb) in zip(num_poles, den_poles):
-        ka, kb = int(-a), int(-b)
-        sign *= -1.0 if (ka - kb) % 2 else 1.0
-        logs.append(math.lgamma(kb + 1.0) - math.lgamma(ka + 1.0))
-        logs.append(math.log(rb / ra))
-    return sign * math.exp(math.fsum(logs))
+    try:
+        logs, num_poles, den_poles = [], [], []
+        sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
+        num_poles.sort()
+        den_poles.sort()
+        if len(num_poles) > len(den_poles):
+            raise DegenerateParameters(
+                f"gamma ratio has an unpaired pole: {num_poles!r} over {den_poles!r}"
+            )
+        if len(den_poles) > len(num_poles):
+            return 0.0
+        for (a, ra), (b, rb) in zip(num_poles, den_poles):
+            ka, kb = int(-a), int(-b)
+            sign *= -1.0 if (ka - kb) % 2 else 1.0
+            logs.append(math.lgamma(kb + 1.0) - math.lgamma(ka + 1.0))
+            logs.append(math.log(rb / ra))
+        return sign * math.exp(math.fsum(logs))
+    except OverflowError:
+        raise DoubleRangeError(
+            f"gamma ratio exceeds the double range: {list(nums)!r} over {list(dens)!r}"
+        ) from None
 
 
 def _cospi(x):

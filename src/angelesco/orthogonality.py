@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi
 
 from .numerics import gamma_ratio, roots_of_unity
@@ -51,15 +50,16 @@ def _moment_row(r, alpha, beta, max_m):
     return vals
 
 
-def _hankel(params, rows, cols):
-    """H[k, m] = moment(k + m) for k < rows, m < cols: a read-only window
-    on the cached moment row.  The row's length is rounded up to a power of
-    two, so the vectors of one ``verify`` share O(log n) rows; each moment
-    is computed on its own, so a slice equals a row of exact length."""
-    need = rows + cols - 1
+def _hankel(params, ks, cols):
+    """H[i, m] = moment(ks[i] + m) for m < cols: a fresh array gathered from
+    the cached moment row by one broadcast index sum.  The row's length is
+    rounded up to a power of two, so the vectors of one ``verify`` share
+    O(log n) rows; each moment is computed on its own, so the gather equals
+    one from a row of exact length."""
+    need = int(ks.max()) + cols
     max_m = (1 << (need - 1).bit_length()) - 1
     mom = _moment_row(params.r, params.alpha, params.beta, max_m)
-    return sliding_window_view(mom[:need], cols)
+    return mom[ks[:, None] + np.arange(cols)]
 
 
 def _star_forms(v, ks):
@@ -70,16 +70,17 @@ def _star_forms(v, ks):
     omega^(j(k+1)) sum_m c_(j,m) omega^(jm) moment(k+m).  The scale replaces
     every term by its modulus: the size against which cancellation is
     measured, since coefficient growth makes absolute tolerances
-    meaningless.  Both are Hankel products over all ks at once.
+    meaningless.  Both are Hankel products over all ks at once; the phase
+    exponents are broadcast products reduced mod r.
     """
     r = v.params.r
     width = max(len(p.coeffs) for p in v.polys)
     c = np.array([padded_coeffs(p.coeffs, width) for p in v.polys])
-    h = _hankel(v.params, int(ks.max()) + 1, width)[ks]
+    h = _hankel(v.params, ks, width)
     roots = roots_of_unity(r)
     j = np.arange(r)
-    rotated = c * roots[np.outer(j, np.arange(width)) % r]
-    forms = ((h @ rotated.T) * roots[np.outer(ks + 1, j) % r]).sum(axis=1)
+    rotated = c * roots[(j[:, None] * np.arange(width)) % r]
+    forms = ((h @ rotated.T) * roots[((ks[:, None] + 1) * j) % r]).sum(axis=1)
     scale = (h @ np.abs(c).T).sum(axis=1)
     return forms, scale
 
@@ -136,7 +137,7 @@ def check_modr(n, params, tol=1e-12):
     if n < 1:
         raise ValueError("check_modr needs n >= 1")
     c = base_poly(n, params).coeffs
-    h = _hankel(params, params.r * n, len(c))[params.r - 1 :: params.r]
+    h = _hankel(params, np.arange(params.r - 1, params.r * n, params.r), len(c))
     ok = bool(np.all(np.abs(h @ c) <= tol * np.maximum(h @ np.abs(c), 1.0)))
 
     shifted = np.array(

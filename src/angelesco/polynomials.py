@@ -11,32 +11,50 @@ polynomial family
 whose rotations and beta-shifts produce the type I vectors at the diagonal
 multi-index (n,...,n) and one step above/below it.
 
-Every stored coefficient is produced by a single fused gamma-ratio call
-(normalization constants folded in), so parameter combinations where the
-normalizer vanishes while a polynomial coefficient blows up, e.g. r=1 with
-alpha+beta = -1, evaluate to their finite limit instead of inf*0.
+The base family's coefficients are fused gamma-ratio calls, one per
+coefficient.  The type I vectors' coefficient tables run on one chain
+kernel: within a residue class t mod r, consecutive entries of a list
+built on beta' = beta - d differ by an exact rational factor,
+
+    c_t / c_(t-r) = (-1)^r [r(N + alpha + 1) + beta' + t - r] / (beta' + t)
+                    * C(N, t) / C(N, t-r),
+
+so ``gamma_ratio`` runs only at the chain heads: t < r, the last entry
+t = N, and every t where the factor's numerator or denominator has a
+negative integer part (which covers the steps where it is exactly 0).
+Each head is one fused gamma-ratio call (normalization constants folded
+in), so parameter combinations where the normalizer vanishes while a
+polynomial coefficient blows up, e.g. r=1 with alpha+beta = -1, evaluate
+to their finite limit instead of inf*0.  Every gamma argument is rounded
+once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
+two-double sum, and a step's factor adds nonnegative integers to X and to
+1 + beta, so arguments and factors near alpha, beta -> -1 keep their
+relative precision.  A table entry too large for the assembly raises
+:class:`DoubleRangeError`.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
-root-of-unity phases.  Their fused gamma-ratio tables (the r combinations
-of the up family, the two coefficient rows of the down family) are built
-once per level and shared by every k, in a memo of a few levels; the
-tables are read-only, and each k multiplies them by phases from the one
-table of roots of unity into fresh arrays.  The diagonal's fused row is
-memoized the same way, so the r ray checks of one level build it once.
+root-of-unity phases.  Their tables (the r combinations of the up family,
+the two coefficient rows of the down family) are built once per level and
+shared by every k, in a memo of a few levels; the tables are read-only,
+and each k multiplies them by phases from the one table of roots of unity
+into fresh arrays.  The diagonal's row is memoized the same way, so the r
+ray checks of one level build it once.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
 
 from .numerics import (
     DegenerateParameters,
+    DoubleRangeError,
     gamma_ratio,
     gen_binomial,
     pochhammer,
@@ -347,21 +365,66 @@ def normalization_constants(n, params):
 # ---------------------------------------------------------------------------
 
 
+def _affine(params):
+    # X = r(1 + alpha) + (1 + beta) as an unevaluated sum hi + lo of two
+    # doubles; every gamma argument with an alpha is an integer plus X
+    r, a, b = params.r, params.alpha, params.beta
+    terms = [r + 1.0, b] + [a] * r
+    try:
+        hi = math.fsum(terms)
+        terms.append(-hi)
+        return hi, math.fsum(terms)
+    except OverflowError:
+        raise DoubleRangeError(f"r(1 + alpha) + (1 + beta) overflows at {params!r}") from None
+
+
+def _chain(N, r, d, hi, beta, head):
+    # Entries t = 0..N of a fused list c_t ~ (-1)^(N-t) C(N,t)
+    # Gamma(N + alpha + s_t + 1)/Gamma(s_t + 1), s_t = (beta - d + t)/r; the
+    # step t-r -> t multiplies by (-1)^r (kn + X)/(kd + beta) C(N,t)/C(N,t-r)
+    # with the integer parts kn, kd below.  head(t) is the fused gamma-ratio
+    # value at t.
+    sign = -1.0 if r % 2 else 1.0
+    binom = [math.comb(N, t) for t in range(N + 1)]
+    out = []
+    for t in range(N + 1):
+        kn, kd = r * N - r - 1 - d + t, t - d
+        if t < r or t == N or kn < 0 or kd <= 0:
+            out.append(head(t))
+        else:
+            rise = sign * (kn + hi) / (kd + beta)
+            out.append(out[t - r] * rise * (binom[t] / binom[t - r]))
+    return out
+
+
+def _table(rows, r):
+    # read-only float table; the assembly adds up to r entries times unit
+    # phases, which stays finite below a quarter of the double range over r
+    table = np.array(rows, dtype=float)
+    if not np.abs(table).max() <= sys.float_info.max / (4 * r):
+        raise DoubleRangeError("a type I coefficient leaves the double range")
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=4)
 def _diagonal_base(level, params):
-    # lambda * p_(level-1), one fused gamma ratio per coefficient; Poly is
-    # immutable, so every call at the level shares it
+    # lambda * p_(level-1) on the chain; Poly is immutable, so every call at
+    # the level shares it
     r, a, b = params.r, params.alpha, params.beta
     m = level - 1
-    pb = r * m + r * a + b + r
-    coef = []
-    for t in range(m + 1):
+    hi, lo = _affine(params)
+    pb = math.fsum((r * m - 1, hi, lo))  # r m + r alpha + beta + r
+    pbl = math.fsum((r * m - 1 + level, hi, lo))  # pb + level
+
+    def head(t):
         val = gamma_ratio(
-            [(pb + level, r), m + a + (b + t) / r + 1.0, m + 1.0],
-            [(pb, r), m + a + 1.0, (b + t) / r + 1.0, t + 1.0, m - t + 1.0, m + 1.0],
+            [(pbl, r), math.fsum((r * m + t - 1, hi, lo)) / r],
+            [(pb, r), m + 1 + a, (t + r + b) / r, t + 1.0, m - t + 1.0],
         ) / r
-        coef.append(-val if (m - t) % 2 else val)
-    return Poly(coef)
+        return -val if (m - t) % 2 else val
+
+    return Poly(_table(_chain(m, r, 0, hi, b, head), r))
 
 
 def type1_diagonal(level, params):
@@ -386,35 +449,30 @@ def type1_diagonal(level, params):
 @lru_cache(maxsize=4)
 def _up_combos(n, params):
     # combos[l, t]: coefficient t of A_l, shared by every ray k of level n.
-    # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)),
-    # all gamma factors fused; the m-dependence of the t=n entry cancels
-    # exactly, which is what makes the degree drop structural.
+    # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)) on
+    # the chain of beta - m.  Its head at t = n takes the m-dependent gamma
+    # pair from the same expressions as numerator and denominator, so they
+    # cancel exactly and that entry is the same for every m: this is what
+    # makes the degree drop structural.
     r, a, b = params.r, params.alpha, params.beta
-    ratio = np.empty((r, n + 1))
-    for m in range(r):
-        for t in range(n + 1):
-            val = gamma_ratio(
-                [
-                    n + a + (b - m + t) / r + 1.0,
-                    n + a + 1.0,
-                    (b - m + n) / r + 1.0,
-                    n + a + (b + n + 1.0) / r,
-                    (r * n + n + r * a + b + 2.0, r),
-                ],
-                [
-                    n + a + 1.0,
-                    n + a + 1.0,
-                    (b - m + t) / r + 1.0,
-                    n + a + (b - m + n) / r + 1.0,
-                    (b + n + 1.0) / r,
-                    (r * n + r * a + b + 1.0, r),
-                    t + 1.0,
-                    n - t + 1.0,
-                ],
-            ) / r
-            ratio[m, t] = -val if (n - t) % 2 else val
+    hi, lo = _affine(params)
+    n1 = n + 1 + a
+    # the gamma arguments of 1/tau, numerator and denominator
+    tau_num = [math.fsum((r * n + n - r, hi, lo)) / r, (math.fsum((r * n + n - r + 1, hi, lo)), r)]
+    tau_den = [(n + 1 + b) / r, (math.fsum((r * n - r, hi, lo)), r)]
+
+    def head(m, t):
+        y = math.fsum((r * n - m + t - 1, hi, lo)) / r  # n + alpha + (beta - m + t)/r + 1
+        yn = math.fsum((r * n - m + n - 1, hi, lo)) / r  # the same at t = n
+        val = gamma_ratio(
+            [y, (n - m + r + b) / r] + tau_num,
+            [n1, (t - m + r + b) / r, yn] + tau_den + [t + 1.0, n - t + 1.0],
+        ) / r
+        return -val if (n - t) % 2 else val
+
+    ratio = [_chain(n, r, m, hi, b, partial(head, m)) for m in range(r)]
     lm = np.arange(r)
-    combos = roots_of_unity(r)[np.outer(lm, lm) % r] @ ratio
+    combos = roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
     combos.setflags(write=False)
     return combos
 
@@ -448,42 +506,38 @@ def type1_up(n, k, params):
 @lru_cache(maxsize=4)
 def _down_terms(n, params):
     # t1 = nu^(beta) coef_t(p_(n-1); beta-1) / gamma and
-    # t2 = nu^(beta-1) coef_t(p_(n-1); beta) / gamma, each fused; shared by
-    # every ray k of level n.
+    # t2 = nu^(beta-1) coef_t(p_(n-1); beta) / gamma, each on its chain;
+    # shared by every ray k of level n.  t2's head at t = n-1 takes its two
+    # t-dependent gamma pairs from the expressions of their t-independent
+    # partners, so it equals t1's head there bitwise and the degree drop on
+    # ray k is exact.
     r, a, b = params.r, params.alpha, params.beta
-    db = r * n + r * a + b - 1.0
-    t1 = np.empty(n)
-    t2 = np.empty(n)
-    for t in range(n):
-        v1 = gamma_ratio(
-            [(db + n, r), n - 1 + a + (b - 1.0 + t) / r + 1.0],
-            [(db, r), n + a, (b - 1.0 + t) / r + 1.0, t + 1.0, n - t + 0.0],
+    hi, lo = _affine(params)
+    db = math.fsum((r * n - r - 2, hi, lo))  # r n + r alpha + beta - 1
+    dbn = math.fsum((r * n - r - 2 + n, hi, lo))
+    na = n + a
+
+    def y(k):  # (k + X)/r
+        return math.fsum((k, hi, lo)) / r
+
+    def head1(t):
+        val = gamma_ratio(
+            [(dbn, r), y(r * n - r - 2 + t)],
+            [(db, r), na, (t - 1 + r + b) / r, t + 1.0, n - t + 0.0],
         ) / r
-        v2 = gamma_ratio(
-            [
-                n + a,
-                (n + b - 1.0) / r + 1.0,
-                (db + n, r),
-                n - 1 + a + (b - 1.0 + n - 1.0) / r + 1.0,
-                n - 1 + a + (b + t) / r + 1.0,
-            ],
-            [
-                n + a + (n + b - 1.0) / r,
-                (db, r),
-                n + a,
-                (b - 1.0 + n - 1.0) / r + 1.0,
-                n + a,
-                (b + t) / r + 1.0,
-                t + 1.0,
-                n - t + 0.0,
-            ],
+        return -val if (n - 1 - t) % 2 else val
+
+    def head2(t):
+        val = gamma_ratio(
+            [(n - 1 + r + b) / r, (dbn, r), y(r * n - r - 3 + n), y(r * n - r - 1 + t)],
+            [dbn / r, (db, r), (n - 2 + r + b) / r, na, (t + r + b) / r, t + 1.0, n - t + 0.0],
         ) / r
-        sign = -1.0 if (n - 1 - t) % 2 else 1.0
-        t1[t] = sign * v1
-        t2[t] = sign * v2
-    t1.setflags(write=False)
-    t2.setflags(write=False)
-    return t1, t2
+        return -val if (n - 1 - t) % 2 else val
+
+    return (
+        _table(_chain(n - 1, r, 1, hi, b, head1), r),
+        _table(_chain(n - 1, r, 0, hi, b, head2), r),
+    )
 
 
 def type1_down(n, k, params):

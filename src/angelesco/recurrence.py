@@ -23,6 +23,7 @@ __all__ = [
     "limit_a",
     "limit_b",
     "recurrence_residual",
+    "recurrence_residuals",
     "r2_recurrence_a",
     "r2_recurrence_c",
 ]
@@ -101,16 +102,35 @@ def recurrence_residual(n, k, params):
     sum is divided by the largest term there, and the worst ratio over
     indices and entries is returned.
     """
+    return _ray_residual(n, k, params, *_level_terms(n, params))
+
+
+def recurrence_residuals(n, params):
+    """``recurrence_residual(n, k, params)`` for k = 1..r, in ray order.
+
+    The level's diagonal vector and its r up vectors are built once and
+    shared by the r rays' checks; each residual is the one
+    :func:`recurrence_residual` returns.
+    """
+    terms = _level_terms(n, params)
+    return [_ray_residual(n, k, params, *terms) for k in range(1, params.r + 1)]
+
+
+def _level_terms(n, params):
+    # the k-independent vectors and coefficients of level n
     if n < 1:
         raise ValueError("recurrence_residual needs n >= 1")
     r = params.r
     if r < 2:
         raise ValueError("the star recurrence check needs r >= 2")
     cur = type1_diagonal(n, params)
-    dn = type1_down(n, k, params)
     ups = [type1_up(n, l, params) for l in range(1, r + 1)]
-    a_n = coeff_a(n, params)
-    b_n = coeff_b(n, params)
+    return cur, ups, coeff_a(n, params), coeff_b(n, params)
+
+
+def _ray_residual(n, k, params, cur, ups, a_n, b_n):
+    r = params.r
+    dn = type1_down(n, k, params)
     roots = roots_of_unity(r)
     bk = b_n * roots[(k - 1) % r]
     al = [a_n * roots[(2 * l) % r] for l in range(r)]  # ray l+1 phase

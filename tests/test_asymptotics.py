@@ -123,6 +123,17 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
+def test_consts_past_the_power_overflow():
+    # from r = 143, (r+1)^(r+1) overflows and c_r comes from its log form
+    from angelesco.asymptotics import _consts
+
+    for r in (1, 5, 64, 142, 143, 200, 1000, 10**6):
+        with mp.workdps(40):
+            want = mp.mpf(r + 1) ** (r + 1) / mp.mpf(r) ** r
+        assert _consts(r)[1] == pytest.approx(float(want), rel=1e-15)
+    assert _consts(142)[1] == (142 + 1.0) ** 143 / 142**142
+
+
 def test_theta_bisection_stops_at_fixed_point(monkeypatch):
     theta_of_hatx(0.5, 3)  # the one-off monotonicity probe
     calls = _count_evaluations(monkeypatch)

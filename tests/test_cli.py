@@ -270,6 +270,22 @@ def test_main_reuses_parser_across_calls(capsys):
         (["density", "--r", "90", "--samples", "5"], 2),
         (["density", "--r", "100", "--samples", "5"], 2),
         (["density", "--r", "400", "--samples", "5"], 2),
+        # values outside the double range
+        (["coeffs", "--r", "2", "--alpha", "300", "--beta", "1e5", "--n", "2"], 3),
+        (["coeffs", "--r", "2", "--alpha", "300", "--beta", "1e5", "--n", "2",
+          "--family", "diag"], 3),
+        (["coeffs", "--r", "2", "--alpha", "300", "--beta", "1e5", "--n", "2",
+          "--family", "up", "--k", "1"], 3),
+        (["coeffs", "--r", "2", "--alpha", "300", "--beta", "1e5", "--n", "2",
+          "--family", "down", "--k", "2"], 3),
+        (["coeffs", "--r", "2", "--alpha", "1e308", "--beta", "1e308", "--n", "2",
+          "--family", "up", "--k", "1"], 3),
+        (["verify", "--suite", "orthogonality", "--r", "2", "--alpha", "300",
+          "--beta", "1e5", "--n-max", "2"], 3),
+        (["verify", "--suite", "recurrence", "--r", "2", "--alpha", "300",
+          "--beta", "1e5", "--n-max", "2"], 3),
+        (["verify", "--suite", "ode", "--r", "2", "--alpha", "300",
+          "--beta", "1e5", "--n-max", "2"], 3),
     ],
 )
 def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
@@ -280,3 +296,22 @@ def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeros", "--r", "143", "--n", "2"],
+        ["zeros", "--r", "200", "--n", "3"],
+        ["verify", "--suite", "zeros", "--r", "1000", "--n-max", "2"],
+    ],
+)
+def test_zeros_past_the_power_overflow(argv, capsys):
+    # c_r = (r+1)^(r+1)/r^r: its powers overflow from r = 143
+    code, out = run_cli(argv)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    if argv[0] == "zeros":
+        assert len(out.splitlines()) == int(argv[-1]) + 1  # header and n zeros
+    else:
+        assert out.endswith("suite=zeros overall=pass\n")

@@ -58,8 +58,5 @@ def test_ode_residual_property(r, alpha, beta, n):
     assert res <= 1e-11
 
 
-@pytest.mark.xfail(
-    strict=True, reason="r = 2, n = 1 vectors lose precision near alpha = beta = -1"
-)
 def test_recurrence_residual_near_r2_corner():
     assert recurrence_residual(1, 1, Params(2, -1.0 + 1e-8, -1.0 + 1e-8)) <= 1e-11

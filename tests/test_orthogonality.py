@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from angelesco import (
     Params,
@@ -16,7 +17,9 @@ from angelesco import (
     type1_up,
     verify_type1,
 )
-from angelesco.orthogonality import _hankel, _moment_row
+from angelesco.numerics import roots_of_unity
+from angelesco.orthogonality import _hankel, _moment_row, _star_forms
+from angelesco.poly import padded_coeffs
 from angelesco.polynomials import TypeIVector
 from angelesco.poly import Poly
 
@@ -162,12 +165,43 @@ def test_hankel_slices_equal_exact_moments(r, max_m):
     params = Params(r, 0.7, -0.5)
     for rows in (1, max_m // 2 + 1, max_m + 1):
         cols = max_m + 2 - rows
-        h = _hankel(params, rows, cols)
+        h = _hankel(params, np.arange(rows), cols)
         want = np.array(
             [[moment(k + m, params) for m in range(cols)] for k in range(rows)]
         )
         assert h.shape == want.shape
         assert h.tobytes() == want.tobytes()
+
+
+def _reference_star_forms(v, ks):
+    # the window-view and outer-product formula that _star_forms replaced
+    r = v.params.r
+    width = max(len(p.coeffs) for p in v.polys)
+    c = np.array([padded_coeffs(p.coeffs, width) for p in v.polys])
+    need = int(ks.max()) + width
+    mom = _moment_row(r, v.params.alpha, v.params.beta, (1 << (need - 1).bit_length()) - 1)
+    h = sliding_window_view(mom[:need], width)[ks]
+    roots = roots_of_unity(r)
+    j = np.arange(r)
+    rotated = c * roots[np.outer(j, np.arange(width)) % r]
+    forms = ((h @ rotated.T) * roots[np.outer(ks + 1, j) % r]).sum(axis=1)
+    scale = (h @ np.abs(c).T).sum(axis=1)
+    return forms, scale
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_star_forms_equal_window_formula_bitwise(r):
+    params = Params(r, 0.7, -0.5)
+    for n in (1, 2, 7, 24):
+        vecs = [type1_diagonal(n, params), type1_up(n, r, params)]
+        if r * n > 1:
+            vecs.append(type1_down(n, 1, params))
+        for v in vecs:
+            for ks in (np.arange(v.size), np.array([v.size - 1])):
+                got = _star_forms(v, ks)
+                want = _reference_star_forms(v, ks)
+                for g, w in zip(got, want):
+                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
 def test_verify_shares_power_of_two_moment_rows():
@@ -182,11 +216,6 @@ def test_verify_shares_power_of_two_moment_rows():
     assert _moment_row.cache_info().currsize <= 7
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="r = 1 down vectors lose precision near beta = -1 (about eps / (1 + beta)); "
-    "their gamma arguments are formed from beta, not from 1 + beta",
-)
 def test_down_vectors_near_r1_beta_corner():
     # verify --suite orthogonality at these parameters fails the same levels
     params = Params(1, 0.0, -1.0 + 1e-9)

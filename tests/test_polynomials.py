@@ -310,6 +310,15 @@ def _clear_level_tables():
     polynomials._down_terms.cache_clear()
 
 
+def _chain_heads(N, r, d):
+    # entries of a chain that gamma_ratio computes: t < r, the last entry, and
+    # every step whose factor has a negative integer part (beta - d + t <= 0
+    # or r(N + alpha + 1) + beta - d + t - r <= 0 at their smallest)
+    return sum(
+        1 for t in range(N + 1) if t < r or t == N or t <= d or r * N - r - 1 - d + t < 0
+    )
+
+
 @pytest.mark.parametrize("r", [1, 3, 5])
 @pytest.mark.parametrize("n", [2, 7])
 def test_level_tables_built_once_per_level(monkeypatch, r, n):
@@ -328,9 +337,15 @@ def test_level_tables_built_once_per_level(monkeypatch, r, n):
         type1_diagonal(n, params)  # the recurrence check builds it once per ray
         type1_up(n, k, params)
         type1_down(n, k, params)
-    # one n-long diagonal row, one r x (n+1) up table and one pair of
-    # n-long down rows for the level
-    assert calls == n + r * (n + 1) + 2 * n
+    # the heads of one n-long diagonal chain, of the r chains (n+1 long) of
+    # the up table and of the two n-long down chains, once for the level
+    want = (
+        _chain_heads(n - 1, r, 0)
+        + sum(_chain_heads(n, r, m) for m in range(r))
+        + _chain_heads(n - 1, r, 1)
+        + _chain_heads(n - 1, r, 0)
+    )
+    assert calls == want
 
 
 def _level_coeff_bytes(n, params, ks):
@@ -394,3 +409,28 @@ def test_rows_equal_per_ray_assembly_bitwise(r, n):
             assert [(p.coeffs.dtype.str, p.coeffs.tobytes()) for p in got] == [
                 (p.coeffs.dtype.str, p.coeffs.tobytes()) for p in want
             ], (family, k)
+
+
+# ---------------------------------------------------------------------------
+# chain kernel: structural degree drops
+# ---------------------------------------------------------------------------
+
+# the (alpha, beta) pairs of the chain's accuracy check: the unit corner,
+# the criterion grids, both exponents near -1, and large alpha or beta
+CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0),
+               (-0.999, -0.999), (-0.9, 40.0), (300.0, 0.3))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_chain_keeps_degree_drops_exact(r):
+    # A_l for l != 0 has no x^n term: its table entry is a root-of-unity sum
+    # of r equal heads.  On ray k of a down vector the leading terms of the
+    # two rows cancel.
+    for (a, b), n in itertools.product(CHAIN_PAIRS, range(1, 60)):
+        params = Params(r, a, b)
+        combos = polynomials._up_combos(n, params)
+        assert np.all(np.abs(combos[1:, n]) <= 1e-15 * abs(combos[0, n])), (a, b, n)
+        if r == 1 and n == 1:
+            continue  # the empty minus index
+        t1, t2 = polynomials._down_terms(n, params)
+        assert abs(t1[n - 1] - t2[n - 1]) <= 1e-13 * abs(t1[n - 1]), (a, b, n)

@@ -9,8 +9,10 @@ from angelesco import (
     r2_recurrence_a,
     r2_recurrence_c,
     recurrence_residual,
+    recurrence_residuals,
     root_of_unity,
 )
+from angelesco import recurrence
 
 
 def test_frozen_values_r2():
@@ -129,3 +131,25 @@ def test_declines_r1():
         coeff_b(3, Params(1, 0.0, 0.0))
     with pytest.raises(ValueError):
         recurrence_residual(2, 1, Params(1, 0.0, 0.0))
+
+
+def _logged(fn, name, log):
+    def wrapped(*args):
+        log.append(name)
+        return fn(*args)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_level_residuals_build_each_vector_once(monkeypatch, r):
+    params = Params(r, 0.7, -0.5)
+    for n in (1, 4, 9):
+        want = [recurrence_residual(n, k, params) for k in range(1, r + 1)]
+        built = []
+        for name in ("type1_diagonal", "type1_up", "type1_down"):
+            monkeypatch.setattr(recurrence, name, _logged(getattr(recurrence, name), name, built))
+        got = recurrence_residuals(n, params)
+        monkeypatch.undo()
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert sorted(built) == sorted(["type1_diagonal"] + ["type1_up", "type1_down"] * r)
