@@ -31,10 +31,7 @@ from .numerics import (
     DegenerateParameters,
     DoubleRangeError,
     gamma_ratio,
-    gen_binomial,
-    log_gamma,
     pochhammer,
-    root_of_unity,
 )
 from .operators import (
     OdeSpec,
@@ -47,13 +44,11 @@ from .operators import (
 )
 from .orthogonality import (
     OrthoReport,
-    check_modr,
-    gauss_jacobi_rstar,
     moment,
     ray_form,
     verify_type1,
 )
-from .poly import Poly, poly_derivative, poly_eval, poly_rotate
+from .poly import Poly, poly_derivative, poly_eval
 from .polynomials import (
     DEGREE_CAP,
     Constants,
@@ -65,9 +60,7 @@ from .polynomials import (
     diagonal_normalizer,
     down_normalizer,
     leading_coefficient,
-    legendre_angelesco_r2,
     normalization_constants,
-    shifted_base_poly,
     type1_diagonal,
     type1_down,
     type1_up,
@@ -78,8 +71,6 @@ from .recurrence import (
     coeff_b,
     limit_a,
     limit_b,
-    r2_recurrence_a,
-    r2_recurrence_c,
     recurrence_residual,
     recurrence_residuals,
 )

@@ -1,6 +1,5 @@
-"""Scalar building blocks: log-gamma, Pochhammer symbols, generalized
-binomials, signed gamma ratios, and roots of unity (one at a time, or as
-a cached read-only table of all r of them).
+"""Scalar building blocks: Pochhammer symbols, signed gamma ratios, and a
+cached read-only table of the r-th roots of unity.
 
 This is the library's one double-precision gamma kernel: every gamma
 function value in doubles, whether a moment, a normalizer, a base
@@ -24,11 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "log_gamma",
     "pochhammer",
-    "gen_binomial",
     "gamma_ratio",
-    "root_of_unity",
     "roots_of_unity",
     "DegenerateParameters",
     "DoubleRangeError",
@@ -45,17 +41,6 @@ class DoubleRangeError(ValueError):
     coefficient of a type I vector, is too large for a double."""
 
 
-def log_gamma(x):
-    """Natural logarithm of Gamma(x) for x > 0.
-
-    Raises a ``ValueError`` for x <= 0; the signed machinery for negative
-    arguments lives in :func:`gamma_ratio`.
-    """
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires a positive argument, got {x!r}")
-    return math.lgamma(x)
-
-
 def pochhammer(a, n):
     """Rising factorial (a)_n = a (a+1) ... (a+n-1), as a direct product.
 
@@ -67,16 +52,6 @@ def pochhammer(a, n):
     out = 1.0
     for j in range(n):
         out *= a + j
-    return out
-
-
-def gen_binomial(x, k):
-    """Generalized binomial x(x-1)...(x-k+1)/k! for real x, integer k >= 0."""
-    if k < 0:
-        raise ValueError("gen_binomial needs k >= 0")
-    out = 1.0
-    for j in range(k):
-        out *= (x - j) / (j + 1)
     return out
 
 
@@ -160,29 +135,17 @@ def _sinpi(x):
     return _cospi(x - 0.5)
 
 
-def root_of_unity(r, k=1):
-    """omega^k with omega = exp(2*pi*i/r); the exponent is reduced mod r.
-
-    Powers are always produced from the reduced index and the exact angle,
-    never by repeated multiplication, so there is no phase drift; quarter
-    turns come out exactly (+1, -1, +i, -i).
-    """
-    if r < 1:
-        raise ValueError("root_of_unity needs r >= 1")
-    k = k % r
-    t = 2.0 * k / r
-    return complex(_cospi(t), _sinpi(t))
-
-
 @lru_cache(maxsize=64)
 def roots_of_unity(r):
-    """Read-only table of omega^e, e = 0..r-1, each from :func:`root_of_unity`.
+    """Read-only table of omega^e, e = 0..r-1, with omega = exp(2*pi*i/r).
 
     Index it with exponents reduced mod r (``roots_of_unity(r)[e % r]``, or
-    an integer array of exponents ``% r``): the entries are the values
-    ``root_of_unity(r, e)`` returns, so table lookups are bitwise equal to
-    the scalar calls.
+    an integer array of exponents ``% r``).  Each entry comes from its exact
+    angle 2e/r (in units of pi), never from repeated multiplication, so
+    there is no phase drift; quarter turns come out exactly (+1, -1, +i, -i).
     """
-    v = np.array([root_of_unity(r, e) for e in range(r)])
+    if r < 1:
+        raise ValueError("roots_of_unity needs r >= 1")
+    v = np.array([complex(_cospi(2.0 * e / r), _sinpi(2.0 * e / r)) for e in range(r)])
     v.setflags(write=False)
     return v

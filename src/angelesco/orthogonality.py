@@ -8,8 +8,6 @@ a true oracle against which the closed-form constructions are checked.
 Every condition is a row of the moment Hankel matrix H[k, m] = moment(k+m)
 applied to the phase-rotated coefficients of each entry, so a check reads
 all r entries of the vector it is handed; no family takes a shortcut.
-A Gauss-Jacobi quadrature rule (after t = x^r) is provided as a secondary
-cross-check utility; verification itself never uses quadrature.
 """
 
 from __future__ import annotations
@@ -18,26 +16,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .numerics import gamma_ratio, roots_of_unity
 from .poly import padded_coeffs
-from .polynomials import base_poly, Params
+from .polynomials import Params
 
 __all__ = [
     "moment",
     "OrthoReport",
     "ray_form",
     "verify_type1",
-    "check_modr",
-    "gauss_jacobi_rstar",
 ]
 
 
-def moment(m, params, alpha_shift=0):
-    """int_0^1 x^(m+beta) (1-x^r)^(alpha+alpha_shift) dx
-    = (1/r) B((m+beta+1)/r, alpha+alpha_shift+1)."""
-    r, a, b = params.r, params.alpha + alpha_shift, params.beta
+def moment(m, params):
+    """int_0^1 x^(m+beta) (1-x^r)^alpha dx = (1/r) B((m+beta+1)/r, alpha+1)."""
+    r, a, b = params.r, params.alpha, params.beta
     u = (m + b + 1.0) / r
     return gamma_ratio([u, a + 1.0], [u + a + 1.0]) / r
 
@@ -125,52 +119,3 @@ def verify_type1(v, tol=1e-9):
         tol=tol,
         passed=(worst <= tol and norm_res <= tol),
     )
-
-
-def check_modr(n, params, tol=1e-12):
-    """Orthogonality of p_n to x^(rj-1), 1 <= j <= n, plus its normalization.
-
-    The normalization identity is tested in the telescoped form
-    -int_0^1 p_n x^(r+beta-1) (1-x^r)^(alpha+n) dx = (-1)^(n+1) n! / (rn+r alpha+beta+r)_(n+1),
-    which stays integrable for every beta > -1.
-    """
-    if n < 1:
-        raise ValueError("check_modr needs n >= 1")
-    c = base_poly(n, params).coeffs
-    h = _hankel(params, np.arange(params.r - 1, params.r * n, params.r), len(c))
-    ok = bool(np.all(np.abs(h @ c) <= tol * np.maximum(h @ np.abs(c), 1.0)))
-
-    shifted = np.array(
-        [moment(m + params.r - 1, params, alpha_shift=n) for m in range(len(c))]
-    )
-    lhs = -float(np.dot(c, shifted))
-    r, a, b = params.r, params.alpha, params.beta
-    target = math_factorial_ratio(n, r, a, b)
-    if n % 2 == 0:
-        target = -target
-    scale = max(abs(target), float(np.dot(np.abs(c), shifted)))
-    ok = ok and abs(lhs - target) <= tol * scale
-    return ok
-
-
-def math_factorial_ratio(n, r, a, b):
-    # n! / (rn + r*alpha + beta + r)_(n+1)
-    base = r * n + r * a + b + r
-    return gamma_ratio([n + 1.0, base], [base + n + 1.0])
-
-
-def gauss_jacobi_rstar(npts, params):
-    """Nodes and weights with int_0^1 f(x) x^beta (1-x^r)^alpha dx
-    ~ sum w_i f(x_i); secondary cross-check only.
-
-    After t = x^r the integral is a Jacobi one on [0,1] with exponents
-    (alpha, (beta+1)/r - 1), handled by scipy's Gauss-Jacobi rule.  Exact
-    when f is a polynomial in x^r; other monomials become fractional powers
-    of t and converge only algebraically with npts.
-    """
-    r, a, b = params.r, params.alpha, params.beta
-    bj = (b + 1.0) / r - 1.0
-    t, w = roots_jacobi(npts, a, bj)
-    t = (t + 1.0) / 2.0
-    w = w * 0.5 ** (a + bj + 1.0) / r
-    return t ** (1.0 / r), w

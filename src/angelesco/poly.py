@@ -1,72 +1,18 @@
-"""Dense monomial-basis polynomials with compensated evaluation.
+"""Dense monomial-basis polynomials.
 
 Coefficient index k holds the coefficient of x^k.  Degrees in this library
-stay small (hard cap 60), so a dense representation is the right tool; the
-delicate part is evaluation near clustered roots, which is why the scalar
-evaluator runs a compensated Horner scheme built on error-free
-transformations (two_sum / two_prod with Dekker splitting).
+stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
+right tool.  Evaluation is classical Horner in doubles; the zero finder does
+not use it, it evaluates in fixed-point integers at a precision sized by the
+conditioning (see ``zeros.py``), and the identity checks compare
+coefficients, not sampled values.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import roots_of_unity
-
-__all__ = ["Poly", "poly_eval", "poly_rotate", "poly_derivative"]
-
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ca = _SPLIT * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLIT * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _comp_horner_real(c, x):
-    # Graillat-style compensated Horner: result accurate to ~eps plus an
-    # eps^2-level term times the condition number.
-    s = c[-1]
-    e = 0.0
-    for k in range(len(c) - 2, -1, -1):
-        p, d1 = _two_prod(s, x)
-        s, d2 = _two_sum(p, c[k])
-        e = e * x + (d1 + d2)
-    return s + e
-
-
-def _comp_horner_complex(c, z):
-    zr, zi = z.real, z.imag
-    sr, si = c[-1].real, c[-1].imag
-    er = ei = 0.0
-    for k in range(len(c) - 2, -1, -1):
-        p1, d1 = _two_prod(sr, zr)
-        p2, d2 = _two_prod(si, zi)
-        tr, d3 = _two_sum(p1, -p2)
-        p3, d4 = _two_prod(sr, zi)
-        p4, d5 = _two_prod(si, zr)
-        ti, d6 = _two_sum(p3, p4)
-        ck = c[k]
-        nr, d7 = _two_sum(tr, ck.real)
-        ni, d8 = _two_sum(ti, ck.imag)
-        er, ei = (
-            er * zr - ei * zi + (d1 - d2 + d3 + d7),
-            er * zi + ei * zr + (d4 + d5 + d6 + d8),
-        )
-        sr, si = nr, ni
-    return complex(sr + er, si + ei)
+__all__ = ["Poly", "poly_eval", "poly_derivative"]
 
 
 class Poly:
@@ -156,19 +102,8 @@ class Poly:
     def __call__(self, z):
         return poly_eval(self, z)
 
-    def eval_many(self, zs):
-        """Classical Horner, vectorized over an array of points."""
-        zs = np.asarray(zs)
-        acc = np.full(zs.shape, self.coeffs[-1], dtype=np.result_type(self.coeffs, zs))
-        for c in self.coeffs[-2::-1]:
-            acc = acc * zs + c
-        return acc
-
     def derivative(self):
         return poly_derivative(self)
-
-    def rotate(self, m, r):
-        return poly_rotate(self, m, r)
 
     def scale(self, a):
         return Poly(a * self.coeffs)
@@ -202,26 +137,12 @@ class Poly:
 
 
 def poly_eval(p, z):
-    """Evaluate p at a scalar point with compensated Horner summation.
-
-    Faithful rounding up to condition numbers around 1e16; the compensation
-    costs a constant factor, irrelevant at the degrees used here.
-    """
-    c = p.coeffs
-    if isinstance(z, complex) or np.iscomplexobj(c):
-        return _comp_horner_complex(c.astype(np.complex128), complex(z))
-    return _comp_horner_real(c, float(z))
-
-
-def poly_rotate(p, m, r):
-    """Compose with a ray rotation: returns q with q(x) = p(omega^m x)."""
-    if p.is_zero:
-        return p
-    phases = roots_of_unity(r)[(m * np.arange(len(p.coeffs))) % r]
-    out = p.coeffs * phases
-    if np.all(out.imag == 0.0):
-        out = out.real
-    return Poly(out)
+    """Evaluate p at a scalar point by classical Horner."""
+    c = p.coeffs.tolist()
+    acc = c[-1]
+    for ck in reversed(c[:-1]):
+        acc = acc * z + ck
+    return acc
 
 
 def poly_derivative(p):

@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, partial
 
 import mpmath as mp
@@ -56,8 +55,6 @@ from .numerics import (
     DegenerateParameters,
     DoubleRangeError,
     gamma_ratio,
-    gen_binomial,
-    pochhammer,
     roots_of_unity,
 )
 from .poly import Poly
@@ -72,7 +69,6 @@ __all__ = [
     "base_poly",
     "base_coeffs_mp",
     "coeff_error_units",
-    "shifted_base_poly",
     "leading_coefficient",
     "normalization_constants",
     "diagonal_normalizer",
@@ -81,12 +77,12 @@ __all__ = [
     "type1_diagonal",
     "type1_up",
     "type1_down",
-    "legendre_angelesco_r2",
 ]
 
-# Coefficients grow combinatorially with n; past ~60 double precision cannot
-# evaluate p_n near its zeros even with compensation (the root finder works
-# in extended precision at every degree, see zeros.py).
+# Coefficients grow combinatorially with n; the cap keeps every public
+# constructor and CLI command to degrees where the double tables stay in
+# range and the oracle's moment sums keep their digits (the root finder
+# works in extended precision at every degree, see zeros.py).
 DEGREE_CAP = 60
 
 
@@ -297,14 +293,6 @@ def coeff_error_units(n, r):
     quotient by Gamma(n + alpha + 1) and that gamma's 2).  That makes
     2 floor(n/r) + 11; the bound leaves 5 units for second-order terms."""
     return 2 * (n // r) + 16
-
-
-def shifted_base_poly(n, params):
-    """p_n with beta shifted down by one (the classical companion family q_n);
-    well defined for every beta > -1 even though beta-1 may reach -2."""
-    _check_cap(n)
-    r, a, b = params.r, params.alpha, params.beta
-    return Poly([_base_coef(n, t, r, a, b - 1.0) for t in range(n + 1)])
 
 
 def leading_coefficient(n, params):
@@ -569,63 +557,3 @@ def type1_down(n, k, params):
     phases = roots[(-np.arange(r)[:, None] * np.arange(n)) % r]
     polys = Poly.rows(phases * (roots[:, None] * t1 - roots[k - 1] * t2))
     return TypeIVector(params, tag, polys)
-
-
-# ---------------------------------------------------------------------------
-# r = 2, alpha = beta = 0 (Legendre-Angelesco) in the real-line convention
-# ---------------------------------------------------------------------------
-
-
-def _la_p(n):
-    # binomial-product route, independent of the gamma machinery
-    return Poly(
-        [
-            math.comb(n, k) * gen_binomial(n + k / 2.0, n) * (-1.0) ** (n - k)
-            for k in range(n + 1)
-        ]
-    )
-
-
-def _la_q(n):
-    return Poly(
-        [
-            math.comb(n, k) * gen_binomial(n + (k - 1) / 2.0, n) * (-1.0) ** (n - k)
-            for k in range(n + 1)
-        ]
-    )
-
-
-def _reflect(p):
-    # p(-x)
-    return Poly(p.coeffs * (-1.0) ** np.arange(len(p.coeffs)))
-
-
-def legendre_angelesco_r2(n, which):
-    """The r=2, alpha=beta=0 pairs (A, B) in the real-line orientation:
-    A lives on [-1, 0], B on [0, 1].
-
-    ``which`` selects the diagonal pair (A_{n+1,n+1}, B_{n+1,n+1}), the pair
-    above (A_{n,n+1}, B_{n,n+1}) or below (A_{n+1,n}, B_{n+1,n}).  Note the
-    orientation: ray 2 of the star runs 0 -> -1, so A here equals minus the
-    star's second-ray polynomial.
-    """
-    _check_cap(n)
-    if which == "diag":
-        c = 0.5 * float(Fraction(math.factorial(3 * n + 2),
-                                 math.factorial(n) * math.factorial(2 * n + 1)))
-        b_poly = _la_p(n).scale(c)
-        return _reflect(b_poly).scale(-1.0), b_poly
-
-    gamma_n = 2.0 * pochhammer(n / 2.0 + 1.0, n) * float(
-        Fraction(math.factorial(2 * n), math.factorial(3 * n + 1))
-    )
-    nu1 = gen_binomial(n + n / 2.0, n)
-    nu2 = gen_binomial(n + (n - 1) / 2.0, n)
-    q, p = _la_q(n), _la_p(n)
-    b_down = (q.scale(nu1) - p.scale(nu2)).scale(1.0 / gamma_n)  # B_{n+1,n}
-    b_up = (q.scale(nu1) + p.scale(nu2)).scale(1.0 / gamma_n)    # B_{n,n+1}
-    if which == "up":
-        return _reflect(b_down), b_up  # (A_{n,n+1}, B_{n,n+1})
-    if which == "down":
-        return _reflect(b_up), b_down  # (A_{n+1,n}, B_{n+1,n})
-    raise ValueError(f"which must be 'diag', 'up' or 'down', got {which!r}")

@@ -6,9 +6,7 @@ The star recurrence, valid for every ray entry j and every ray k,
 
 has ray-resolved coefficients a_n,l = a(n) omega^(2(l-1)) and
 b_n,k = b(n) omega^(k-1) built from two positive scalar profiles.  Only
-this star parametrization is exposed; the classical two-interval (r=2)
-coefficient set of the real-line convention is provided as a reference
-translation (see ``r2_recurrence_a`` / ``r2_recurrence_c``).
+this star parametrization is exposed.
 """
 
 from __future__ import annotations
@@ -24,8 +22,6 @@ __all__ = [
     "limit_b",
     "recurrence_residual",
     "recurrence_residuals",
-    "r2_recurrence_a",
-    "r2_recurrence_c",
 ]
 
 
@@ -149,23 +145,3 @@ def _ray_residual(n, k, params, cur, ups, a_n, b_n):
         )
         worst = max(worst, identity_residual(terms))
     return worst
-
-
-def r2_recurrence_a(n, alpha, beta):
-    """Two-interval (r=2, real-line) diagonal coefficient a_{n,n}; equals
-    coeff_a at r=2.  Translation: the real-line set (a, b, c, d) maps to the
-    star profiles via a = b = coeff_a, c = coeff_b, d = -c, with star phases
-    omega^(2(k-1)) = 1 and omega^(k-1) = +/-1."""
-    s = 3 * n + 2 * alpha + beta
-    return n * (n + alpha) * (2 * n + 2 * alpha + beta) / ((s + 1.0) * s * (s - 1.0))
-
-
-def r2_recurrence_c(n, alpha, beta):
-    """Two-interval (r=2, real-line) off-diagonal coefficient c_{n-1,n};
-    equals coeff_b at r=2 (and d_{n,n-1} = -c_{n-1,n})."""
-    pre = (2 * n + 2 * alpha + beta - 1.0) / (3 * n + 2 * alpha + beta - 1.0)
-    gr = gamma_ratio(
-        [n + alpha + (n + beta) / 2.0 - 1.0, (n + beta + 1.0) / 2.0],
-        [n + alpha + (n + beta - 1.0) / 2.0, (n + beta) / 2.0],
-    )
-    return pre * gr

@@ -67,6 +67,29 @@ def mp_r2_pair(n, a, b, which):
         return [float(x) for x in apoly], [float(x) for x in bpoly]
 
 
+def r2_recurrence_a(n, alpha, beta):
+    """Two-interval (r=2, real-line) diagonal coefficient a_{n,n}; equals
+    coeff_a at r=2.  Translation: the real-line set (a, b, c, d) maps to the
+    star profiles via a = b = coeff_a, c = coeff_b, d = -c, with star phases
+    omega^(2(k-1)) = 1 and omega^(k-1) = +/-1."""
+    s = 3 * n + 2 * alpha + beta
+    return n * (n + alpha) * (2 * n + 2 * alpha + beta) / ((s + 1.0) * s * (s - 1.0))
+
+
+def r2_recurrence_c(n, alpha, beta):
+    """Two-interval (r=2, real-line) off-diagonal coefficient c_{n-1,n};
+    equals coeff_b at r=2 (and d_{n,n-1} = -c_{n-1,n})."""
+    with mp.workdps(40):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        pre = (2 * n + 2 * a + b - 1) / (3 * n + 2 * a + b - 1)
+        gr = (
+            mp.gamma(n + a + (n + b) / 2 - 1)
+            * mp.gamma((n + b + 1) / 2)
+            / (mp.gamma(n + a + (n + b - 1) / 2) * mp.gamma((n + b) / 2))
+        )
+        return float(pre * gr)
+
+
 def coeffs_match(got, want, rel):
     """Coefficientwise agreement relative to the oracle's largest coefficient."""
     got = np.asarray(got, dtype=complex)

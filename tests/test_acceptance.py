@@ -27,8 +27,6 @@ from angelesco import (
     ode_coeffs,
     ode_residual,
     perron_density,
-    r2_recurrence_a,
-    r2_recurrence_c,
     raising_check,
     recurrence_residual,
     type1_diagonal,
@@ -38,7 +36,7 @@ from angelesco import (
     u_density,
     verify_type1,
 )
-from r2_reference import coeffs_match, mp_r2_pair
+from r2_reference import coeffs_match, mp_r2_pair, r2_recurrence_a, r2_recurrence_c
 
 GRID = (-0.5, 0.0, 0.7, 2.0)
 

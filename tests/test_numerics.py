@@ -8,36 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammasgn
 
-from angelesco import (
-    DegenerateParameters,
-    gamma_ratio,
-    gen_binomial,
-    log_gamma,
-    pochhammer,
-    root_of_unity,
-)
+from angelesco import DegenerateParameters, gamma_ratio, pochhammer
 from angelesco.numerics import roots_of_unity
-
-
-def test_log_gamma_reference_values():
-    assert log_gamma(1.0) == 0.0
-    assert abs(log_gamma(5.0) - math.log(24.0)) <= 1e-15
-    # Gamma(1/2) = sqrt(pi), reference value rounded from a 50-digit evaluation
-    assert abs(log_gamma(0.5) - 0.5723649429247001) <= 1e-14
-
-
-def test_log_gamma_relative_accuracy_across_range():
-    # spot-check against exact factorials over the documented range
-    for n in (2, 10, 50, 170):
-        exact = math.log(math.factorial(n - 1))
-        assert abs(log_gamma(float(n)) - exact) <= 1e-14 * max(1.0, exact)
-
-
-def test_log_gamma_domain():
-    with pytest.raises(ValueError):
-        log_gamma(0.0)
-    with pytest.raises(ValueError):
-        log_gamma(-1.3)
 
 
 def test_pochhammer_examples():
@@ -50,20 +22,6 @@ def test_pochhammer_recurrence_is_exact():
     for a in (0.3, -1.7, 2.0):
         for n in range(0, 20):
             assert pochhammer(a, n + 1) == pochhammer(a, n) * (a + n)
-
-
-def test_gen_binomial_examples():
-    assert gen_binomial(7.0, 0) == 1.0
-    assert gen_binomial(1.5, 1) == 1.5
-    assert abs(gen_binomial(2.5, 2) - 15.0 / 8.0) <= 1e-16
-
-
-def test_gen_binomial_matches_integer_binomial():
-    for n in range(0, 31):
-        for k in range(0, n + 1):
-            assert gen_binomial(float(n), k) == pytest.approx(
-                math.comb(n, k), rel=1e-13
-            )
 
 
 def test_gamma_ratio_plain():
@@ -147,16 +105,16 @@ def test_gamma_ratio_returns_float():
 
 
 def test_root_of_unity_exact_quarter_turns():
-    assert root_of_unity(1, 5) == 1.0 + 0.0j
-    assert root_of_unity(2, 1) == -1.0 + 0.0j
-    assert root_of_unity(4, 1) == 1j
-    assert root_of_unity(4, 3) == -1j
-    assert root_of_unity(4, 6) == -1.0 + 0.0j
+    assert roots_of_unity(1)[5 % 1] == 1.0 + 0.0j
+    assert roots_of_unity(2)[1] == -1.0 + 0.0j
+    assert roots_of_unity(4)[1] == 1j
+    assert roots_of_unity(4)[3] == -1j
+    assert roots_of_unity(4)[6 % 4] == -1.0 + 0.0j
 
 
 def test_root_of_unity_order():
     for r in range(1, 9):
-        w = root_of_unity(r, 1)
+        w = roots_of_unity(r)[1 % r]
         assert abs(w**r - 1.0) <= 4 * 2.3e-16 * r
 
 
@@ -192,9 +150,14 @@ def test_alternating_binomial_reciprocal_sum_exact_rational():
 
 
 def test_roots_of_unity_table_is_the_scalar_values():
+    # entry e is omega^e from its exact angle (pi times 2e/r, rounded once):
+    # within two ulps of the 40-digit value for every exponent reduced mod r,
+    # and the table is read-only
     for r in range(1, 9):
         table = roots_of_unity(r)
-        scalar = np.array([root_of_unity(r, e) for e in range(-2 * r, 2 * r)])
-        assert table[np.arange(-2 * r, 2 * r) % r].tobytes() == scalar.tobytes()
+        with mp.workdps(40):
+            want = [complex(mp.expjpi(mp.mpf(2 * e) / r)) for e in range(-2 * r, 2 * r)]
+        got = table[np.arange(-2 * r, 2 * r) % r]
+        assert np.abs(got - np.array(want)).max() <= 2 * 2.3e-16
         with pytest.raises(ValueError):
             table[0] = 0.0

@@ -8,8 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from angelesco import (
     Params,
     base_poly,
-    check_modr,
-    gauss_jacobi_rstar,
+    gamma_ratio,
     moment,
     ray_form,
     type1_diagonal,
@@ -52,6 +51,25 @@ def test_moment_ratio_recurrence():
             u0 = (m + p.beta + 1.0) / r
             rhs = math.exp(betaln(u1, p.alpha + 1) - betaln(u0, p.alpha + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def gauss_jacobi_rstar(npts, params):
+    """Nodes and weights with int_0^1 f(x) x^beta (1-x^r)^alpha dx
+    ~ sum w_i f(x_i), an independent cross-check of :func:`moment`.
+
+    After t = x^r the integral is a Jacobi one on [0,1] with exponents
+    (alpha, (beta+1)/r - 1), handled by scipy's Gauss-Jacobi rule.  Exact
+    when f is a polynomial in x^r; other monomials become fractional powers
+    of t and converge only algebraically with npts.
+    """
+    from scipy.special import roots_jacobi
+
+    r, a, b = params.r, params.alpha, params.beta
+    bj = (b + 1.0) / r - 1.0
+    t, w = roots_jacobi(npts, a, bj)
+    t = (t + 1.0) / 2.0
+    w = w * 0.5 ** (a + bj + 1.0) / r
+    return t ** (1.0 / r), w
 
 
 def test_moment_vs_gauss_jacobi_quadrature():
@@ -124,10 +142,36 @@ def test_verify_rejects_empty_index():
         verify_type1(type1_down(1, 1, Params(1, 0.0, 0.0)))
 
 
+def math_factorial_ratio(n, r, a, b):
+    # n! / (rn + r*alpha + beta + r)_(n+1)
+    base = r * n + r * a + b + r
+    return gamma_ratio([n + 1.0, base], [base + n + 1.0])
+
+
+def check_modr(n, params, tol=1e-12):
+    """Orthogonality of p_n to x^(rj-1), 1 <= j <= n, plus its normalization.
+
+    The normalization identity is tested in the telescoped form
+    -int_0^1 p_n x^(r+beta-1) (1-x^r)^(alpha+n) dx = (-1)^(n+1) n! / (rn+r alpha+beta+r)_(n+1),
+    which stays integrable for every beta > -1.
+    """
+    c = base_poly(n, params).coeffs
+    h = _hankel(params, np.arange(params.r - 1, params.r * n, params.r), len(c))
+    ok = bool(np.all(np.abs(h @ c) <= tol * np.maximum(h @ np.abs(c), 1.0)))
+
+    r, a, b = params.r, params.alpha, params.beta
+    shifted_weight = Params(r, a + n, b)
+    shifted = np.array([moment(m + r - 1, shifted_weight) for m in range(len(c))])
+    lhs = -float(np.dot(c, shifted))
+    target = math_factorial_ratio(n, r, a, b)
+    if n % 2 == 0:
+        target = -target
+    scale = max(abs(target), float(np.dot(np.abs(c), shifted)))
+    return ok and abs(lhs - target) <= tol * scale
+
+
 def test_check_modr_small_cases():
     # n=1, r=2: int_0^1 (1.5x - 1) x dx = 0, normalization 1/20
-    from angelesco.orthogonality import math_factorial_ratio
-
     assert math_factorial_ratio(1, 2, 0.0, 0.0) == pytest.approx(1.0 / 20.0, rel=1e-14)
     assert check_modr(1, Params(2, 0.0, 0.0), tol=1e-13)
     assert check_modr(2, Params(2, 0.0, 0.0), tol=1e-13)

@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,10 +13,8 @@ from angelesco import (
     diagonal_normalizer,
     down_normalizer,
     leading_coefficient,
-    legendre_angelesco_r2,
     normalization_constants,
     pochhammer,
-    shifted_base_poly,
     type1_diagonal,
     type1_down,
     type1_up,
@@ -63,29 +60,6 @@ def test_base_poly_matches_r2_closed_form(a, b):
         got = base_poly(n, Params(2, a, b)).coeffs
         want = _mp_p_r2(n, a, b)
         assert _coeffs_match(got, want, 1e-13)
-
-
-def test_shifted_family_is_beta_shift():
-    p = Params(2, 0.0, 0.0)
-    assert np.allclose(shifted_base_poly(1, p).coeffs, [-0.5, 1.0])
-    assert np.allclose(shifted_base_poly(0, Params(2, 0.0, 1.0)).coeffs, [1.0])
-    for n in (0, 1, 4, 9):
-        for a, b in ((0.0, 0.0), (0.7, -0.5), (2.0, 0.7)):
-            q = shifted_base_poly(n, Params(3, a, b)).coeffs
-            # the shifted family at beta is the base family at beta-1; compare
-            # against the raw closed form, which stays finite for beta > -1
-            with mp.workdps(40):
-                am, bm = mp.mpf(a), mp.mpf(b) - 1
-                want = [
-                    float(
-                        mp.binomial(n, k)
-                        * mp.gamma(n + am + (bm + k) / 3 + 1)
-                        / (mp.gamma(n + am + 1) * mp.gamma((bm + k) / 3 + 1))
-                        * (-1) ** (n - k)
-                    )
-                    for k in range(n + 1)
-                ]
-            assert _coeffs_match(q, want, 1e-13)
 
 
 def test_leading_coefficient_examples():
@@ -137,9 +111,12 @@ def test_diagonal_level_one_r2():
 def test_diagonal_rotation_covariance():
     for r in (2, 3, 5):
         v = type1_diagonal(4, Params(r, 0.7, -0.5))
+        c = v.base.coeffs
+        roots = roots_of_unity(r)
         for j in range(1, r + 1):
-            want = v.base.rotate(-(j - 1), r)
-            assert np.allclose(v.polys[j - 1].coeffs, want.coeffs)
+            # entry j is the base polynomial composed with x -> omega^(-(j-1)) x
+            want = c * roots[(-(j - 1) * np.arange(len(c))) % r]
+            assert np.allclose(v.polys[j - 1].coeffs, want)
 
 
 def test_degree_patterns():
@@ -253,26 +230,10 @@ def test_down_matches_two_interval_form(a, b):
 
 
 def test_legendre_angelesco_frozen_values():
-    a1, b1 = legendre_angelesco_r2(1, "diag")
-    assert np.allclose(b1.coeffs, [-10.0, 15.0])  # (1/2)(5!/3!) (1.5x - 1)
-    assert np.allclose(a1.coeffs, [10.0, 15.0])  # -B(-x): root at -2/3
-
-
-def test_legendre_angelesco_matches_general_path():
-    p00 = Params(2, 0.0, 0.0)
-    for n in range(0, 9):
-        a, b = legendre_angelesco_r2(n, "diag")
-        v = type1_diagonal(n + 1, p00)
-        assert _coeffs_match(v.polys[0].coeffs, b.coeffs, 1e-12)
-        assert _coeffs_match(v.polys[1].coeffs, -1.0 * a.coeffs, 1e-12)
-        a, b = legendre_angelesco_r2(n, "up")
-        v = type1_up(n, 1, p00)
-        assert _coeffs_match(v.polys[0].coeffs, b.coeffs, 1e-12)
-        assert _coeffs_match(v.polys[1].coeffs, -1.0 * a.coeffs, 1e-12)
-        a, b = legendre_angelesco_r2(n, "down")
-        v = type1_up(n, 2, p00)
-        assert _coeffs_match(v.polys[0].coeffs, b.coeffs, 1e-12)
-        assert _coeffs_match(v.polys[1].coeffs, -1.0 * a.coeffs, 1e-12)
+    # r = 2, alpha = beta = 0: B_{2,2} on ray 1 and minus A_{2,2} on ray 2
+    v = type1_diagonal(2, Params(2, 0.0, 0.0))
+    assert np.allclose(v.polys[0].coeffs, [-10.0, 15.0])  # (1/2)(5!/3!) (1.5x - 1)
+    assert np.allclose(v.polys[1].coeffs, [-10.0, -15.0])  # B(-x): root at -2/3
 
 
 def test_normalization_constants_positive_and_consistent():

@@ -6,13 +6,13 @@ from angelesco import (
     coeff_b,
     limit_a,
     limit_b,
-    r2_recurrence_a,
-    r2_recurrence_c,
     recurrence_residual,
     recurrence_residuals,
-    root_of_unity,
 )
 from angelesco import recurrence
+from angelesco.numerics import roots_of_unity
+
+from r2_reference import r2_recurrence_a, r2_recurrence_c
 
 
 def test_frozen_values_r2():
@@ -45,7 +45,7 @@ def test_two_interval_translation_r2():
             )
         for n in range(1, 11):
             assert abs(r2_recurrence_c(n, a, b)) == pytest.approx(
-                abs(coeff_b(n, p) * root_of_unity(2, 0)), rel=1e-12
+                abs(coeff_b(n, p) * roots_of_unity(2)[0]), rel=1e-12
             )
             assert r2_recurrence_c(n, a, b) == pytest.approx(
                 coeff_b(n, p), rel=1e-12

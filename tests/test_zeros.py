@@ -127,12 +127,13 @@ def test_interlacing_observed():
 def test_rotated_entry_zeros_are_rotations():
     # zeros of the ray-j entry of a diagonal vector are exactly the rotated
     # base zeros (documented corollary; checked by direct evaluation)
-    from angelesco import root_of_unity, type1_diagonal
+    from angelesco import type1_diagonal
+    from angelesco.numerics import roots_of_unity
 
     params = Params(3, 0.7, -0.5)
     v = type1_diagonal(6, params)
     zs = find_zeros(5, params)
-    w = root_of_unity(3, 1)
+    w = roots_of_unity(3)[1]
     entry = v.polys[1]  # ray j = 2
     scale = float(np.abs(np.asarray(entry.coeffs, dtype=complex)).max())
     for x in zs.zeros:
