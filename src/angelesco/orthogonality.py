@@ -33,7 +33,7 @@ def moment(m, params):
     """int_0^1 x^(m+beta) (1-x^r)^alpha dx = (1/r) B((m+beta+1)/r, alpha+1)."""
     r, a, b = params.r, params.alpha, params.beta
     u = (m + b + 1.0) / r
-    return gamma_ratio([u, a + 1.0], [u + a + 1.0]) / r
+    return gamma_ratio([u, a + 1.0], [u + (a + 1.0)]) / r
 
 
 @lru_cache(maxsize=256)

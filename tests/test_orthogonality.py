@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,6 +52,19 @@ def test_moment_ratio_recurrence():
             u0 = (m + p.beta + 1.0) / r
             rhs = math.exp(betaln(u1, p.alpha + 1) - betaln(u0, p.alpha + 1))
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_moment_near_alpha_beta_minus_one_matches_mpmath():
+    # at alpha = beta = -1 + 1e-12 the beta function's last argument
+    # u + alpha + 1 must be formed as u + (alpha + 1): alpha + 1 is exact
+    # there, while (u + alpha) + 1 cancels about 12 digits when u is near 1
+    a = b = -1.0 + 1e-12
+    for r in (1, 2, 3, 5):
+        p = Params(r, a, b)
+        for m in range(4):
+            with mp.workdps(50):
+                want = mp.beta((m + mp.mpf(b) + 1) / r, mp.mpf(a) + 1) / r
+            assert moment(m, p) == pytest.approx(float(want), rel=1e-13)
 
 
 def gauss_jacobi_rstar(npts, params):
