@@ -38,7 +38,8 @@ class DegenerateParameters(ValueError):
 
 class DoubleRangeError(ValueError):
     """A closed-form value leaves the double range: a gamma ratio, or a
-    coefficient of a type I vector, is too large for a double."""
+    coefficient of a type I vector, is too large for a double, or a
+    coefficient of p_n is too large for the zero finder's integers."""
 
 
 def pochhammer(a, n):

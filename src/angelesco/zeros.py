@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
+from .numerics import DoubleRangeError
 from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp, coeff_error_units
 
 __all__ = ["ZeroSet", "ZeroFindingError", "find_zeros", "empirical_cdf", "stieltjes_empirical"]
@@ -217,7 +218,12 @@ def _certify_at(n, params, dps):
         # bits keep the truncations in Horner below the coefficients' own
         # rounding
         prec = w + 32
-        crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(base_coeffs_mp(n, params))]
+        try:
+            crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(base_coeffs_mp(n, params))]
+        except OverflowError:
+            raise DoubleRangeError(
+                f"coefficients of p_{n} at {params} are too large for the fixed-point evaluator"
+            ) from None
     K = coeff_error_units(n, params.r)
 
     for per_root in (8, 16, 32, 64):
@@ -263,7 +269,8 @@ def find_zeros(n, params):
     zero-set invariants raise :class:`ZeroFindingError` rather than
     returning partial output; among them a zero within half an ulp of 1,
     whose correctly rounded double is 1.0 (alpha within about 1e-13 to
-    1e-15 of -1, by r and n).
+    1e-15 of -1, by r and n).  Coefficients too large to round to integers
+    (alpha or beta near 1e300) raise :class:`DoubleRangeError`.
     """
     if n < 1:
         raise ValueError("find_zeros needs n >= 1")

@@ -286,6 +286,10 @@ def test_main_reuses_parser_across_calls(capsys):
           "--beta", "1e5", "--n-max", "2"], 3),
         (["verify", "--suite", "ode", "--r", "2", "--alpha", "300",
           "--beta", "1e5", "--n-max", "2"], 3),
+        # coefficients of p_n too large to round to the zero finder's integers
+        (["zeros", "--r", "2", "--alpha", "1e300", "--beta", "1e300", "--n", "1"], 3),
+        (["verify", "--suite", "zeros", "--r", "2", "--alpha", "1e300",
+          "--beta", "1e300", "--n-max", "1"], 3),
     ],
 )
 def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
