@@ -6,10 +6,15 @@ Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
 passes.  No module but ``numerics.py`` uses a double-precision gamma
 function: ``gamma_ratio`` is the one double kernel (mpmath's gamma is the
-extended-precision one).
+extended-precision one).  Importing the CLI loads no scipy module: scipy's
+import alone costs a few hundred milliseconds, and only
+``stieltjes_limit`` needs it, through a lazy import.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -161,3 +166,15 @@ def test_scan_sees_a_gamma_call():
         "f = scipy.special.gammasgn(-0.5)\n"
     )
     assert _gamma_uses(tree) == [4, 8, 9, 10, 11, 13]
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, angelesco.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
