@@ -79,10 +79,9 @@ __all__ = [
     "type1_down",
 ]
 
-# Coefficients grow combinatorially with n; the cap keeps every public
-# constructor and CLI command to degrees where the double tables stay in
-# range and the oracle's moment sums keep their digits (the root finder
-# works in extended precision at every degree, see zeros.py).
+# Coefficients grow combinatorially with n; the cap bounds the degree that
+# every constructor and CLI command accepts (the root finder works in
+# extended precision at every degree, see zeros.py).
 DEGREE_CAP = 60
 
 

@@ -218,8 +218,9 @@ def _certify_at(n, params, dps):
         # bits keep the truncations in Horner below the coefficients' own
         # rounding
         prec = w + 32
+        coeffs = base_coeffs_mp(n, params)
         try:
-            crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(base_coeffs_mp(n, params))]
+            crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(coeffs)]
         except OverflowError:
             raise DoubleRangeError(
                 f"coefficients of p_{n} at {params} are too large for the fixed-point evaluator"
