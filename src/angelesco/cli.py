@@ -14,7 +14,8 @@ Conventions: data on stdout, diagnostics on stderr; CSV has a mandatory
 header (`k,re,im` for coefficients, `x,u,F` for curves); floats carry 17
 significant digits and round-trip exactly; `--format json` wraps the payload
 in a record with schema_version "1".  Exit codes: 0 ok, 1 verification
-failure, 2 usage error or degenerate parameters (a closed formula that is
+failure (for `zeros`, a zero finder that cannot isolate or certify the zeros,
+`ZeroFindingError`), 2 usage error or degenerate parameters (a closed formula that is
 singular at the exact parameter values given, reported as one `error:` line),
 3 degree-cap/resource error (including an output file that cannot be
 written, and a coefficient or gamma ratio outside the double range).

@@ -7,25 +7,32 @@ root condition sum |c_k| x^k / |x p_n'(x)| reaches 10^42 (r = 1) to 10^112
 that grows like n log(r + 1), plus a 30-digit margin that also keeps the
 reported residuals accurate.  They are rounded once to integers at scale
 2^prec (the working precision plus 32 guard bits).  Grid points and iterates
-are dyadic, so Horner's rule runs on Python integers as shift-and-add.  Sign
-changes on the exact quantile grid of the limit zero distribution, closed by
-the endpoints 0 and 1 where p_n does not vanish, bracket every zero, and a
-safeguarded Newton iteration (bisection whenever a step would leave the
-bracket) runs inside each bracket until its step nears double resolution.
+are dyadic, so Horner's rule runs on Python integers as shift-and-add.
 
-Every reported double is certified by a rounding test in the style of Ziv:
-p_n is evaluated in integers at the two midpoints to the neighbouring
-doubles, and the double is accepted only if the two values differ in sign
-and each exceeds a bound on its own error.  The bound adds three parts, in
-units of 2^-prec:
+The search runs on those integers shifted right to the condition estimate
+plus 20 digits, without the margin or the guard bits (and without more
+digits when an attempt doubles them).  Sign changes on the quantile grid of
+the limit zero distribution, 4 points per root and doubled up to 64 until n
+of them show, closed by the endpoints 0 and 1 where p_n does not vanish,
+bracket every zero, and a safeguarded Newton iteration (bisection whenever a
+step would leave the bracket) runs inside each bracket until its step nears
+double resolution.
+
+Every reported double is certified by a rounding test in the style of Ziv,
+on the full integers: p_n is evaluated at the two midpoints to the
+neighbouring doubles, and the double is accepted only if the two values
+differ in sign and each exceeds a bound on its own error.  The bound adds
+three parts, in units of 2^-prec:
   - the coefficients' relative error K 2^-w from ``coeff_error_units``,
     times sum |c_k| x^k;
   - the rounding of each coefficient to an integer, half a unit each;
   - the n truncations of Horner's rule, less than a unit each.
-So an accepted double is the correctly rounded zero, which is unique.  Two
-certain values of one sign send Newton on; an undecided test redoes the
-polynomial at twice the digits.  Each residual is evaluated at the reported
-double, which is exact at scale 2^prec.
+So an accepted double is the correctly rounded zero, which is unique,
+whatever precision found it.  Two certain values of one sign send Newton on.
+Where the search's iterate does not certify, Newton redoes its bracket on
+the full integers, and an undecided test there redoes the polynomial at
+twice the digits.  Each residual is evaluated at the reported double, which
+is exact at scale 2^prec.
 
 Zeros of the rotated star entries are rotations of this one zero set, so
 they are never recomputed.
@@ -57,6 +64,8 @@ _ATTEMPTS = 3
 # Over r = 1..5, n = 13..60 this re-tests 19 of 3,090 roots and saves 14% of
 # the steps that a stop at 2^-40 takes.
 _STOP_BITS = 30
+# digits beyond the condition estimate for the bracketing grid and Newton
+_SEARCH_DIGITS = 20
 _UNDECIDED = "undecided"
 _UNISOLATED = "unisolated"
 
@@ -76,7 +85,10 @@ class ZeroSet:
     """Sorted simple zeros of p_n in (0,1) with evaluation residuals
     relative to the local term magnitude sum |c_k| x^k.  ``precision`` names
     the arithmetic of the zero finder; it is always "extended".  ``dps`` is
-    the number of digits of the attempt that certified the zeros."""
+    the number of digits of the attempt that certified the zeros.
+    ``newton_iters`` counts the safeguarded steps per root, bisections
+    included: those of the truncated search, plus those of the full-precision
+    retry where the search's iterate did not certify."""
 
     params: object
     n: int
@@ -102,16 +114,20 @@ def _quantile_grid(n, r, per_root):
     # grid points at the quantiles of the limit zero distribution, whose CDF
     # inverts in closed form through the theta parametrization; the zeros are
     # asymptotically equidistributed with respect to it, so a few grid points
-    # per root bracket every sign change even down to moderate n
-    from .asymptotics import hatx_of_theta
-
+    # per root bracket every sign change even down to moderate n.  The points
+    # x = hatx(t)^(1/r), hatx = sin((r+1)t)^(r+1) / (c_r sin t sin(rt)^r) with
+    # c_r = (r+1)^(r+1)/r^r, are formed in logs, which neither overflow nor
+    # underflow at any r; the grid only places brackets, so its last bits do
+    # not matter
     m = per_root * n
-    qs = np.arange(1, m) / m
-    theta = math.pi * (1.0 - qs) / (r + 1)
-    pts = np.array([hatx_of_theta(t, r) ** (1.0 / r) for t in theta])
+    theta = np.pi * (1.0 - np.arange(1, m) / m) / (r + 1)
+    # sin((r+1)t) through the nearer end of (0, pi/(r+1))
+    top = np.sin((r + 1) * np.minimum(theta, np.pi / (r + 1) - theta))
+    log_c = (r + 1) * math.log(r + 1) - r * math.log(r)
+    pts = top / np.sin(r * theta) * np.exp((np.log(top / np.sin(theta)) - log_c) / r)
     # p_n(0) and p_n(1) are nonzero, so the closed interval's ends close the
     # outer brackets however close a zero lies to either end
-    return np.concatenate([[0.0], pts, [1.0]])
+    return [0.0, *pts.tolist(), 1.0]
 
 
 def _fixed(x, prec):
@@ -176,11 +192,11 @@ def _rounding_test(crev, prec, w, K, X):
     return x, f, mag
 
 
-def _certified_newton(crev, prec, w, K, lo, hi, f_lo, f_hi):
+def _certified_newton(crev, prec, lo, hi, f_lo, f_hi, certify):
     # Newton iteration kept inside the sign-change bracket [lo, hi]; each
     # step moves the endpoint whose sign the new value shares, and a step
     # that would leave the closed bracket is replaced by bisection.  Once a
-    # step nears double resolution the rounding test decides.
+    # step nears double resolution ``certify`` decides on the iterate.
     X = lo + f_lo * (hi - lo) // (f_lo - f_hi)
     for it in range(1, prec + 1):
         f, d = _fixed_eval_d(crev, X, prec)
@@ -199,7 +215,7 @@ def _certified_newton(crev, prec, w, K, lo, hi, f_lo, f_hi):
         step = abs(Xn - X)
         X = Xn
         if step <= X >> _STOP_BITS:
-            cert = _rounding_test(crev, prec, w, K, X)
+            cert = certify(X)
             if cert is not None:
                 return cert, it
             if step == 0:
@@ -226,10 +242,17 @@ def _certify_at(n, params, dps):
                 f"coefficients of p_{n} at {params} are too large for the fixed-point evaluator"
             ) from None
     K = coeff_error_units(n, params.r)
+    # the search (grid and Newton) runs on these integers truncated to the
+    # condition estimate plus _SEARCH_DIGITS; only the certificate and the
+    # residuals need the margin and the guard bits
+    search_bits = mp.libmp.dps_to_prec(math.ceil(_condition_digits(n, params.r)) + _SEARCH_DIGITS)
+    shift = max(0, prec - search_bits)
+    tprec = prec - shift
+    trev = [c >> shift for c in crev]
 
-    for per_root in (8, 16, 32, 64):
-        grid = [_fixed(float(g), prec) for g in _quantile_grid(n, params.r, per_root)]
-        vals = [_fixed_eval(crev, X, prec) for X in grid]
+    for per_root in (4, 8, 16, 32, 64):
+        grid = [_fixed(g, tprec) for g in _quantile_grid(n, params.r, per_root)]
+        vals = [_fixed_eval(trev, X, tprec) for X in grid]
         brackets = [
             (grid[i], grid[i + 1], vals[i], vals[i + 1])
             for i in range(len(grid) - 1)
@@ -240,13 +263,28 @@ def _certify_at(n, params, dps):
     else:
         return _UNISOLATED
 
+    def certify(X):
+        return _rounding_test(crev, prec, w, K, X)
+
+    def certify_search(X):
+        return certify(X << shift)
+
     zeros = np.empty(n)
     residuals = np.empty(n)
     iters = np.empty(n, dtype=np.int64)
-    for i, bracket in enumerate(brackets):
-        cert, it = _certified_newton(crev, prec, w, K, *bracket)
+    for i, (lo, hi, f_lo, f_hi) in enumerate(brackets):
+        cert, it = _certified_newton(trev, tprec, lo, hi, f_lo, f_hi, certify_search)
         if cert is _UNDECIDED:
-            return _UNDECIDED
+            # the search's iterate did not certify: redo this bracket on the
+            # full integers, where its signs must hold too
+            lo, hi = lo << shift, hi << shift
+            f_lo, f_hi = _fixed_eval(crev, lo, prec), _fixed_eval(crev, hi, prec)
+            if f_lo * f_hi >= 0:
+                return _UNISOLATED
+            cert, more = _certified_newton(crev, prec, lo, hi, f_lo, f_hi, certify)
+            if cert is _UNDECIDED:
+                return _UNDECIDED
+            it += more
         zeros[i], f, mag = cert
         residuals[i] = abs(f) / mag
         iters[i] = it
@@ -259,19 +297,21 @@ def find_zeros(n, params):
 
     The coefficients come from the closed form at a precision sized by the
     root condition, which grows with n and r; the zeros are found by a
-    safeguarded Newton iteration in integer fixed point, inside sign-change
-    brackets from the quantile grid of the limit zero distribution, and
-    each reported double passes the rounding test of the module docstring.
-    An undecided test, or a grid that does not isolate n sign changes,
-    redoes the polynomial at twice the digits, at most twice; ``dps`` is
-    the digits of the attempt that certified.  ``residuals`` are
-    |p_n(x)| / sum |c_k| x^k at each reported x; ``newton_iters`` counts
-    the safeguarded steps per root, bisections included.  Violations of the
-    zero-set invariants raise :class:`ZeroFindingError` rather than
-    returning partial output; among them a zero within half an ulp of 1,
-    whose correctly rounded double is 1.0 (alpha within about 1e-13 to
-    1e-15 of -1, by r and n).  Coefficients too large to round to integers
-    (alpha or beta near 1e300) raise :class:`DoubleRangeError`.
+    safeguarded Newton iteration in integer fixed point at 20 digits above
+    the condition estimate, inside sign-change brackets from the quantile
+    grid of the limit zero distribution, and each reported double passes
+    the rounding test of the module docstring at the full digits.  An
+    undecided test, or a grid that does not isolate n sign changes, redoes
+    the polynomial at twice the digits, at most twice; ``dps`` is the digits
+    of the attempt that certified.  ``residuals`` are |p_n(x)| / sum |c_k| x^k
+    at each reported x; ``newton_iters`` is described at :class:`ZeroSet`.
+    Violations of the zero-set invariants raise :class:`ZeroFindingError`
+    rather than returning partial output; among them a zero within half an
+    ulp of 1, whose correctly rounded double is 1.0 (alpha within about
+    1e-13 to 1e-15 of -1, by r and n), and a grid that never isolates the
+    zeros (alpha and beta far above n, such as 3e4 at n = 5).  Coefficients
+    too large to round to integers (alpha or beta near 1e300) raise
+    :class:`DoubleRangeError`.
     """
     if n < 1:
         raise ValueError("find_zeros needs n >= 1")

@@ -361,6 +361,20 @@ def test_empirical_residual_decreases():
     assert res[2] < res[1] < res[0]
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_empirical_residual_falls_like_one_over_n(r):
+    # the zero measures converge to the limit measure, whose Stieltjes
+    # transform solves z S^(r+1) = (zS + r)(zS - 1)^r; off [0, 1] the
+    # empirical transform misses it by O(1/n), so the residual halves as n
+    # doubles (0.48 to 0.53 measured from n = 15 to 60)
+    params = Params(r, 0.7, -0.5)
+    zero_sets = [find_zeros(n, params) for n in (15, 30, 60)]
+    for z in (1.5 + 0.5j, -0.5 + 0.3j, 0.5 + 0.8j):
+        res = [algebraic_residual(z, stieltjes_empirical(zs, z), r) for zs in zero_sets]
+        for coarse, fine in zip(res, res[1:]):
+            assert 0.45 <= fine / coarse <= 0.55
+
+
 def test_binomial_collapse_identity():
     # sum_(l=0..r+1) (-1)^(r+l+1) C(r+1,l) (r-l) z^l S^l = -(zS+r)(zS-1)^r
     rng = np.random.default_rng(5)

@@ -319,3 +319,16 @@ def test_zeros_past_the_power_overflow(argv, capsys):
         assert len(out.splitlines()) == int(argv[-1]) + 1  # header and n zeros
     else:
         assert out.endswith("suite=zeros overall=pass\n")
+
+
+def test_zeros_not_isolated_is_a_verification_failure(capsys):
+    # for alpha, beta far above n the zeros crowd into a window that the
+    # quantile grid of the n -> inf limit misses at every level and digits;
+    # ZeroFindingError is exit 1, reported as one error line
+    code, out = run_cli(["zeros", "--r", "3", "--alpha", "3e4", "--beta", "3e4", "--n", "5"])
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

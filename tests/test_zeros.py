@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -215,3 +216,84 @@ def test_zero_next_to_origin():
     assert zs.n == 13
     assert zs.zeros[0] == pytest.approx(5.9e-10, rel=0.01)
     _assert_correctly_rounded(zs, r, a, b)
+
+
+# sha256 prefixes of the zeros' and residuals' bytes over each degree list,
+# and the certifying digits per degree.  Zeros are correctly rounded,
+# residuals are ratios of integers and dps comes from a formula, so every
+# byte is determined; any change to the zero finder must leave them alone.
+_DIGEST_DEGREES = (1, 2, 7, 13, 25, 40, 60)
+_DIGESTS = {
+    (1, 0.0, 0.0): ('dc66c3d7c0d3d5b20ca6babbb54b4b55', 'a46ab9eb58ac7471c02faf6735fa45c8', (31, 32, 36, 40, 49, 60, 74)),
+    (1, 0.7, -0.5): ('ba4da52acaa489bcc11c403208cb4e7d', '6948d1534e4d8622a9f0302cd683431c', (31, 32, 36, 40, 49, 60, 74)),
+    (1, 2.0, 2.0): ('4b2cb75a655101cffc7e959d563f5943', '136c4f8be5cdc71cc844e83445dcb630', (31, 32, 36, 40, 49, 60, 74)),
+    (2, 0.0, 0.0): ('e912cf68e20c306d5c22edc493418efe', '076525bed33a20813065c60645a86255', (31, 32, 37, 42, 52, 65, 82)),
+    (2, 0.7, -0.5): ('9d9f36c97319afe8d0f3a7896ee1180e', '3a4b991fca9288a309892938924ae130', (31, 32, 37, 42, 52, 65, 82)),
+    (2, 2.0, 2.0): ('295f97b929a13feb930a5ae4eb26dfc6', '2e7adbcc3ca7d68379bc17ecf04a964c', (31, 32, 37, 42, 52, 65, 82)),
+    (3, 0.0, 0.0): ('9425a0941dc98cadb2001fc38b457d6b', '2e2b6b828b7f361e529b81f52adc1845', (31, 32, 37, 43, 54, 69, 88)),
+    (3, 0.7, -0.5): ('d1020bd16590cef2cf224f8bc324d0de', '561a811915d2c3e0df5767cecbb01b08', (31, 32, 37, 43, 54, 69, 88)),
+    (3, 2.0, 2.0): ('025d4c9b5d6a85898ab935cde8d68bb1', '93d20db21029bfa676d543fce7fc394d', (31, 32, 37, 43, 54, 69, 88)),
+    (4, 0.0, 0.0): ('cbe8606a12b375835b1743109c51b69c', 'fde5c222201a287c2d513b510e0ead91', (32, 33, 38, 44, 56, 72, 92)),
+    (4, 0.7, -0.5): ('3696bc4517697d521024093ef8d35f1a', '49c799066e878e9f302f7812da4a4975', (32, 33, 38, 44, 56, 72, 92)),
+    (4, 2.0, 2.0): ('d2d1f7ee3839b691683a9e6834a3045f', 'ef540575b1d2ddaf2dfeecf92e6d6967', (32, 33, 38, 44, 56, 72, 92)),
+    (5, 0.0, 0.0): ('ddc8348a18a1c8207e73d944ac479e13', 'bb1674187d1421b4e211b68b297dc9fa', (32, 33, 38, 45, 58, 74, 96)),
+    (5, 0.7, -0.5): ('6411e830668ee4230e751dcf25c022b5', '6b835cf85991b84d455d3fa6d7ad2a01', (32, 33, 38, 45, 58, 74, 96)),
+    (5, 2.0, 2.0): ('2ed663a820cd18045214a6e335389b1c', '4d29d47871c84afcc85470d3b27d590c', (32, 33, 38, 45, 58, 74, 96)),
+}
+# the stress cases include two that redo the polynomial at twice the digits
+_STRESS_DEGREES = (1, 2, 5, 13, 30, 60)
+_STRESS_DIGESTS = {
+    (1, -0.9, 40.0): ('501d268d6a4effdb512238fdb887488c', 'a6cc9070b6253f6200309a5495b273e8', (31, 32, 34, 40, 52, 148)),
+    (3, 300.0, 0.3): ('19506653a241f0f06fbea7b2cc1cfb8f', '43230dc15a4b306080bb04bdd3f1e299', (31, 32, 35, 43, 59, 88)),
+    (8, -0.999, -0.999): ('90b267d8aaaaa69acc848d8031e2611a', 'c79f0a17137aae2ea40c70213c35b1bf', (32, 33, 37, 47, 68, 106)),
+    (16, 0.3, 300.0): ('accea71194e7cbe071c71926e14150a1', '930cac66c574c627e9ffe59b9fb7fe0e', (32, 34, 38, 50, 76, 242)),
+    (24, -0.5, 5.0): ('0732626ffe4ea13bff3bec1515493be8', 'ccd2f403c54e354fd05e9727b32a455b', (32, 34, 39, 52, 81, 131)),
+}
+
+
+def _digest(r, a, b, degrees):
+    hz, hr = hashlib.sha256(), hashlib.sha256()
+    dps = []
+    for n in degrees:
+        zs = find_zeros(n, Params(r, a, b))
+        hz.update(zs.zeros.astype("<f8").tobytes())
+        hr.update(zs.residuals.astype("<f8").tobytes())
+        dps.append(zs.dps)
+    return hz.hexdigest()[:32], hr.hexdigest()[:32], tuple(dps)
+
+
+@pytest.mark.parametrize("case", list(_DIGESTS))
+def test_zero_finder_output_is_pinned(case):
+    assert _digest(*case, _DIGEST_DEGREES) == _DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(_STRESS_DIGESTS))
+def test_zero_finder_stress_output_is_pinned(case):
+    assert _digest(*case, _STRESS_DEGREES) == _STRESS_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "r, a, b, n", [(1, 0.0, 0.0, 60), (3, 0.7, -0.5, 40), (5, 2.0, 2.0, 25), (16, 0.7, -0.5, 60)]
+)
+def test_full_precision_retry_matches_search(monkeypatch, r, a, b, n):
+    # reject every iterate of the search, which runs below the certificate's
+    # precision, so that Newton redoes each bracket on the full integers
+    want = find_zeros(n, Params(r, a, b))
+    full = mp.libmp.dps_to_prec(want.dps) + 32
+    newton = zero_finder._certified_newton
+    retried = []
+
+    def no_search(crev, prec, *bracket):
+        cert, it = newton(crev, prec, *bracket)
+        if prec < full:
+            return zero_finder._UNDECIDED, it
+        retried.append(it)
+        return cert, it
+
+    monkeypatch.setattr(zero_finder, "_certified_newton", no_search)
+    got = find_zeros(n, Params(r, a, b))
+    assert len(retried) == n
+    assert got.dps == want.dps
+    assert got.zeros.tobytes() == want.zeros.tobytes()
+    assert got.residuals.tobytes() == want.residuals.tobytes()
+    assert np.all(got.newton_iters >= want.newton_iters)
