@@ -9,14 +9,14 @@ reported residuals accurate.  They are rounded once to integers at scale
 2^prec (the working precision plus 32 guard bits).  Grid points and iterates
 are dyadic, so Horner's rule runs on Python integers as shift-and-add.
 
-The search runs on those integers shifted right to the condition estimate
-plus 20 digits, without the margin or the guard bits (and without more
-digits when an attempt doubles them).  Sign changes on the quantile grid of
-the limit zero distribution, 4 points per root and doubled up to 64 until n
-of them show, closed by the endpoints 0 and 1 where p_n does not vanish,
-bracket every zero, and a safeguarded Newton iteration (bisection whenever a
-step would leave the bracket) runs inside each bracket until its step nears
-double resolution.
+The search runs on those integers shifted right to the attempt's digits
+with 20 digits in place of the margin and no guard bits: the condition
+estimate plus 20 digits at a first attempt, more at a doubled one.  Sign
+changes on the quantile grid of the limit zero distribution, 4 points per
+root and doubled up to 64 until n of them show, closed by the endpoints 0
+and 1 where p_n does not vanish, bracket every zero, and a safeguarded
+Newton iteration (bisection whenever a step would leave the bracket) runs
+inside each bracket until its step nears double resolution.
 
 Every reported double is certified by a rounding test in the style of Ziv,
 on the full integers: p_n is evaluated at the two midpoints to the
@@ -28,11 +28,10 @@ three parts, in units of 2^-prec:
   - the rounding of each coefficient to an integer, half a unit each;
   - the n truncations of Horner's rule, less than a unit each.
 So an accepted double is the correctly rounded zero, which is unique,
-whatever precision found it.  Two certain values of one sign send Newton on.
-Where the search's iterate does not certify, Newton redoes its bracket on
-the full integers, and an undecided test there redoes the polynomial at
-twice the digits.  Each residual is evaluated at the reported double, which
-is exact at scale 2^prec.
+whatever precision found it.  Two certain values of one sign send Newton on;
+an undecided test redoes the polynomial, and with it the search, at twice
+the digits.  Each residual is evaluated at the reported double, which is
+exact at scale 2^prec.
 
 Zeros of the rotated star entries are rotations of this one zero set, so
 they are never recomputed.
@@ -64,7 +63,8 @@ _ATTEMPTS = 3
 # Over r = 1..5, n = 13..60 this re-tests 19 of 3,090 roots and saves 14% of
 # the steps that a stop at 2^-40 takes.
 _STOP_BITS = 30
-# digits beyond the condition estimate for the bracketing grid and Newton
+# digits beyond the condition estimate for the bracketing grid and Newton,
+# in place of the certificate's _MARGIN_DIGITS
 _SEARCH_DIGITS = 20
 _UNDECIDED = "undecided"
 _UNISOLATED = "unisolated"
@@ -87,8 +87,7 @@ class ZeroSet:
     the arithmetic of the zero finder; it is always "extended".  ``dps`` is
     the number of digits of the attempt that certified the zeros.
     ``newton_iters`` counts the safeguarded steps per root, bisections
-    included: those of the truncated search, plus those of the full-precision
-    retry where the search's iterate did not certify."""
+    included, all of them on the truncated integers of the search."""
 
     params: object
     n: int
@@ -114,17 +113,15 @@ def _quantile_grid(n, r, per_root):
     # grid points at the quantiles of the limit zero distribution, whose CDF
     # inverts in closed form through the theta parametrization; the zeros are
     # asymptotically equidistributed with respect to it, so a few grid points
-    # per root bracket every sign change even down to moderate n.  The points
-    # x = hatx(t)^(1/r), hatx = sin((r+1)t)^(r+1) / (c_r sin t sin(rt)^r) with
-    # c_r = (r+1)^(r+1)/r^r, are formed in logs, which neither overflow nor
-    # underflow at any r; the grid only places brackets, so its last bits do
-    # not matter
+    # per root bracket every sign change even down to moderate n.  The grid
+    # only places brackets, so it is formed in one numpy pass, in logs
+    from .asymptotics import _consts, _log_hatx_terms
+
+    tm, _, log_c = _consts(r)
     m = per_root * n
-    theta = np.pi * (1.0 - np.arange(1, m) / m) / (r + 1)
-    # sin((r+1)t) through the nearer end of (0, pi/(r+1))
-    top = np.sin((r + 1) * np.minimum(theta, np.pi / (r + 1) - theta))
-    log_c = (r + 1) * math.log(r + 1) - r * math.log(r)
-    pts = top / np.sin(r * theta) * np.exp((np.log(top / np.sin(theta)) - log_c) / r)
+    theta = tm * (1.0 - np.arange(1, m) / m)
+    a, b, c = _log_hatx_terms((r + 1) * np.minimum(theta, tm - theta), theta, r, np)
+    pts = np.exp((a - b - c - log_c) / r)
     # p_n(0) and p_n(1) are nonzero, so the closed interval's ends close the
     # outer brackets however close a zero lies to either end
     return [0.0, *pts.tolist(), 1.0]
@@ -192,14 +189,17 @@ def _rounding_test(crev, prec, w, K, X):
     return x, f, mag
 
 
-def _certified_newton(crev, prec, lo, hi, f_lo, f_hi, certify):
-    # Newton iteration kept inside the sign-change bracket [lo, hi]; each
+def _certified_newton(trev, shift, crev, prec, w, K, lo, hi, f_lo, f_hi):
+    # Newton iteration on the truncated integers trev, at scale
+    # 2^(prec - shift), kept inside the sign-change bracket [lo, hi]; each
     # step moves the endpoint whose sign the new value shares, and a step
     # that would leave the closed bracket is replaced by bisection.  Once a
-    # step nears double resolution ``certify`` decides on the iterate.
+    # step nears double resolution the rounding test decides on the full
+    # integers crev.
+    tprec = prec - shift
     X = lo + f_lo * (hi - lo) // (f_lo - f_hi)
-    for it in range(1, prec + 1):
-        f, d = _fixed_eval_d(crev, X, prec)
+    for it in range(1, tprec + 1):
+        f, d = _fixed_eval_d(trev, X, tprec)
         if f == 0:
             Xn = X
         else:
@@ -209,13 +209,13 @@ def _certified_newton(crev, prec, lo, hi, f_lo, f_hi, certify):
                 hi = X
             Xn = (lo + hi) >> 1
             if d:
-                newton = X - (f << prec) // d
+                newton = X - (f << tprec) // d
                 if lo <= newton <= hi:
                     Xn = newton
         step = abs(Xn - X)
         X = Xn
         if step <= X >> _STOP_BITS:
-            cert = certify(X)
+            cert = _rounding_test(crev, prec, w, K, X << shift)
             if cert is not None:
                 return cert, it
             if step == 0:
@@ -243,10 +243,11 @@ def _certify_at(n, params, dps):
             ) from None
     K = coeff_error_units(n, params.r)
     # the search (grid and Newton) runs on these integers truncated to the
-    # condition estimate plus _SEARCH_DIGITS; only the certificate and the
-    # residuals need the margin and the guard bits
-    search_bits = mp.libmp.dps_to_prec(math.ceil(_condition_digits(n, params.r)) + _SEARCH_DIGITS)
-    shift = max(0, prec - search_bits)
+    # attempt's digits with _SEARCH_DIGITS in place of _MARGIN_DIGITS and no
+    # guard bits: the condition estimate plus _SEARCH_DIGITS at a first
+    # attempt, more at a doubled one.  Only the certificate and the residuals
+    # need the margin and the guard bits
+    shift = prec - mp.libmp.dps_to_prec(dps - _MARGIN_DIGITS + _SEARCH_DIGITS)
     tprec = prec - shift
     trev = [c >> shift for c in crev]
 
@@ -263,28 +264,13 @@ def _certify_at(n, params, dps):
     else:
         return _UNISOLATED
 
-    def certify(X):
-        return _rounding_test(crev, prec, w, K, X)
-
-    def certify_search(X):
-        return certify(X << shift)
-
     zeros = np.empty(n)
     residuals = np.empty(n)
     iters = np.empty(n, dtype=np.int64)
-    for i, (lo, hi, f_lo, f_hi) in enumerate(brackets):
-        cert, it = _certified_newton(trev, tprec, lo, hi, f_lo, f_hi, certify_search)
+    for i, bracket in enumerate(brackets):
+        cert, it = _certified_newton(trev, shift, crev, prec, w, K, *bracket)
         if cert is _UNDECIDED:
-            # the search's iterate did not certify: redo this bracket on the
-            # full integers, where its signs must hold too
-            lo, hi = lo << shift, hi << shift
-            f_lo, f_hi = _fixed_eval(crev, lo, prec), _fixed_eval(crev, hi, prec)
-            if f_lo * f_hi >= 0:
-                return _UNISOLATED
-            cert, more = _certified_newton(crev, prec, lo, hi, f_lo, f_hi, certify)
-            if cert is _UNDECIDED:
-                return _UNDECIDED
-            it += more
+            return _UNDECIDED
         zeros[i], f, mag = cert
         residuals[i] = abs(f) / mag
         iters[i] = it
@@ -298,9 +284,10 @@ def find_zeros(n, params):
     The coefficients come from the closed form at a precision sized by the
     root condition, which grows with n and r; the zeros are found by a
     safeguarded Newton iteration in integer fixed point at 20 digits above
-    the condition estimate, inside sign-change brackets from the quantile
-    grid of the limit zero distribution, and each reported double passes
-    the rounding test of the module docstring at the full digits.  An
+    the condition estimate (more at a doubled attempt), inside sign-change
+    brackets from the quantile grid of the limit zero distribution, and each
+    reported double passes the rounding test of the module docstring at the
+    full digits.  An
     undecided test, or a grid that does not isolate n sign changes, redoes
     the polynomial at twice the digits, at most twice; ``dps`` is the digits
     of the attempt that certified.  ``residuals`` are |p_n(x)| / sum |c_k| x^k

@@ -275,25 +275,29 @@ def test_zero_finder_stress_output_is_pinned(case):
 @pytest.mark.parametrize(
     "r, a, b, n", [(1, 0.0, 0.0, 60), (3, 0.7, -0.5, 40), (5, 2.0, 2.0, 25), (16, 0.7, -0.5, 60)]
 )
-def test_full_precision_retry_matches_search(monkeypatch, r, a, b, n):
-    # reject every iterate of the search, which runs below the certificate's
-    # precision, so that Newton redoes each bracket on the full integers
+def test_undecided_search_redoes_the_attempt(monkeypatch, r, a, b, n):
+    # a search iterate that the rounding test does not accept leaves the
+    # attempt undecided; the attempt at twice the digits searches at more
+    # bits too and certifies the same correctly rounded zeros
     want = find_zeros(n, Params(r, a, b))
-    full = mp.libmp.dps_to_prec(want.dps) + 32
-    newton = zero_finder._certified_newton
-    retried = []
+    first = mp.libmp.dps_to_prec(want.dps) + 32
+    certify, newton = zero_finder._rounding_test, zero_finder._certified_newton
+    search_bits = []
 
-    def no_search(crev, prec, *bracket):
-        cert, it = newton(crev, prec, *bracket)
-        if prec < full:
-            return zero_finder._UNDECIDED, it
-        retried.append(it)
-        return cert, it
+    def undecided_first(crev, prec, *args):
+        return zero_finder._UNDECIDED if prec == first else certify(crev, prec, *args)
 
-    monkeypatch.setattr(zero_finder, "_certified_newton", no_search)
+    def record(trev, shift, crev, prec, *args):
+        search_bits.append(prec - shift)
+        return newton(trev, shift, crev, prec, *args)
+
+    monkeypatch.setattr(zero_finder, "_rounding_test", undecided_first)
+    monkeypatch.setattr(zero_finder, "_certified_newton", record)
     got = find_zeros(n, Params(r, a, b))
-    assert len(retried) == n
-    assert got.dps == want.dps
+    assert got.dps == 2 * want.dps
     assert got.zeros.tobytes() == want.zeros.tobytes()
-    assert got.residuals.tobytes() == want.residuals.tobytes()
-    assert np.all(got.newton_iters >= want.newton_iters)
+    np.testing.assert_allclose(got.residuals, want.residuals, rtol=1e-6)
+    # one undecided bracket at the first attempt, then all n at the second
+    assert len(search_bits) == n + 1
+    assert search_bits[1:] == [search_bits[1]] * n
+    assert search_bits[1] > search_bits[0] + mp.libmp.dps_to_prec(want.dps) // 2
