@@ -21,6 +21,7 @@ from .asymptotics import (
     limit_cdf,
     perron_density,
     solve_stieltjes_boundary,
+    stieltjes_branches,
     stieltjes_limit,
     theta_of_hatx,
     u_closed_r2,

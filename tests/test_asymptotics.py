@@ -19,6 +19,7 @@ from angelesco import (
     limit_cdf,
     perron_density,
     solve_stieltjes_boundary,
+    stieltjes_branches,
     stieltjes_empirical,
     stieltjes_limit,
     theta_of_hatx,
@@ -27,6 +28,7 @@ from angelesco import (
     w_density,
 )
 from angelesco.asymptotics import MAX_R
+from angelesco.numerics import roots_of_unity
 
 U2_HALF = 0.6989522791685144  # 50-digit evaluation of the closed r=2 form at 1/2
 
@@ -328,20 +330,47 @@ def test_branch2_is_stieltjes_near_cut():
         assert -s2.imag / math.pi == pytest.approx(u_closed_r2(x), rel=1e-4)
 
 
-def test_branch_selection_consistency():
+@pytest.mark.parametrize("r", [1, 3, 5, 12])
+def test_branches_solve_the_equation_and_follow_the_far_field(r):
+    # every branch solves the W form; at |z| = 1e6, z S_1 -> -r and branch
+    # k >= 2 has W / ((r+1)^(1/r) z) -> omega^(k-2)
+    for z in (2 + 1j, 0.3 + 1e-3j, 0.8 - 1e-3j, -0.5 + 1e-3j, 5.0 + 0j, -3.0 + 0j):
+        for s in stieltjes_branches(z, r):
+            assert algebraic_residual_w(z, s, r) <= 1e-12
+    omega = roots_of_unity(r)
+    for z in (1e6 + 0j, 1e6 * cmath.exp(0.7j), 1e6 * cmath.exp(-2.1j)):
+        s1, *rest = stieltjes_branches(z, r)
+        assert abs(z * s1 + r) <= 1e-5
+        for j, s in enumerate(rest):
+            w = z * s / (z * s - 1.0)
+            assert abs(w / ((r + 1) ** (1.0 / r) * z) - omega[j]) <= 1e-5
+
+
+def test_real_axis_gives_upper_boundary_limit():
+    # a real z on the segments [0, 1] and [-1, 0] of the r = 2 star gets
+    # the limit from the upper half plane
+    for x in (0.3, -0.3, 0.7, -0.7):
+        above = cubic_branches_r2(complex(x, 1e-13))
+        for a, b in zip(cubic_branches_r2(x), above):
+            assert abs(a - b) <= 1e-10 * abs(b)
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 12])
+def test_branch_selection_consistency(r):
     # solving the algebraic equation and picking the W-window root agrees
-    # with branch 2 of the labeled cubic
-    for x in (0.1, 0.45, 0.9):
+    # with the continued branch 2, also next to the ends of the support
+    for x in (0.01, 0.1, 0.45, 0.9, 0.99):
         for eps in (1e-3, 1e-5):
-            a = cubic_branches_r2(complex(x, eps))[1]
-            b = solve_stieltjes_boundary(x, eps, 2)
+            a = stieltjes_branches(complex(x, eps), r)[1]
+            b = solve_stieltjes_boundary(x, eps, r)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
 
-def test_branch2_matches_integral_transform():
+@pytest.mark.parametrize("r", [2, 3, 5, 8, 12])
+def test_branch2_matches_integral_transform(r):
     for z in (2 + 1j, -1.5 + 0.5j, 0.5 + 2j):
-        want = stieltjes_limit(z, 2)
-        got = cubic_branches_r2(z)[1]
+        want = stieltjes_limit(z, r)
+        got = stieltjes_branches(z, r)[1]
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
@@ -396,11 +425,23 @@ def test_perron_recovery():
             assert abs(perron_density(x, r) - u_density(x, r)) <= 1e-6
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 12, 20])
+def test_perron_recovery_on_all_of_the_support(r):
+    # eps shrinks with the distance to the ends of the support, so the
+    # window root exists down to x = 0.01 (2e-7 measured at r = 2)
+    for x in np.linspace(0.01, 0.99, 99):
+        assert abs(perron_density(x, r) - u_density(x, r)) <= 1e-6
+
+
 def test_branch_point_guard():
     with pytest.raises(ValueError):
         cubic_branches_r2(1.0)
     with pytest.raises(ValueError):
         cubic_branches_r2(0.0)
+    for r in (1, 2, 3, 5):
+        for z in (0.0, *roots_of_unity(r)):
+            with pytest.raises(ValueError):
+                stieltjes_branches(z, r)
 
 
 # ---------------------------------------------------------------------------
