@@ -20,7 +20,7 @@ r + 1 branches are labeled in the far field, where z S_1 -> -r and
 z S_k -> 1 otherwise, and carried inward by continuation of the roots;
 branch 2 is the Stieltjes transform.  Its boundary values, picked near the
 cut by an angular window in W, recover the density on [0.01, 0.99] via
-Stieltjes-Perron inversion for r <= 24 (see :func:`perron_density`).
+Stieltjes-Perron inversion for every r <= 64 (see :func:`perron_density`).
 
 The inversion t(xhat) and the sampled curves are supported for
 r <= MAX_R = 64 and raise ValueError above it.
@@ -33,6 +33,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -87,6 +89,31 @@ def _theta_max(r):
     return _consts(r)[0]
 
 
+# The array code below gives every sample the bits that the scalar code
+# gives it.  numpy's + - * /, comparisons and np.where round as Python
+# floats do, but its sin, log and power can differ from libm's in the last
+# bit, so each transcendental goes through the math function, float pow or
+# complex abs per element.
+
+
+def _per_element(fn):
+    return lambda a: np.fromiter(map(fn, a.tolist()), float, len(a))
+
+
+# math's functions on float arrays, for the formulas that take lib
+_LIBM = SimpleNamespace(
+    sin=_per_element(math.sin),
+    cos=_per_element(math.cos),
+    tan=_per_element(math.tan),
+    log=_per_element(math.log),
+)
+
+
+def _pow(a, e):
+    # float pow per element: np.power special-cases some exponents
+    return np.fromiter(map(pow, a.tolist(), repeat(e)), float, len(a))
+
+
 def _sin_top(theta, r):
     # sin((r+1)theta) evaluated through the distance to the right endpoint,
     # where (r+1)theta is a cancellation-prone sliver below pi
@@ -97,11 +124,16 @@ def _sin_top(theta, r):
 
 
 def _sines(theta, r):
-    # (sin((r+1)theta), sin theta, sin r theta), shared by xhat and w
-    return _sin_top(theta, r), math.sin(theta), math.sin(r * theta)
+    # (sin((r+1)theta), sin theta, sin r theta) of an array of theta, shared
+    # by xhat and w; the first as _sin_top takes it
+    tm = _consts(r)[0]
+    top = (r + 1) * np.where(theta > 0.5 * tm, tm - theta, theta)
+    return _LIBM.sin(top), _LIBM.sin(theta), _LIBM.sin(r * theta)
 
 
-def _hatx(st, s1, sr, r, c_r):
+def _hatx_at(theta, r, c_r):
+    # xhat at one theta, without the domain check
+    st, s1, sr = _sin_top(theta, r), math.sin(theta), math.sin(r * theta)
     num, den = st ** (r + 1), sr**r
     if num < _TINY or den < _TINY:
         # a sine power left the normal range (small theta at large r, where
@@ -110,18 +142,40 @@ def _hatx(st, s1, sr, r, c_r):
     return num / (c_r * s1 * den)
 
 
+def _hatx(st, s1, sr, r, c_r):
+    # _hatx_at on arrays of the sines; the fallback runs only where it is
+    # taken, since its power can overflow elsewhere
+    num, den = _pow(st, r + 1), _pow(sr, r)
+    with np.errstate(divide="ignore", over="ignore"):  # where den is 0, xh is replaced
+        xh = num / (c_r * s1 * den)
+    tiny = np.flatnonzero((num < _TINY) | (den < _TINY))
+    if tiny.size:
+        st, s1, sr = st[tiny], s1[tiny], sr[tiny]
+        xh[tiny] = _pow(st / sr, r) * st / (c_r * s1)
+    return xh
+
+
 def hatx_of_theta(theta, r):
     """xhat(t): strictly decreasing from 1 (t -> 0) to 0 (t -> pi/(r+1))."""
     tm, c_r, _ = _consts(r)
     if not 0.0 < theta < tm:
+        raise ValueError("theta must lie strictly inside (0, pi/(r+1))")
+    return _hatx_at(theta, r, c_r)
+
+
+def _hatx_of_thetas(theta, r):
+    # hatx_of_theta at every theta of an array
+    tm, c_r, _ = _consts(r)
+    if not np.all((0.0 < theta) & (theta < tm)):
         raise ValueError("theta must lie strictly inside (0, pi/(r+1))")
     return _hatx(*_sines(theta, r), r, c_r)
 
 
 def _log_hatx_terms(top, theta, r, lib=math):
     # log xhat(theta) = a - b - c - log c_r, returned as (a, b, c), with
-    # top = (r+1) theta or its reflection (r+1)(tm - theta); lib is math for
-    # one point or numpy for an array of them
+    # top = (r+1) theta or its reflection (r+1)(tm - theta).  lib is math
+    # for one point, _LIBM for an array with math's bits, or numpy where the
+    # last bits do not matter
     return (
         (r + 1) * lib.log(lib.sin(top)),
         lib.log(lib.sin(theta)),
@@ -129,10 +183,10 @@ def _log_hatx_terms(top, theta, r, lib=math):
     )
 
 
-def _log_hatx_of_delta(delta, r):
+def _log_hatx_of_delta(delta, r, lib=math):
     # log xhat at theta = theta_max - delta; accurate for tiny delta
     tm, _, log_c = _consts(r)
-    a, b, c = _log_hatx_terms((r + 1) * delta, tm - delta, r)
+    a, b, c = _log_hatx_terms((r + 1) * delta, tm - delta, r, lib)
     return a - b - c - log_c
 
 
@@ -147,13 +201,25 @@ def _dlog_hatx(theta, r):
     return top - 1.0 / math.tan(theta) - r**2 / math.tan(r * theta)
 
 
+def _dlog_hatx_of_thetas(theta, r):
+    # _dlog_hatx at every theta of an array, and the mask of the samples
+    # where a tangent is 0, where the scalar form raises ZeroDivisionError;
+    # the caller runs it under np.errstate
+    tm = _consts(r)[0]
+    right = theta > 0.5 * tm
+    tt = _LIBM.tan((r + 1) * np.where(right, tm - theta, theta))
+    t1, tr = _LIBM.tan(theta), _LIBM.tan(r * theta)
+    top = np.where(right, -((r + 1) ** 2), (r + 1) ** 2) / tt
+    return top - 1.0 / t1 - r**2 / tr, (tt == 0.0) | (t1 == 0.0) | (tr == 0.0)
+
+
 @lru_cache(maxsize=32)
 def _check_monotone(r):
     # the inversion below assumes xhat is strictly decreasing; probe a fine
     # grid once per r and fail loudly if that ever breaks
-    tm = _theta_max(r)
+    tm, c_r, _ = _consts(r)
     grid = np.linspace(tm * 1e-4, tm * (1.0 - 1e-4), 10_000)
-    vals = np.array([hatx_of_theta(t, r) for t in grid])
+    vals = _hatx(*_sines(grid, r), r, c_r)
     if not np.all(np.diff(vals) < 0.0):
         raise RuntimeError(f"hatx(theta) is not strictly decreasing for r={r}")
     return True
@@ -163,9 +229,18 @@ def _check_monotone(r):
 # Newton polish.  For small xh the unknown is delta = tm - theta and the
 # level is log xh (log xhat increases in delta); otherwise the unknown is
 # theta itself and the level is xh (xhat decreases in theta).  A stage state
-# is (in_delta, level, lo, hi).
+# is (in_delta, level, lo, hi).  The scalar functions solve one xh; the
+# *_curve functions solve an array of them in lock-step, each sample
+# stopping where the scalar loop stops, with the same bits.
 
 _BISECTION_STEPS = 90
+_NEWTON_STEPS = 3
+
+
+def _log_start(r):
+    # xhat ~ k_r delta^(r+1) near the right endpoint
+    tm, c_r, _ = _consts(r)
+    return (r + 1.0) ** (r + 1) / (c_r * math.sin(tm) * math.sin(r * tm) ** r)
 
 
 def _bracket(xh, r):
@@ -173,11 +248,11 @@ def _bracket(xh, r):
         raise ValueError("xhat must lie strictly inside (0,1)")
     _check_r(r)
     _check_monotone(r)
-    tm, c_r, _ = _consts(r)
+    tm = _consts(r)[0]
 
     if xh <= 0.5:
         target = math.log(xh)
-        k_r = (r + 1.0) ** (r + 1) / (c_r * math.sin(tm) * math.sin(r * tm) ** r)
+        k_r = _log_start(r)
         delta = (xh / k_r) ** (1.0 / (r + 1))  # leading-order inverse
         if delta == 0.0:  # xh / k_r underflowed
             delta = xh ** (1.0 / (r + 1)) / k_r ** (1.0 / (r + 1))
@@ -200,6 +275,49 @@ def _bracket(xh, r):
     return False, xh, lo, hi
 
 
+def _bracket_curve(xh, r):
+    # _bracket at every xh of an array: (in_delta, level, lo, hi) as arrays
+    if not np.all((0.0 < xh) & (xh < 1.0)):
+        raise ValueError("xhat must lie strictly inside (0,1)")
+    _check_r(r)
+    _check_monotone(r)
+    tm = _consts(r)[0]
+    in_delta = xh <= 0.5
+    level, lo, hi = xh.copy(), np.full(len(xh), tm * 1e-9), np.full(len(xh), tm * 0.5)
+
+    d = np.flatnonzero(in_delta)
+    if d.size:
+        v = xh[d]
+        target = _LIBM.log(v)
+        k_r = _log_start(r)
+        delta = _pow(v / k_r, 1.0 / (r + 1))
+        under = np.flatnonzero(delta == 0.0)
+        if under.size:
+            delta[under] = _pow(v[under], 1.0 / (r + 1)) / k_r ** (1.0 / (r + 1))
+        a, b = delta * 0.5, np.minimum(delta * 2.0, tm * 0.5)
+        flo = _log_hatx_of_delta(a, r, _LIBM) - target
+        fhi = _log_hatx_of_delta(b, r, _LIBM) - target
+        m = np.flatnonzero(flo > 0.0)
+        while m.size:
+            a[m] *= 0.5
+            flo[m] = _log_hatx_of_delta(a[m], r, _LIBM) - target[m]
+            m = m[flo[m] > 0.0]
+        cap = tm * (1.0 - 1e-12)
+        m = np.flatnonzero(fhi < 0.0)
+        while m.size:
+            b[m] = np.minimum(b[m] * 2.0, cap)
+            fhi[m] = _log_hatx_of_delta(b[m], r, _LIBM) - target[m]
+            m = m[(fhi[m] < 0.0) & (b[m] < cap)]
+        level[d], lo[d], hi[d] = target, a, b
+
+    # every theta-form bracket starts at hi = tm/2, so xhat there is one value
+    m = np.flatnonzero(~in_delta & (hatx_of_theta(tm * 0.5, r) > xh))
+    while m.size:
+        hi[m] = 0.5 * (hi[m] + tm)
+        m = m[_hatx_of_thetas(hi[m], r) > xh[m]]
+    return in_delta, level, lo, hi
+
+
 def _bisect(in_delta, level, r, lo, hi, steps):
     # bisection that stops at its fixed point: once a step leaves (lo, hi)
     # unchanged, every later step would too, so the result is that of all
@@ -210,9 +328,7 @@ def _bisect(in_delta, level, r, lo, hi, steps):
         if in_delta:
             below = _log_hatx_of_delta(mid, r) < level
         else:
-            # hatx_of_theta(mid, r) without its domain check (0 < lo < mid <
-            # hi < tm), spelled out: this loop runs most x-hat evaluations
-            below = _hatx(_sin_top(mid, r), math.sin(mid), math.sin(r * mid), r, c_r) > level
+            below = _hatx_at(mid, r, c_r) > level
         if below:
             if lo == mid:
                 break
@@ -224,6 +340,34 @@ def _bisect(in_delta, level, r, lo, hi, steps):
     return lo, hi
 
 
+# below this many samples, a step of array code costs more than the steps
+# of the scalar code it stands for
+_ARRAY_MIN = 32
+
+
+def _bisect_curve(in_delta, level, r, lo, hi, left, live):
+    # _bisect for the samples `live` of one branch at once, in place: each
+    # takes the `left` steps it still owes, or stops at its fixed point.
+    # The last few samples finish in _bisect itself
+    c_r = _consts(r)[1]
+    live = live[left[live] > 0]
+    while live.size >= _ARRAY_MIN:
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        if in_delta:
+            below = _log_hatx_of_delta(mid, r, _LIBM) < level[live]
+        else:
+            below = _hatx(*_sines(mid, r), r, c_r) > level[live]
+        lo[live[below]] = mid[below]
+        hi[live[~below]] = mid[~below]
+        left[live] -= 1
+        left[live[np.where(below, mid == a, mid == b)]] = 0
+        live = live[left[live] > 0]
+    rest = (live, level[live], lo[live], hi[live], left[live])
+    for i, v, a, b, k in zip(*(col.tolist() for col in rest)):
+        lo[i], hi[i] = _bisect(in_delta, v, r, a, b, k)
+
+
 def _polish(in_delta, level, r, lo, hi):
     # up to three Newton steps from the bisection midpoint.  A step that
     # would leave (lo/2, 2 hi) or not move, or whose slope is zero or not
@@ -231,7 +375,7 @@ def _polish(in_delta, level, r, lo, hi):
     # theta, which rounds to tm when delta is below half an ulp of tm.
     tm = _consts(r)[0]
     x = 0.5 * (lo + hi)
-    for _ in range(3):
+    for _ in range(_NEWTON_STEPS):
         if in_delta:
             g = _log_hatx_of_delta(x, r) - level
             try:
@@ -251,6 +395,42 @@ def _polish(in_delta, level, r, lo, hi):
     return tm - x if in_delta else x
 
 
+def _polish_curve(in_delta, level, r, lo, hi):
+    # _polish for arrays of one branch at once; a zero tangent or slope only
+    # ends a sample's polish, as the scalar loop's break does
+    tm = _consts(r)[0]
+    x = 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            if not live.size:
+                break
+            xl = x[live]
+            if in_delta:
+                g = _log_hatx_of_delta(xl, r, _LIBM) - level[live]
+                slope, stop = _dlog_hatx_of_thetas(tm - xl, r)
+                slope = -slope
+            else:
+                h = _hatx_of_thetas(xl, r)
+                g = h - level[live]
+                dlog, stop = _dlog_hatx_of_thetas(xl, r)
+                if stop.any():  # the scalar polish does not catch this one
+                    raise ZeroDivisionError("float division by zero")
+                slope = h * dlog
+            cand = xl - g / slope
+            go = (
+                ~stop
+                & (slope != 0.0)
+                & np.isfinite(slope)
+                & (lo[live] / 2 < cand)
+                & (cand < hi[live] * 2)
+                & (cand != xl)
+            )
+            x[live[go]] = cand[go]
+            live = live[go]
+    return tm - x if in_delta else x
+
+
 def _solve(xh, r):
     # theta(xh) through the three stages, possibly rounded to tm
     in_delta, level, lo, hi = _bracket(xh, r)
@@ -258,9 +438,12 @@ def _solve(xh, r):
     return _polish(in_delta, level, r, lo, hi)
 
 
+_ROUNDS_TO_TM = "xhat is too close to 0: theta rounds to pi/(r+1)"
+
+
 def _inside(theta, r):
     if not 0.0 < theta < _consts(r)[0]:
-        raise ValueError("xhat is too close to 0: theta rounds to pi/(r+1)")
+        raise ValueError(_ROUNDS_TO_TM)
     return theta
 
 
@@ -286,7 +469,7 @@ def _certified_steps(in_delta, level, r, lo, hi, left, live):
     # bisection steps for the samples `live` of one branch at once, in place.
     # A sample leaves at its first step whose sign numpy cannot certify, or
     # at a step that would not move its bracket (left is then set to 0);
-    # `left` counts the steps still owed by the scalar tail.
+    # `left` counts the steps still owed by _bisect_curve.
     tm, _, log_c = _consts(r)
     while live.size:
         a, b = lo[live], hi[live]
@@ -313,30 +496,45 @@ def _certified_steps(in_delta, level, r, lo, hi, left, live):
 
 
 def _theta_curve(xh, r):
-    # theta_of_hatx at every xh, bitwise equal to calling it per sample:
-    # brackets, undecided bisection steps and the polish run per sample as
-    # there, the certain bisection steps for all samples at once
-    states = [_bracket(v, r) for v in xh]
-    in_delta = np.array([s[0] for s in states], dtype=bool)
-    level, lo, hi = (np.array([s[i] for s in states], dtype=float) for i in (1, 2, 3))
-    left = np.full(len(states), _BISECTION_STEPS)
+    # theta_of_hatx at every xh of an array, bitwise equal to calling it per
+    # sample: numpy takes the bisection steps whose sign it certifies, and
+    # the bracket, the remaining steps and the polish run on libm's values
+    in_delta, level, lo, hi = _bracket_curve(xh, r)
+    left = np.full(len(xh), _BISECTION_STEPS)
+    theta = np.empty(len(xh))
     for branch in (True, False):
-        _certified_steps(branch, level, r, lo, hi, left, np.flatnonzero(in_delta == branch))
-    theta = []
-    for (branch, v, _, _), a, b, k in zip(states, lo.tolist(), hi.tolist(), left.tolist()):
-        a, b = _bisect(branch, v, r, a, b, k)
-        theta.append(_inside(_polish(branch, v, r, a, b), r))
-    return np.array(theta)
+        live = np.flatnonzero(in_delta == branch)
+        _certified_steps(branch, level, r, lo, hi, left, live)
+        _bisect_curve(branch, level, r, lo, hi, left, live)
+        theta[live] = _polish_curve(branch, level[live], r, lo[live], hi[live])
+    if not np.all((0.0 < theta) & (theta < _consts(r)[0])):
+        raise ValueError(_ROUNDS_TO_TM)
+    return theta
 
 
 def _w_at_theta(theta, r, xh, sines):
+    # w at arrays of theta and xh = xhat(theta):
+    #   (r+1)/(pi xh) s1 sr st / |(r+1) sr - r e^(i theta) st|^2.
+    # e^(i theta) is (cos theta, s1) as cmath.exp gives it, and the modulus
+    # is complex abs, for the bits of the one-sample complex arithmetic
     st, s1, sr = sines
-    denom = abs((r + 1) * sr - r * cmath.exp(1j * theta) * st) ** 2
-    scale = (r + 1) / (math.pi * xh)
-    if scale == math.inf:
-        # xh near 0, where the sine product is small: take it first
-        return (r + 1) / math.pi * (s1 * sr * st / denom) / xh
-    return scale * s1 * sr * st / denom
+    re, im = (r + 1) * sr - r * _LIBM.cos(theta) * st, r * s1 * st
+    denom = _pow(np.fromiter(map(abs, map(complex, re.tolist(), im.tolist())), float, len(re)), 2)
+    with np.errstate(divide="ignore", over="ignore"):  # inf, as a float gives it
+        scale = (r + 1) / (math.pi * xh)
+        w = scale * s1 * sr * st / denom
+        far = np.flatnonzero(scale == math.inf)
+        if far.size:
+            # xh near 0, where the sine product is small: take it first
+            w[far] = (r + 1) / math.pi * (s1[far] * sr[far] * st[far] / denom[far]) / xh[far]
+    return w
+
+
+def _u_curve(x, xh, r):
+    # (theta, u) at arrays of x and xh = x^r, bitwise equal to u_density's
+    # steps per sample, without its range checks
+    theta = _theta_curve(xh, r)
+    return theta, r * _pow(x, r - 1) * _w_at_theta(theta, r, xh, _sines(theta, r))
 
 
 def w_density(xh, r):
@@ -347,11 +545,11 @@ def w_density(xh, r):
     xh^(-r/(r+1)), so only subnormal xh at large r reach that (for example
     xh = 5e-324 at r = 30).
     """
-    theta = theta_of_hatx(xh, r)
-    w = _w_at_theta(theta, r, xh, _sines(theta, r))
+    theta = np.array([theta_of_hatx(xh, r)])
+    w = _w_at_theta(theta, r, np.array([float(xh)]), _sines(theta, r))[0]
     if w == math.inf:
         raise ValueError("xhat is too close to 0: w overflows")
-    return w
+    return float(w)
 
 
 def u_density(x, r):
@@ -417,40 +615,27 @@ def density_curve(r, samples, spacing="theta"):
     ``spacing="theta"`` places samples uniformly in the parameter, which
     concentrates x-points near both endpoints (the right grid for plotting a
     density with endpoint singularities); ``spacing="x"`` uses the interior
-    grid x_i = i/(samples+1) and inverts all of it at once: numpy takes the
-    bisection steps whose sign it certifies, and each sample finishes in
-    the scalar steps of ``theta_of_hatx``, so theta is bitwise equal to
-    ``theta_of_hatx(x_i**r, r)``.  Raises ValueError for r > ``MAX_R``.
+    grid x_i = i/(samples+1) and inverts all of it at once, so theta is
+    bitwise equal to ``theta_of_hatx(x_i**r, r)`` and u to
+    ``u_density(x_i, r)``.  Both spacings evaluate every sample in array
+    code with the bits of the one-sample formulas: numpy does the
+    arithmetic, libm the sines, logs, tangents and powers.  Raises
+    ValueError for r > ``MAX_R``.
     """
     _check_r(r)
-    tm = _theta_max(r)
+    tm, c_r, _ = _consts(r)
     if spacing == "theta":
         theta = tm * np.arange(samples, 0, -1) / (samples + 1.0)
-        sines = [_sines(t, r) for t in theta.tolist()]
-        c_r = _consts(r)[1]
-        xh = np.array([_hatx(*s, r, c_r) for s in sines])
-        x = xh ** (1.0 / r)
-        u = np.array(
-            [
-                r * xi ** (r - 1) * _w_at_theta(t, r, xhi, s)
-                for xi, t, xhi, s in zip(x, theta, xh, sines)
-            ]
-        )
-        F = 1.0 - (r + 1) * theta / math.pi
+        sines = _sines(theta, r)
+        xh = _hatx(*sines, r, c_r)
+        x = xh ** (1.0 / r)  # numpy's power: figure2 prints these digits
+        u = r * _pow(x, r - 1) * _w_at_theta(theta, r, xh, sines)
     elif spacing == "x":
         x = np.arange(1, samples + 1) / (samples + 1.0)
-        # per-sample scalar powers: the array power can differ in the last bit
-        xh = [xi**r for xi in x]
-        theta = _theta_curve(xh, r)
-        u = np.array(
-            [
-                r * xi ** (r - 1) * _w_at_theta(t, r, xhi, _sines(t, r))
-                for xi, t, xhi in zip(x, theta, xh)
-            ]
-        )
-        F = 1.0 - (r + 1) * theta / math.pi
+        theta, u = _u_curve(x, _pow(x, r), r)
     else:
         raise ValueError(f"unknown spacing {spacing!r}")
+    F = 1.0 - (r + 1) * theta / math.pi
     return DensityCurve(r, x, u, F, theta)
 
 
@@ -556,28 +741,21 @@ def cubic_branches_r2(z):
     return stieltjes_branches(z, 2)
 
 
-def _w_poly_roots(z, r):
-    # W^(r+1) - (r+1) z^r W + r z^r = 0
-    c = np.zeros(r + 2, dtype=complex)
-    c[0] = 1.0
-    c[-2] = -(r + 1) * z**r
-    c[-1] = r * z**r
-    return np.roots(c)
-
-
 def solve_stieltjes_boundary(x, eps, r):
     """Stieltjes branch of the algebraic equation at z = x + i*eps.
 
     The one W-root with argument in (0, 2 pi/(r+1)) is picked: as x -> 0 it
     tends to the angle pi/(r+1), and the other small-z roots to 3 pi/(r+1),
-    5 pi/(r+1), ....  This cheap rule continues no path; the tests check it
-    against S_2 of :func:`stieltjes_branches`.  Raises RuntimeError when the
-    window holds no root or more than one.
+    5 pi/(r+1), ....  The roots are taken as W = zV from the V = W/z form of
+    :func:`stieltjes_branches`, whose coefficients stay moderate where the
+    W form's are of order x^r.  This cheap rule continues no path; the tests
+    check it against S_2 of :func:`stieltjes_branches`.  Raises RuntimeError
+    when the window holds no root or more than one.
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie inside the support (0,1)")
     z = complex(x, eps)
-    ws = _w_poly_roots(z, r)
+    ws = z * _v_poly_roots(z, r)
     window = [w for w in ws if 0.0 < cmath.phase(w) < 2.0 * _theta_max(r)]
     if len(window) != 1:
         raise RuntimeError(
@@ -591,18 +769,20 @@ def perron_density(x, r, eps=1e-3):
     """Density recovered from the algebraic solution by Stieltjes-Perron
     inversion with Richardson extrapolation over e, e/2, e/4, where
     e = min(eps, x/50, (1-x)/50) follows the distance to the ends of the
-    support.  Recovers u_r to 2e-7 on [0.01, 0.99] for r <= 24.  From
-    r = 25 the W-roots lose digits at small x (errors of 4e-6 at r = 25 and
-    4e-2 at r = 30, x = 0.01), and from r = 32 the window of
-    :func:`solve_stieltjes_boundary` misses there, which raises
-    RuntimeError."""
+    support.  Recovers u_r to 2e-7 relative on [0.01, 0.99] for every
+    r <= 64."""
     eps = min(eps, x / 50.0, (1.0 - x) / 50.0)
     f = [-solve_stieltjes_boundary(x, e, r).imag / math.pi for e in (eps, eps / 2, eps / 4)]
     return (f[0] - 6.0 * f[1] + 8.0 * f[2]) / 3.0
 
 
 def algebraic_residual(z, S, r):
-    """|z S^(r+1) - (zS + r)(zS - 1)^r| scaled by the largest term."""
+    """|z S^(r+1) - (zS + r)(zS - 1)^r| scaled by the largest term.
+
+    This S form cancels for S_1 at large r, where zS is near -r and so is
+    the factor (zS + r): a correct S_1 reads 0.04 at r = 64,
+    z = 0.94 + 1.21j.  Judge branches with :func:`algebraic_residual_w`.
+    """
     z, S = complex(z), complex(S)
     t1 = z * S ** (r + 1)
     t2 = -(z * S + r) * (z * S - 1.0) ** r
@@ -651,19 +831,29 @@ def ks_distance(zs, r):
     return worst
 
 
+def _u_densities(x, r):
+    # u_density at every x of an array, bitwise, with its ValueErrors
+    if not np.all((0.0 < x) & (x < 1.0)):
+        raise ValueError("x must lie strictly inside (0,1)")
+    xh = _pow(x, r)
+    if np.any(xh < _TINY):
+        raise ValueError("x^r underflows; too close to the endpoint")
+    return _u_curve(x, xh, r)[1]
+
+
 def endpoint_exponents(r, npts=25):
     """Fitted log-log slopes of u_r at the endpoints.
 
     Left: regression of log u against log x over x in [1e-6, 1e-3].
     Right: regression of log u against log(1 - x^r) over 1-x^r in the same
-    window.  The limits are -1/(r+1) and -1/2.
+    window.  The limits are -1/(r+1) and -1/2.  Raises ValueError where
+    :func:`u_density` does on either grid (from r = 52, 1e-6^r underflows).
     """
     xs = np.geomspace(1e-6, 1e-3, npts)
-    ul = np.array([u_density(x, r) for x in xs])
-    s0 = np.polyfit(np.log(xs), np.log(ul), 1)[0]
-
     ts = np.geomspace(1e-6, 1e-3, npts)
     xr = (1.0 - ts) ** (1.0 / r)
-    ur = np.array([u_density(x, r) for x in xr])
-    s1 = np.polyfit(np.log(ts), np.log(ur), 1)[0]
+    # both grids in one pass; the left one first, as its errors come first
+    u = _u_densities(np.concatenate((xs, xr)), r)
+    s0 = np.polyfit(np.log(xs), np.log(u[:npts]), 1)[0]
+    s1 = np.polyfit(np.log(ts), np.log(u[npts:]), 1)[0]
     return float(s0), float(s1)

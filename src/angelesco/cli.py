@@ -297,6 +297,18 @@ def _cmd_recurrence(args, out=None):
     return _EXIT_OK
 
 
+def _rows(curve):
+    # the (x, u, F) rows of a curve, one per sample
+    return np.column_stack((curve.x, curve.u, curve.F))
+
+
+def _csv_rows(curve, lead=""):
+    # every row of a curve after `lead`, each value as _fmt writes it, in one
+    # format call over the interleaved columns
+    rows = _rows(curve)
+    return (lead + "%.17g,%.17g,%.17g\n") * len(rows) % tuple(rows.ravel().tolist())
+
+
 def _cmd_density(args, out=None):
     out = out if out is not None else sys.stdout
     if args.r < 1:
@@ -309,13 +321,12 @@ def _cmd_density(args, out=None):
         return _usage_fail(str(e))
     if args.format == "csv":
         out.write("x,u,F\n")
-        for x, u, F in zip(curve.x, curve.u, curve.F):
-            out.write(f"{_fmt(float(x))},{_fmt(float(u))},{_fmt(float(F))}\n")
+        out.write(_csv_rows(curve))
     else:
         payload = {
             "kind": "curve",
             "columns": ["x", "u", "F"],
-            "rows": [[float(x), float(u), float(F)] for x, u, F in zip(curve.x, curve.u, curve.F)],
+            "rows": _rows(curve).tolist(),
         }
         _emit_record(args, payload, out)
     return _EXIT_OK
@@ -387,8 +398,7 @@ def _cmd_figure2(args, out=None):
         print(f"wrote {args.svg}", file=sys.stderr)
     out.write("r,x,u,F\n")
     for curve in curves:
-        for x, u, F in zip(curve.x, curve.u, curve.F):
-            out.write(f"{curve.r},{_fmt(float(x))},{_fmt(float(u))},{_fmt(float(F))}\n")
+        out.write(_csv_rows(curve, f"{curve.r},"))
     return _EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -149,24 +150,97 @@ def test_density_curve_scalar_evaluations(monkeypatch):
     density_curve(3, 9, spacing="x")
     calls = _count_evaluations(monkeypatch)
     density_curve(3, 999, spacing="x")
-    assert calls[0] < 30_000  # 95,406 with one scalar inversion per sample
+    # 95,406 with one scalar inversion per sample; the array code makes one
+    # call per step for all samples, and the last few samples finish alone
+    assert calls[0] < 1_000
+
+
+BITWISE_R = (*range(1, 13), 16, 24, 40, 64)
+BITWISE_SAMPLES = (1, 10, 99, 151, 999, 2001, 4000)
+
+
+def _w_one(t, r, xh):
+    # w at one theta, in the one-sample arithmetic the array code reproduces:
+    # complex exp and abs, float pow, and the small-xh fallback order
+    import angelesco.asymptotics as asym
+
+    st, s1, sr = asym._sin_top(t, r), math.sin(t), math.sin(r * t)
+    denom = abs((r + 1) * sr - r * cmath.exp(1j * t) * st) ** 2
+    scale = (r + 1) / (math.pi * xh)
+    if scale == math.inf:
+        return (r + 1) / math.pi * (s1 * sr * st / denom) / xh
+    return scale * s1 * sr * st / denom
+
+
+def _curve_per_sample(r, samples, spacing):
+    # (x, u, F, theta) of density_curve, one sample at a time
+    tm = math.pi / (r + 1)
+    if spacing == "theta":
+        theta = (tm * np.arange(samples, 0, -1) / (samples + 1.0)).tolist()
+        xh = [hatx_of_theta(t, r) for t in theta]
+        x = (np.array(xh) ** (1.0 / r)).tolist()  # numpy's power, as the curve takes it
+    else:
+        x = (np.arange(1, samples + 1) / (samples + 1.0)).tolist()
+        xh = [xi**r for xi in x]
+        theta = [theta_of_hatx(v, r) for v in xh]
+    u = [r * xi ** (r - 1) * _w_one(t, r, v) for xi, t, v in zip(x, theta, xh)]
+    F = [1.0 - (r + 1) * t / math.pi for t in theta]
+    return [np.array(col) for col in (x, u, F, theta)]
 
 
 def test_density_curve_matches_scalar_inversion_bitwise(monkeypatch):
     import angelesco.asymptotics as asym
 
-    def per_sample(r, samples):
-        x = np.arange(1, samples + 1) / (samples + 1.0)
-        return np.array([theta_of_hatx(xi**r, r) for xi in x])
-
-    want = {(r, s): per_sample(r, s) for r in range(1, 13) for s in (1, 99, 999, 4000)}
+    cases = [(r, s, sp) for r in BITWISE_R for s in BITWISE_SAMPLES for sp in ("theta", "x")]
+    want = {case: _curve_per_sample(*case) for case in cases}
 
     def refuse(xh, r):
         raise AssertionError("the curve called theta_of_hatx per sample")
 
     monkeypatch.setattr(asym, "theta_of_hatx", refuse)
-    for (r, s), theta in want.items():
-        assert density_curve(r, s, spacing="x").theta.tobytes() == theta.tobytes(), (r, s)
+    for case, cols in want.items():
+        c = density_curve(*case)
+        for name, got, ref in zip("x u F theta".split(), (c.x, c.u, c.F, c.theta), cols):
+            assert got.tobytes() == ref.tobytes(), (case, name)
+
+
+def _error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_theta_curve_raises_as_the_scalar_inversion_does():
+    from angelesco.asymptotics import _theta_curve
+
+    # below about (1e-16)^(r+1) theta rounds to pi/(r+1); 0 and 1 are outside
+    for r, xh in ((1, 1e-40), (2, 1e-60), (5, 1e-100), (3, 0.0), (3, 1.0)):
+        msg = _error(theta_of_hatx, xh, r)
+        assert msg is not None
+        assert _error(_theta_curve, np.array([0.5, xh]), r) == msg, (r, xh)
+    assert _error(_theta_curve, np.array([0.5]), MAX_R + 1) == _error(theta_of_hatx, 0.5, MAX_R + 1)
+
+
+def _endpoint_exponents_per_sample(r, npts=25):
+    xs = np.geomspace(1e-6, 1e-3, npts)
+    s0 = np.polyfit(np.log(xs), np.log([u_density(x, r) for x in xs.tolist()]), 1)[0]
+    ts = np.geomspace(1e-6, 1e-3, npts)
+    xr = (1.0 - ts) ** (1.0 / r)
+    s1 = np.polyfit(np.log(ts), np.log([u_density(x, r) for x in xr.tolist()]), 1)[0]
+    return float(s0), float(s1)
+
+
+@pytest.mark.parametrize("r", BITWISE_R)
+def test_endpoint_exponents_match_the_u_density_loop_bitwise(r):
+    try:
+        want = _endpoint_exponents_per_sample(r)
+    except ValueError as e:  # from r = 52, 1e-6^r underflows
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            endpoint_exponents(r)
+        return
+    assert endpoint_exponents(r) == want
 
 
 def test_theta_derivative_matches_finite_differences():
@@ -425,10 +499,11 @@ def test_perron_recovery():
             assert abs(perron_density(x, r) - u_density(x, r)) <= 1e-6
 
 
-@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 12, 20])
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 8, 12, 20, 24, 25, 30, 32, 48, 64])
 def test_perron_recovery_on_all_of_the_support(r):
     # eps shrinks with the distance to the ends of the support, so the
-    # window root exists down to x = 0.01 (2e-7 measured at r = 2)
+    # window root exists down to x = 0.01 (2e-7 measured at r = 2 and 64);
+    # the roots come from the V = W/z form, which keeps its digits at large r
     for x in np.linspace(0.01, 0.99, 99):
         assert abs(perron_density(x, r) - u_density(x, r)) <= 1e-6
 

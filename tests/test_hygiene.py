@@ -6,9 +6,13 @@ Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
 passes.  No module but ``numerics.py`` uses a double-precision gamma
 function: ``gamma_ratio`` is the one double kernel (mpmath's gamma is the
-extended-precision one).  Importing the CLI loads no scipy module: scipy's
-import alone costs a few hundred milliseconds, and only
-``stieltjes_limit`` needs it, through a lazy import.
+extended-precision one).  ``asymptotics.py`` calls no numpy
+transcendental and hands numpy to no function, except where the last bits
+do not matter (``_certified_steps``, which certifies each sign it takes,
+and the log-log fits of ``endpoint_exponents``): the limit density is
+bitwise what the one-sample libm code gives.  Importing the CLI loads no
+scipy module: scipy's import alone costs a few hundred milliseconds, and
+only ``stieltjes_limit`` needs it, through a lazy import.
 """
 
 import ast
@@ -118,9 +122,9 @@ def _dotted(node, modules):
     return None
 
 
-def _gamma_uses(tree):
-    """Lines that import or name a double-precision gamma function."""
-    modules, bad = {}, []
+def _imports(tree):
+    # local name -> the module, or module attribute, an import binds it to
+    modules = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -131,9 +135,25 @@ def _gamma_uses(tree):
                     modules[top] = top
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name in _GAMMA.get(node.module, ()):
-                    bad.append(node.lineno)
                 modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return modules
+
+
+def _imported_from(tree, module, names):
+    # lines of the `from module import ...` statements that import one of names
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.module == module
+        and any(alias.name in names for alias in node.names)
+    ]
+
+
+def _gamma_uses(tree):
+    """Lines that import or name a double-precision gamma function."""
+    modules = _imports(tree)
+    bad = [line for module, names in _GAMMA.items() for line in _imported_from(tree, module, names)]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr in _GAMMA.get(
             _dotted(node.value, modules), ()
@@ -166,6 +186,65 @@ def test_scan_sees_a_gamma_call():
         "f = scipy.special.gammasgn(-0.5)\n"
     )
     assert _gamma_uses(tree) == [4, 8, 9, 10, 11, 13]
+
+
+_NP_TRANSCENDENTALS = {"sin", "cos", "tan", "log", "exp", "hypot", "power"}
+
+
+def _exempt_from_libm(tree):
+    # the nodes of _certified_steps and of the polyfit arguments in
+    # endpoint_exponents
+    exempt = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_certified_steps":
+            exempt.update(ast.walk(fn))
+        elif isinstance(fn, ast.FunctionDef) and fn.name == "endpoint_exponents":
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and _name(call.func) == "polyfit":
+                    for arg in call.args:
+                        exempt.update(ast.walk(arg))
+    return exempt
+
+
+def _numpy_transcendentals(tree):
+    """Lines that import or name a numpy transcendental, or pass numpy to a
+    function (as ``lib``), outside the nodes ``_exempt_from_libm`` allows."""
+    modules, exempt = _imports(tree), _exempt_from_libm(tree)
+    bad = _imported_from(tree, "numpy", _NP_TRANSCENDENTALS)
+    for node in ast.walk(tree):
+        if node in exempt:
+            continue
+        if isinstance(node, ast.Attribute) and node.attr in _NP_TRANSCENDENTALS:
+            if _dotted(node.value, modules) == "numpy":
+                bad.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(_dotted(arg, modules) == "numpy" for arg in args):
+                bad.append(node.lineno)
+    return sorted(bad)
+
+
+def test_limit_density_takes_transcendentals_from_libm():
+    assert _numpy_transcendentals(ast.parse((SRC / "asymptotics.py").read_text())) == []
+
+
+def test_scan_sees_a_numpy_transcendental():
+    tree = ast.parse(
+        "import math\n"
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import hypot, where\n"
+        "a = np.sin(x) + math.sin(y) + np.where(x, 1, 2)\n"
+        "b = numpy.power(x, 2) + np.abs(x)\n"
+        "c = f(x, r, np) + f(x, r, lib=np) + f(x, r, lib=math)\n"
+        "def _certified_steps(x):\n"
+        "    return np.log(x) + f(x, np)\n"
+        "def endpoint_exponents(x):\n"
+        "    s = np.polyfit(np.log(x), np.log(u), 1)\n"
+        "    return s + np.exp(x)\n"
+        "d = np.polyfit(np.log(x), np.tan(x), 1) + np.random.random()\n"
+    )
+    assert _numpy_transcendentals(tree) == [4, 5, 6, 7, 7, 12, 13, 13]
 
 
 def test_cli_import_loads_no_scipy():
