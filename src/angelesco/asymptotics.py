@@ -146,7 +146,8 @@ def _hatx(st, s1, sr, r, c_r):
     # _hatx_at on arrays of the sines; the fallback runs only where it is
     # taken, since its power can overflow elsewhere
     num, den = _pow(st, r + 1), _pow(sr, r)
-    with np.errstate(divide="ignore", over="ignore"):  # where den is 0, xh is replaced
+    # where a power left the normal range (0/0 included), xh is replaced
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         xh = num / (c_r * s1 * den)
     tiny = np.flatnonzero((num < _TINY) | (den < _TINY))
     if tiny.size:
@@ -520,7 +521,7 @@ def _w_at_theta(theta, r, xh, sines):
     st, s1, sr = sines
     re, im = (r + 1) * sr - r * _LIBM.cos(theta) * st, r * s1 * st
     denom = _pow(np.fromiter(map(abs, map(complex, re.tolist(), im.tolist())), float, len(re)), 2)
-    with np.errstate(divide="ignore", over="ignore"):  # inf, as a float gives it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # as floats do
         scale = (r + 1) / (math.pi * xh)
         w = scale * s1 * sr * st / denom
         far = np.flatnonzero(scale == math.inf)

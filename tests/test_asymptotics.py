@@ -223,6 +223,24 @@ def test_theta_curve_raises_as_the_scalar_inversion_does():
     assert _error(_theta_curve, np.array([0.5]), MAX_R + 1) == _error(theta_of_hatx, 0.5, MAX_R + 1)
 
 
+@pytest.mark.parametrize("r", [1, 5, 52, 64])
+def test_theta_curve_matches_near_the_domain_ends(r):
+    # near xh = 1 at large r both sine powers of x-hat underflow, and the
+    # array form must take the fallback as quietly as the scalar one does
+    from angelesco.asymptotics import _theta_curve
+
+    # enough samples on each branch for the lock-step loops to run
+    xh = (1.0 - np.geomspace(1e-16, 0.5, 80)).tolist() + np.geomspace(1e-320, 0.5, 80).tolist()
+    want = []
+    for v in xh:
+        try:
+            want.append((v, theta_of_hatx(v, r)))
+        except ValueError:
+            continue
+    got = _theta_curve(np.array([v for v, _ in want]), r)
+    assert got.tobytes() == np.array([t for _, t in want]).tobytes()
+
+
 def _endpoint_exponents_per_sample(r, npts=25):
     xs = np.geomspace(1e-6, 1e-3, npts)
     s0 = np.polyfit(np.log(xs), np.log([u_density(x, r) for x in xs.tolist()]), 1)[0]
