@@ -629,7 +629,7 @@ def density_curve(r, samples, spacing="theta"):
         theta = tm * np.arange(samples, 0, -1) / (samples + 1.0)
         sines = _sines(theta, r)
         xh = _hatx(*sines, r, c_r)
-        x = xh ** (1.0 / r)  # numpy's power: figure2 prints these digits
+        x = _pow(xh, 1.0 / r)
         u = r * _pow(x, r - 1) * _w_at_theta(theta, r, xh, sines)
     elif spacing == "x":
         x = np.arange(1, samples + 1) / (samples + 1.0)
@@ -852,7 +852,7 @@ def endpoint_exponents(r, npts=25):
     """
     xs = np.geomspace(1e-6, 1e-3, npts)
     ts = np.geomspace(1e-6, 1e-3, npts)
-    xr = (1.0 - ts) ** (1.0 / r)
+    xr = _pow(1.0 - ts, 1.0 / r)
     # both grids in one pass; the left one first, as its errors come first
     u = _u_densities(np.concatenate((xs, xr)), r)
     s0 = np.polyfit(np.log(xs), np.log(u[:npts]), 1)[0]

@@ -178,7 +178,7 @@ def _curve_per_sample(r, samples, spacing):
     if spacing == "theta":
         theta = (tm * np.arange(samples, 0, -1) / (samples + 1.0)).tolist()
         xh = [hatx_of_theta(t, r) for t in theta]
-        x = (np.array(xh) ** (1.0 / r)).tolist()  # numpy's power, as the curve takes it
+        x = [v ** (1.0 / r) for v in xh]
     else:
         x = (np.arange(1, samples + 1) / (samples + 1.0)).tolist()
         xh = [xi**r for xi in x]
@@ -245,8 +245,8 @@ def _endpoint_exponents_per_sample(r, npts=25):
     xs = np.geomspace(1e-6, 1e-3, npts)
     s0 = np.polyfit(np.log(xs), np.log([u_density(x, r) for x in xs.tolist()]), 1)[0]
     ts = np.geomspace(1e-6, 1e-3, npts)
-    xr = (1.0 - ts) ** (1.0 / r)
-    s1 = np.polyfit(np.log(ts), np.log([u_density(x, r) for x in xr.tolist()]), 1)[0]
+    xr = [(1.0 - t) ** (1.0 / r) for t in ts.tolist()]
+    s1 = np.polyfit(np.log(ts), np.log([u_density(x, r) for x in xr]), 1)[0]
     return float(s0), float(s1)
 
 
