@@ -332,3 +332,75 @@ def test_zeros_not_isolated_is_a_verification_failure(capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# (argv, exit code, sha256 prefix of stdout, stderr and the SVG written):
+# every subcommand, both formats and each exit code, pinned byte for byte
+_DIGEST_CORPUS = [
+    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4", 0, "5d6a6fbd62352e36"),
+    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4 --format json", 0, "ca2a5a31d1a4e2d2"),
+    ("coeffs --r 3 --n 3 --family diag", 0, "bdffc797ce2dec33"),
+    ("coeffs --r 3 --n 3 --family diag --format json", 0, "3453e7fe5bce3767"),
+    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "04e638ef4eebbaca"),
+    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family down --k 3 --format json", 0, "c35f772f5f87d7cd"),
+    ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 1 --family down --k 1", 0, "3b371444219f3fb5"),
+    ("coeffs --r 2 --n 1 --family up", 2, "e68fe57d9aa83556"),
+    ("coeffs --r 2 --n 1 --family up --k 3", 2, "c13814ca3042a6cc"),
+    ("coeffs --r 2 --n 1 --family base --k 1", 2, "f7de8ea26d3aaca9"),
+    ("coeffs --r 2 --n -1", 2, "cfb0366958d3b1b5"),
+    ("coeffs --r 2 --n 0 --family diag", 2, "0658945f69007c82"),
+    ("coeffs --r 0 --n 2", 2, "6ea9407c04e1a037"),
+    ("coeffs --r 2 --alpha -1 --n 2", 2, "55974b91a7abba30"),
+    ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 0", 2, "692f98690070139a"),
+    ("coeffs --r 2 --n 61", 3, "89c8a126ed4a673c"),
+    ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "8ed92d0dda4bffc5"),
+    ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "cc1ee2cd344decfe"),
+    ("verify --suite recurrence --r 3 --n-max 4", 0, "050fc1935759905b"),
+    ("verify --suite ode --r 2 --n-max 4", 0, "42cad4251a15a364"),
+    ("verify --suite lowering --r 3 --n-max 4", 0, "89f9650a1021e719"),
+    ("verify --suite raising --r 2 --alpha 2 --beta 2 --n-max 4", 0, "68d3d2f26a0ccdf4"),
+    ("verify --suite zeros --r 2 --n-max 4", 0, "56121c3cad7b8579"),
+    ("verify --suite orthogonality --r 3 --n-max 3 --tol 1e-30", 1, "2d0841327cb7cb30"),
+    ("verify --suite zeros --r 3 --alpha 1e4 --beta 1e4 --n-max 3", 1, "9dc6a295e641181a"),
+    ("verify --suite recurrence --r 1 --n-max 2", 2, "88df01d06f45348e"),
+    ("verify --suite raising --r 2 --n-max 2", 2, "50d52baf1817e17e"),
+    ("verify --suite ode --r 2 --n-max 0", 2, "4a083246a97f61e5"),
+    ("verify --suite ode --r 2 --n-max 61", 3, "161e4dc6fae79b29"),
+    ("verify --suite ode --r 2 --alpha 300 --beta 1e5 --n-max 2", 3, "1fe14f672d605e2e"),
+    ("zeros --r 2 --alpha 0.7 --beta -0.5 --n 6", 0, "1632b54de13ebc1a"),
+    ("zeros --r 3 --n 5 --format json", 0, "9aa3107d3fe5135f"),
+    ("zeros --r 3 --alpha 1e4 --beta 1e4 --n 3", 1, "c6c77bae801302ec"),
+    ("zeros --r 2 --n 0", 2, "698e65c09455ca92"),
+    ("zeros --r 2 --alpha inf --n 3", 2, "55974b91a7abba30"),
+    ("zeros --r 2 --n 61", 3, "89c8a126ed4a673c"),
+    ("zeros --r 2 --alpha 1e300 --beta 1e300 --n 1", 3, "39a8dac8cf09e893"),
+    ("recurrence --r 3 --alpha 0.7 --beta -0.5 --n-max 5", 0, "5a98bb532e86770c"),
+    ("recurrence --r 2 --n-max 4 --format json", 0, "dc0fbf0d3a4ce7a7"),
+    ("recurrence --r 1 --n-max 3", 2, "a833b98cd36954c2"),
+    ("recurrence --r 2 --n-max 0", 2, "4a083246a97f61e5"),
+    ("density --r 3 --samples 99", 0, "03e04d716af00eb2"),
+    ("density --r 2 --samples 7 --format json", 0, "98315e98920e24a4"),
+    ("density --r 90 --samples 5", 2, "02f89a7149ae65eb"),
+    ("density --r 2 --samples 0", 2, "3b5c2197abdb02ae"),
+    ("figure2 --samples 10 --svg {tmp}/f.svg", 0, "9a1a7e38d8606968"),
+    ("figure2 --samples 2001 --svg=", 0, "67c1d30e28be5320"),
+    ("figure2 --samples 9 --svg=", 2, "60fc713fd3f15225"),
+    ("figure2 --samples 10 --svg {tmp}/missing/f.svg", 3, "cd5451f720eb443a"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", _DIGEST_CORPUS, ids=[c[0] for c in _DIGEST_CORPUS])
+def test_cli_bytes_are_pinned(argv, code, digest, tmp_path):
+    import contextlib
+    import hashlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main(argv.format(tmp=tmp_path).split())
+    h = hashlib.sha256()
+    for text in (out.getvalue(), err.getvalue().replace(str(tmp_path), "{tmp}")):
+        h.update(text.encode() + b"\0")
+    svg = tmp_path / "f.svg"
+    if svg.exists():
+        h.update(svg.read_bytes())
+    assert (got, h.hexdigest()[:16]) == (code, digest)
