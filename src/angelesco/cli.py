@@ -13,12 +13,16 @@ figure2     the five density curves r = 1..5 as CSV plus a standalone SVG
 Conventions: data on stdout, diagnostics on stderr; CSV has a mandatory
 header (`k,re,im` for coefficients, `x,u,F` for curves); floats carry 17
 significant digits and round-trip exactly; `--format json` wraps the payload
-in a record with schema_version "1".  Exit codes: 0 ok, 1 verification
-failure (for `zeros`, a zero finder that cannot isolate or certify the zeros,
-`ZeroFindingError`), 2 usage error or degenerate parameters (a closed formula that is
-singular at the exact parameter values given, reported as one `error:` line),
-3 degree-cap/resource error (including an output file that cannot be
-written, and a coefficient or gamma ratio outside the double range).
+in a record with schema_version "1".
+
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 degree-cap or
+resource error.  ``main`` alone maps the library's documented exceptions to
+them, each reported as one `error:` line on stderr: `DegenerateParameters` (a
+formula singular at the exact parameter values given) -> 2; `DegreeCapError`
+and `DoubleRangeError` (a value outside the double range) -> 3;
+`ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  An
+output file that cannot be written also exits 3.  `verify --suite zeros`
+counts a level whose zeros cannot be certified as failed (residual inf).
 
 ``main`` parses with one parser built on its first call and reused for the
 life of the process; ``build_parser`` returns a fresh one.
@@ -77,13 +81,27 @@ def _to_json(obj):
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _emit_record(args, payload, out):
+def _emit_record(args, payload):
     record = {
         "schema_version": "1",
         "command": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "payload": payload,
     }
-    out.write(_to_json(record) + "\n")
+    sys.stdout.write(_to_json(record) + "\n")
+
+
+def _emit_table(args, kind, columns, rows, csv_body=None):
+    # the rows under their CSV header, or one JSON record; csv_body, when
+    # given, is the rows already written as CSV
+    if args.format == "json":
+        _emit_record(args, {"kind": kind, "columns": columns, "rows": rows})
+        return
+    if csv_body is None:
+        csv_body = "".join(
+            ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) + "\n"
+            for row in rows
+        )
+    sys.stdout.write(",".join(columns) + "\n" + csv_body)
 
 
 def _usage_fail(msg):
@@ -106,8 +124,7 @@ def _params_or_none(args):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_coeffs(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_coeffs(args):
     params, err = _params_or_none(args)
     if err is not None:
         return err
@@ -125,45 +142,20 @@ def _cmd_coeffs(args, out=None):
     if fam == "down" and args.n < 1:
         return _usage_fail("--n must be >= 1 for the down family")
 
-    try:
-        if fam == "base":
-            p = base_poly(args.n, params)
-            cc = np.asarray(p.coeffs, dtype=complex)
-            rows = [(k, float(c.real), float(c.imag)) for k, c in enumerate(cc)]
-            if args.format == "csv":
-                out.write("k,re,im\n")
-                for k, re, im in rows:
-                    out.write(f"{k},{_fmt(re)},{_fmt(im)}\n")
-            else:
-                payload = {
-                    "kind": "coefficients",
-                    "columns": ["k", "re", "im"],
-                    "rows": [[k, re, im] for k, re, im in rows],
-                }
-                _emit_record(args, payload, out)
-            return _EXIT_OK
-
+    if fam == "base":
+        polys, columns = [base_poly(args.n, params)], ["k", "re", "im"]
+    else:
         builder = {"diag": type1_diagonal, "up": type1_up, "down": type1_down}[fam]
         v = builder(args.n, params) if fam == "diag" else builder(args.n, args.k, params)
-        rows = []
-        for j, p in enumerate(v.polys, start=1):
-            for k, c in enumerate(np.asarray(p.coeffs, dtype=complex)):
-                rows.append((j, k, float(c.real), float(c.imag)))
-        if args.format == "csv":
-            out.write("ray,k,re,im\n")
-            for j, k, re, im in rows:
-                out.write(f"{j},{k},{_fmt(re)},{_fmt(im)}\n")
-        else:
-            payload = {
-                "kind": "coefficients",
-                "columns": ["ray", "k", "re", "im"],
-                "rows": [list(row) for row in rows],
-            }
-            _emit_record(args, payload, out)
-        return _EXIT_OK
-    except DegreeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CAP
+        polys, columns = v.polys, ["ray", "k", "re", "im"]
+    # the base table is one polynomial and has no ray column
+    rows = [
+        (j, k, float(c.real), float(c.imag))[-len(columns):]
+        for j, p in enumerate(polys, start=1)
+        for k, c in enumerate(np.asarray(p.coeffs, dtype=complex))
+    ]
+    _emit_table(args, "coefficients", columns, rows)
+    return _EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +175,7 @@ def _ortho_residual_level(n, params, tol):
     return worst
 
 
-def _cmd_verify(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_verify(args):
     params, err = _params_or_none(args)
     if err is not None:
         return err
@@ -210,6 +201,7 @@ def _cmd_verify(args, out=None):
         if suite == "raising":
             return raising_check(n, params)
         if suite == "zeros":
+            # a level whose zeros cannot be certified fails; the suite goes on
             try:
                 return float(find_zeros(n, params).residuals.max())
             except ZeroFindingError as e:
@@ -218,19 +210,12 @@ def _cmd_verify(args, out=None):
         raise AssertionError(suite)
 
     all_pass = True
-    try:
-        for n in range(1, args.n_max + 1):
-            res = residual_for(n)
-            ok = res <= args.tol
-            all_pass = all_pass and ok
-            out.write(
-                f"suite={suite} n={n} worst_residual={_fmt(res)} "
-                f"{'pass' if ok else 'FAIL'}\n"
-            )
-    except DegreeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CAP
-    out.write(f"suite={suite} overall={'pass' if all_pass else 'FAIL'}\n")
+    for n in range(1, args.n_max + 1):
+        res = residual_for(n)
+        ok = res <= args.tol
+        all_pass = all_pass and ok
+        print(f"suite={suite} n={n} worst_residual={_fmt(res)} {'pass' if ok else 'FAIL'}")
+    print(f"suite={suite} overall={'pass' if all_pass else 'FAIL'}")
     return _EXIT_OK if all_pass else _EXIT_VERIFY
 
 
@@ -239,25 +224,17 @@ def _cmd_verify(args, out=None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_zeros(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_zeros(args):
     params, err = _params_or_none(args)
     if err is not None:
         return err
     if args.n < 1:
         return _usage_fail("--n must be >= 1")
-    try:
-        zs = find_zeros(args.n, params)
-    except DegreeCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CAP
-    except ZeroFindingError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_VERIFY
+    zs = find_zeros(args.n, params)
     if args.format == "csv":
-        out.write("i,x\n")
+        sys.stdout.write("i,x\n")
         for i, x in enumerate(zs.zeros, start=1):
-            out.write(f"{i},{_fmt(float(x))}\n")
+            sys.stdout.write(f"{i},{_fmt(float(x))}\n")
     else:
         payload = {
             "kind": "zeros",
@@ -265,12 +242,11 @@ def _cmd_zeros(args, out=None):
             "precision": zs.precision,
             "zeros": [float(x) for x in zs.zeros],
         }
-        _emit_record(args, payload, out)
+        _emit_record(args, payload)
     return _EXIT_OK
 
 
-def _cmd_recurrence(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_recurrence(args):
     params, err = _params_or_none(args)
     if err is not None:
         return err
@@ -283,17 +259,7 @@ def _cmd_recurrence(args, out=None):
         (n, coeff_a(n, params), coeff_b(n, params), la, lb)
         for n in range(1, args.n_max + 1)
     ]
-    if args.format == "csv":
-        out.write("n,a,b,a_limit,b_limit\n")
-        for n, a, b, la_, lb_ in rows:
-            out.write(f"{n},{_fmt(a)},{_fmt(b)},{_fmt(la_)},{_fmt(lb_)}\n")
-    else:
-        payload = {
-            "kind": "table",
-            "columns": ["n", "a", "b", "a_limit", "b_limit"],
-            "rows": [list(row) for row in rows],
-        }
-        _emit_record(args, payload, out)
+    _emit_table(args, "table", ["n", "a", "b", "a_limit", "b_limit"], rows)
     return _EXIT_OK
 
 
@@ -309,8 +275,7 @@ def _csv_rows(curve, lead=""):
     return (lead + "%.17g,%.17g,%.17g\n") * len(rows) % tuple(rows.ravel().tolist())
 
 
-def _cmd_density(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_density(args):
     if args.r < 1:
         return _usage_fail("--r must be an integer >= 1")
     if args.samples < 1:
@@ -319,24 +284,16 @@ def _cmd_density(args, out=None):
         curve = density_curve(args.r, args.samples, spacing="x")
     except ValueError as e:
         return _usage_fail(str(e))
-    if args.format == "csv":
-        out.write("x,u,F\n")
-        out.write(_csv_rows(curve))
-    else:
-        payload = {
-            "kind": "curve",
-            "columns": ["x", "u", "F"],
-            "rows": _rows(curve).tolist(),
-        }
-        _emit_record(args, payload, out)
+    _emit_table(args, "curve", ["x", "u", "F"], _rows(curve).tolist(), _csv_rows(curve))
     return _EXIT_OK
 
 
 _SVG_STROKES = ("#000000", "#c22222", "#2255cc", "#1f8f4d", "#8844bb")
 
 
-def _svg_figure(curves, width=640, height=440, ymax=3.0):
-    # hand-emitted polyline SVG: axes, five clipped curves, small legend
+def _svg_figure(curves):
+    # hand-emitted polyline SVG: axes, five curves clipped at u = 3, small legend
+    width, height, ymax = 640, 440, 3.0
     ml, mr, mt, mb = 56.0, 16.0, 16.0, 44.0
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -383,8 +340,7 @@ def _svg_figure(curves, width=640, height=440, ymax=3.0):
     return "\n".join(parts) + "\n"
 
 
-def _cmd_figure2(args, out=None):
-    out = out if out is not None else sys.stdout
+def _cmd_figure2(args):
     if args.samples < 10:
         return _usage_fail("--samples must be >= 10")
     curves = [density_curve(r, args.samples, spacing="theta") for r in range(1, 6)]
@@ -396,9 +352,9 @@ def _cmd_figure2(args, out=None):
             print(f"error: cannot write --svg {args.svg}: {e.strerror or e}", file=sys.stderr)
             return _EXIT_CAP
         print(f"wrote {args.svg}", file=sys.stderr)
-    out.write("r,x,u,F\n")
+    sys.stdout.write("r,x,u,F\n")
     for curve in curves:
-        out.write(_csv_rows(curve, f"{curve.r},"))
+        sys.stdout.write(_csv_rows(curve, f"{curve.r},"))
     return _EXIT_OK
 
 
@@ -480,13 +436,14 @@ def main(argv=None):
     except SystemExit as e:
         # argparse exits 2 on usage errors already
         return int(e.code) if e.code is not None else _EXIT_USAGE
+    # the one map from the library's documented exceptions to exit codes
     try:
         return args.func(args)
     except DegenerateParameters as e:
         return _usage_fail(f"degenerate parameters: {e}")
-    except DoubleRangeError as e:
+    except (DoubleRangeError, DegreeCapError, ZeroFindingError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return _EXIT_CAP
+        return _EXIT_VERIFY if isinstance(e, ZeroFindingError) else _EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ extended-precision one).  ``asymptotics.py`` calls no numpy
 transcendental and hands numpy to no function, except where the last bits
 do not matter (``_certified_steps``, which certifies each sign it takes,
 and the log-log fits of ``endpoint_exponents``): the limit density is
-bitwise what the one-sample libm code gives.  Importing the CLI loads no
+bitwise what the one-sample libm code gives.  ``cli.py`` catches the
+library's documented exceptions only in ``main``, its one map from exception
+to exit code, and in ``verify``'s zeros suite, which counts a
+``ZeroFindingError`` as a failed level.  Importing the CLI loads no
 scipy module: scipy's import alone costs a few hundred milliseconds, and
 only ``stieltjes_limit`` needs it, through a lazy import.
 """
@@ -245,6 +248,75 @@ def test_scan_sees_a_numpy_transcendental():
         "d = np.polyfit(np.log(x), np.tan(x), 1) + np.random.random()\n"
     )
     assert _numpy_transcendentals(tree) == [4, 5, 6, 7, 7, 12, 13, 13]
+
+
+_LIBRARY_ERRORS = {"DegenerateParameters", "DoubleRangeError", "DegreeCapError", "ZeroFindingError"}
+
+
+def _caught(handler):
+    # the names of the exceptions an except clause catches
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {_name(t) for t in types if t is not None}
+
+
+def _stray_library_handlers(tree):
+    """Lines of the except clauses that catch a library exception outside
+    ``main``, other than a clause of ``_cmd_verify`` that catches only
+    ``ZeroFindingError``."""
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name == "main":
+            allowed.update(ast.walk(fn))
+        elif isinstance(fn, ast.FunctionDef) and fn.name == "_cmd_verify":
+            allowed.update(
+                h for h in ast.walk(fn)
+                if isinstance(h, ast.ExceptHandler) and _caught(h) == {"ZeroFindingError"}
+            )
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node not in allowed
+        and _caught(node) & _LIBRARY_ERRORS
+    )
+
+
+def test_cli_maps_library_exceptions_in_main_only():
+    assert _stray_library_handlers(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def test_scan_sees_a_library_exception_caught_outside_main():
+    tree = ast.parse(
+        "def _cmd_zeros(args):\n"
+        "    try:\n"
+        "        pass\n"
+        "    except DegreeCapError:\n"
+        "        pass\n"
+        "    except (OSError, zeros.ZeroFindingError):\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "def _cmd_verify(args):\n"
+        "    def residual_for(n):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except ZeroFindingError:\n"
+        "            pass\n"
+        "        except (ZeroFindingError, DoubleRangeError):\n"
+        "            pass\n"
+        "def main(argv=None):\n"
+        "    try:\n"
+        "        pass\n"
+        "    except DegenerateParameters:\n"
+        "        pass\n"
+        "    except (DoubleRangeError, DegreeCapError, ZeroFindingError):\n"
+        "        pass\n"
+        "try:\n"
+        "    pass\n"
+        "except DegenerateParameters:\n"
+        "    pass\n"
+    )
+    assert _stray_library_handlers(tree) == [4, 6, 16, 27]
 
 
 def test_cli_import_loads_no_scipy():
