@@ -296,11 +296,7 @@ def coeff_error_units(n, r):
 
 def leading_coefficient(n, params):
     """Leading coefficient nu_n of p_n."""
-    r, a, b = params.r, params.alpha, params.beta
-    return gamma_ratio(
-        [n + a + (b + n) / r + 1.0],
-        [n + a + 1.0, (b + n) / r + 1.0],
-    )
+    return _base_coef(n, n, params.r, params.alpha, params.beta)
 
 
 def diagonal_normalizer(level, params):
