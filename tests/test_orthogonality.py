@@ -279,3 +279,12 @@ def test_down_vectors_near_r1_beta_corner():
     params = Params(1, 0.0, -1.0 + 1e-9)
     failed = [n for n in range(2, 6) if not verify_type1(type1_down(n, 1, params)).passed]
     assert failed == []
+
+
+@pytest.mark.xfail(strict=True, reason="the r = 1 down vector at n = 2 loses digits as alpha -> -1")
+def test_down_vector_near_r1_alpha_corner():
+    # the norm residual reads 8.7e-7 at alpha = -1 + 1e-12 and 1.0e-9 at
+    # -1 + 1e-9 (2.2e-16 at -0.999); an mpmath oracle on the vector's own
+    # doubles agrees, so the vector is off, not the oracle
+    for alpha in (-1.0 + 1e-12, -1.0 + 1e-9):
+        assert verify_type1(type1_down(2, 1, Params(1, alpha, -0.999))).passed, alpha
