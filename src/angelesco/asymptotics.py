@@ -233,6 +233,14 @@ def _check_monotone(r):
 # is (in_delta, level, lo, hi).  The scalar functions solve one xh; the
 # *_curve functions solve an array of them in lock-step, each sample
 # stopping where the scalar loop stops, with the same bits.
+#
+# Both are kept because each is the faster one where it runs (best of 9 on a
+# 2-vCPU VM): one point costs 35-96 us in the scalar solver but 1.2-2.2 ms
+# as a one-element array, so the one-point entry points stay scalar.  At
+# density_curve(r, 999, "x"), per-sample scalar code in place of the array
+# bracket, polish or bisection costs +5.5, +2.5 and +5 ms per curve, and
+# dropping the scalar tail below _ARRAY_MIN samples costs about +6 ms per
+# curve and +4 ms per endpoint_exponents call.
 
 _BISECTION_STEPS = 90
 _NEWTON_STEPS = 3
