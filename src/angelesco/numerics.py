@@ -2,11 +2,11 @@
 cached read-only table of the r-th roots of unity.
 
 This is the library's one double-precision gamma kernel: every gamma
-function value in doubles, whether a moment, a normalizer, a base
-coefficient or the head of a coefficient chain, is a :func:`gamma_ratio`
-call (the extended-precision copy of the formula runs on mpmath).  The
-coefficient tables of the type I vectors call it only at the heads of
-their chains and advance every other entry by an exact rational factor
+function value in doubles, whether a moment, a normalizer or the head of
+a coefficient chain, is a :func:`gamma_ratio` call (the extended-precision
+copy of the formula runs on mpmath).  The coefficients of p_n and the
+tables of the type I vectors call it only at the heads of their chains and
+advance every other entry, from the top down, by an exact rational factor
 (see ``polynomials.py``).  It sums signed log-gammas exactly with one
 rounding (``math.fsum``, Shewchuk's summation), so equal numerator and
 denominator arguments cancel inside the sum, and it resolves the pole/pole

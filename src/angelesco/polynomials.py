@@ -11,17 +11,18 @@ polynomial family
 whose rotations and beta-shifts produce the type I vectors at the diagonal
 multi-index (n,...,n) and one step above/below it.
 
-The base family's coefficients are fused gamma-ratio calls, one per
-coefficient.  The type I vectors' coefficient tables run on one chain
-kernel: within a residue class t mod r, consecutive entries of a list
-built on beta' = beta - d differ by an exact rational factor,
+Every double-precision coefficient list, p_n and each row of the type I
+tables, runs on one chain kernel.  With c_t = (-1)^(N-t) C(N, t) q_t and
+an exact integer binomial, entries of a list built on beta' = beta - d
+differ within a residue class t mod r by an exact rational factor,
 
-    c_t / c_(t-r) = (-1)^r [r(N + alpha + 1) + beta' + t - r] / (beta' + t)
-                    * C(N, t) / C(N, t-r),
+    q_(t+r) / q_t = [r(N + alpha + 1) + beta' + t] / (beta' + t + r).
 
-so ``gamma_ratio`` runs only at the chain heads: t < r, the last entry
-t = N, and every t where the factor's numerator or denominator has a
-negative integer part (which covers the steps where it is exactly 0).
+The chain runs from the top down, so ``gamma_ratio`` runs only at its
+heads: the top r entries, and every t whose factor has a negative integer
+part (which covers the steps where it is exactly 0).  The two sides of
+the lowering identity take their heads at the same positions with the
+same large gamma arguments, so the heads' rounding cancels between them.
 Each head is one fused gamma-ratio call (normalization constants folded
 in), so parameter combinations where the normalizer vanishes while a
 polynomial coefficient blows up, e.g. r=1 with alpha+beta = -1, evaluate
@@ -29,8 +30,8 @@ to their finite limit instead of inf*0.  Every gamma argument is rounded
 once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
 two-double sum, and a step's factor adds nonnegative integers to X and to
 1 + beta, so arguments and factors near alpha, beta -> -1 keep their
-relative precision.  A table entry too large for the assembly raises
-:class:`DoubleRangeError`.
+relative precision.  A table entry too large for the assembly, or an X or
+beta that absorbs an added 1, raises :class:`DoubleRangeError`.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their tables (the r combinations of the up family,
@@ -214,20 +215,23 @@ class Constants:
 # ---------------------------------------------------------------------------
 
 
-def _base_coef(n, t, r, alpha, beta):
-    # C(n,t) folded into the gamma lists; sign (-1)^(n-t) applied outside
-    val = gamma_ratio(
-        [n + alpha + (beta + t) / r + 1.0, n + 1.0],
-        [n + alpha + 1.0, (beta + t) / r + 1.0, t + 1.0, n - t + 1.0],
-    )
-    return -val if (n - t) % 2 else val
+def _base_head(n, params):
+    # X's hi and the head of p_n's chain: q_t = Gamma(n + alpha + s_t + 1) /
+    # [Gamma(n + alpha + 1) Gamma(s_t + 1)], s_t = (beta + t)/r
+    r, a, b = params.r, params.alpha, params.beta
+    hi, lo = _affine(params)
+
+    def head(t):
+        return gamma_ratio([math.fsum((r * n + t - 1, hi, lo)) / r], [n + 1 + a, (t + r + b) / r])
+
+    return hi, head
 
 
 def base_poly(n, params):
     """The degree-n member of the real kernel family p_n(.; alpha, beta)."""
     _check_cap(n)
-    r, a, b = params.r, params.alpha, params.beta
-    return Poly([_base_coef(n, t, r, a, b) for t in range(n + 1)])
+    hi, head = _base_head(n, params)
+    return Poly(_table(_chain(n, params.r, 0, hi, params.beta, head), params.r))
 
 
 def base_coeffs_mp(n, params):
@@ -295,8 +299,8 @@ def coeff_error_units(n, r):
 
 
 def leading_coefficient(n, params):
-    """Leading coefficient nu_n of p_n."""
-    return _base_coef(n, n, params.r, params.alpha, params.beta)
+    """Leading coefficient nu_n of p_n: the head of its chain at t = n."""
+    return _base_head(n, params)[1](n)
 
 
 def diagonal_normalizer(level, params):
@@ -350,34 +354,34 @@ def normalization_constants(n, params):
 
 def _affine(params):
     # X = r(1 + alpha) + (1 + beta) as an unevaluated sum hi + lo of two
-    # doubles; every gamma argument with an alpha is an integer plus X
+    # doubles; every gamma argument with an alpha is an integer plus X, and
+    # every other one an integer plus beta, so both must keep that integer
     r, a, b = params.r, params.alpha, params.beta
     terms = [r + 1.0, b] + [a] * r
     try:
         hi = math.fsum(terms)
-        terms.append(-hi)
-        return hi, math.fsum(terms)
     except OverflowError:
-        raise DoubleRangeError(f"r(1 + alpha) + (1 + beta) overflows at {params!r}") from None
+        hi = math.inf
+    if hi + 1 == hi or b + 1 == b:
+        raise DoubleRangeError(f"r(1 + alpha) + (1 + beta) or beta absorbs 1 at {params!r}")
+    terms.append(-hi)
+    return hi, math.fsum(terms)
 
 
 def _chain(N, r, d, hi, beta, head):
-    # Entries t = 0..N of a fused list c_t ~ (-1)^(N-t) C(N,t)
-    # Gamma(N + alpha + s_t + 1)/Gamma(s_t + 1), s_t = (beta - d + t)/r; the
-    # step t-r -> t multiplies by (-1)^r (kn + X)/(kd + beta) C(N,t)/C(N,t-r)
-    # with the integer parts kn, kd below.  head(t) is the fused gamma-ratio
-    # value at t.
-    sign = -1.0 if r % 2 else 1.0
-    binom = [math.comb(N, t) for t in range(N + 1)]
-    out = []
-    for t in range(N + 1):
-        kn, kd = r * N - r - 1 - d + t, t - d
-        if t < r or t == N or kn < 0 or kd <= 0:
-            out.append(head(t))
+    # Entries t = 0..N of a fused list (-1)^(N-t) C(N,t) q_t, with q_t =
+    # Gamma(N + alpha + s_t + 1)/Gamma(s_t + 1), s_t = (beta - d + t)/r, times
+    # factors free of t.  From the top down, q_t is q_(t+r) divided by the
+    # step's factor (kn + X)/(kd + beta); head(t), the fused gamma-ratio value
+    # of q_t, runs at the top r entries and wherever kn < 0 or kd <= 0.
+    q = [0.0] * (N + 1)
+    for t in range(N, -1, -1):
+        kn, kd = r * N - 1 - d + t, t + r - d
+        if t > N - r or kn < 0 or kd <= 0:
+            q[t] = head(t)
         else:
-            rise = sign * (kn + hi) / (kd + beta)
-            out.append(out[t - r] * rise * (binom[t] / binom[t - r]))
-    return out
+            q[t] = q[t + r] / ((kn + hi) / (kd + beta))
+    return [(-1) ** (N - t) * math.comb(N, t) * q[t] for t in range(N + 1)]
 
 
 def _table(rows, r):
@@ -401,11 +405,10 @@ def _diagonal_base(level, params):
     pbl = math.fsum((r * m - 1 + level, hi, lo))  # pb + level
 
     def head(t):
-        val = gamma_ratio(
+        return gamma_ratio(
             [(pbl, r), math.fsum((r * m + t - 1, hi, lo)) / r],
-            [(pb, r), m + 1 + a, (t + r + b) / r, t + 1.0, m - t + 1.0],
+            [(pb, r), m + 1 + a, (t + r + b) / r, m + 1.0],
         ) / r
-        return -val if (m - t) % 2 else val
 
     return Poly(_table(_chain(m, r, 0, hi, b, head), r))
 
@@ -447,11 +450,10 @@ def _up_combos(n, params):
     def head(m, t):
         y = math.fsum((r * n - m + t - 1, hi, lo)) / r  # n + alpha + (beta - m + t)/r + 1
         yn = math.fsum((r * n - m + n - 1, hi, lo)) / r  # the same at t = n
-        val = gamma_ratio(
+        return gamma_ratio(
             [y, (n - m + r + b) / r] + tau_num,
-            [n1, (t - m + r + b) / r, yn] + tau_den + [t + 1.0, n - t + 1.0],
+            [n1, (t - m + r + b) / r, yn] + tau_den + [n + 1.0],
         ) / r
-        return -val if (n - t) % 2 else val
 
     ratio = [_chain(n, r, m, hi, b, partial(head, m)) for m in range(r)]
     lm = np.arange(r)
@@ -504,18 +506,16 @@ def _down_terms(n, params):
         return math.fsum((k, hi, lo)) / r
 
     def head1(t):
-        val = gamma_ratio(
+        return gamma_ratio(
             [(dbn, r), y(r * n - r - 2 + t)],
-            [(db, r), na, (t - 1 + r + b) / r, t + 1.0, n - t + 0.0],
+            [(db, r), na, (t - 1 + r + b) / r, n + 0.0],
         ) / r
-        return -val if (n - 1 - t) % 2 else val
 
     def head2(t):
-        val = gamma_ratio(
+        return gamma_ratio(
             [(n - 1 + r + b) / r, (dbn, r), y(r * n - r - 3 + n), y(r * n - r - 1 + t)],
-            [dbn / r, (db, r), (n - 2 + r + b) / r, na, (t + r + b) / r, t + 1.0, n - t + 0.0],
+            [dbn / r, (db, r), (n - 2 + r + b) / r, na, (t + r + b) / r, n + 0.0],
         ) / r
-        return -val if (n - 1 - t) % 2 else val
 
     return (
         _table(_chain(n - 1, r, 1, hi, b, head1), r),

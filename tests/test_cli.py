@@ -337,12 +337,12 @@ def test_zeros_not_isolated_is_a_verification_failure(capsys):
 # (argv, exit code, sha256 prefix of stdout, stderr and the SVG written):
 # every subcommand, both formats and each exit code, pinned byte for byte
 _DIGEST_CORPUS = [
-    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4", 0, "5d6a6fbd62352e36"),
-    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4 --format json", 0, "ca2a5a31d1a4e2d2"),
-    ("coeffs --r 3 --n 3 --family diag", 0, "bdffc797ce2dec33"),
-    ("coeffs --r 3 --n 3 --family diag --format json", 0, "3453e7fe5bce3767"),
-    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "04e638ef4eebbaca"),
-    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family down --k 3 --format json", 0, "c35f772f5f87d7cd"),
+    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4", 0, "482cf7bd76cfa9a3"),
+    ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4 --format json", 0, "80c442b3747dc94a"),
+    ("coeffs --r 3 --n 3 --family diag", 0, "a08bbdd564eea693"),
+    ("coeffs --r 3 --n 3 --family diag --format json", 0, "f89d9787b8bb34f7"),
+    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "e97ebc3e5ee5b522"),
+    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family down --k 3 --format json", 0, "c693612c21aeedc1"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 1 --family down --k 1", 0, "3b371444219f3fb5"),
     ("coeffs --r 2 --n 1 --family up", 2, "e68fe57d9aa83556"),
     ("coeffs --r 2 --n 1 --family up --k 3", 2, "c13814ca3042a6cc"),
@@ -353,20 +353,20 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --alpha -1 --n 2", 2, "55974b91a7abba30"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 0", 2, "692f98690070139a"),
     ("coeffs --r 2 --n 61", 3, "89c8a126ed4a673c"),
-    ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "8ed92d0dda4bffc5"),
-    ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "cc1ee2cd344decfe"),
-    ("verify --suite recurrence --r 3 --n-max 4", 0, "050fc1935759905b"),
-    ("verify --suite ode --r 2 --n-max 4", 0, "42cad4251a15a364"),
-    ("verify --suite lowering --r 3 --n-max 4", 0, "89f9650a1021e719"),
-    ("verify --suite raising --r 2 --alpha 2 --beta 2 --n-max 4", 0, "68d3d2f26a0ccdf4"),
+    ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "9f30f923fdf06c72"),
+    ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "51e39195b76cfaf9"),
+    ("verify --suite recurrence --r 3 --n-max 4", 0, "3fe30ca995e2e076"),
+    ("verify --suite ode --r 2 --n-max 4", 0, "db8a37202f616c2d"),
+    ("verify --suite lowering --r 3 --n-max 4", 0, "8f786bcab3d3caed"),
+    ("verify --suite raising --r 2 --alpha 2 --beta 2 --n-max 4", 0, "f2110c5b63be024d"),
     ("verify --suite zeros --r 2 --n-max 4", 0, "56121c3cad7b8579"),
-    ("verify --suite orthogonality --r 3 --n-max 3 --tol 1e-30", 1, "2d0841327cb7cb30"),
+    ("verify --suite orthogonality --r 3 --n-max 3 --tol 1e-30", 1, "8342269c94b5f112"),
     ("verify --suite zeros --r 3 --alpha 1e4 --beta 1e4 --n-max 3", 1, "9dc6a295e641181a"),
     ("verify --suite recurrence --r 1 --n-max 2", 2, "88df01d06f45348e"),
     ("verify --suite raising --r 2 --n-max 2", 2, "50d52baf1817e17e"),
     ("verify --suite ode --r 2 --n-max 0", 2, "4a083246a97f61e5"),
-    ("verify --suite ode --r 2 --n-max 61", 3, "161e4dc6fae79b29"),
-    ("verify --suite ode --r 2 --alpha 300 --beta 1e5 --n-max 2", 3, "1fe14f672d605e2e"),
+    ("verify --suite ode --r 2 --n-max 61", 3, "83add2fe5e088e11"),
+    ("verify --suite ode --r 2 --alpha 300 --beta 1e5 --n-max 2", 3, "4b2a858bdb8bf211"),
     ("zeros --r 2 --alpha 0.7 --beta -0.5 --n 6", 0, "1632b54de13ebc1a"),
     ("zeros --r 3 --n 5 --format json", 0, "9aa3107d3fe5135f"),
     ("zeros --r 3 --alpha 1e4 --beta 1e4 --n 3", 1, "c6c77bae801302ec"),

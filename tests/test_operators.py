@@ -12,6 +12,7 @@ from angelesco import (
     raising_check,
     raising_coeffs,
 )
+from angelesco.cli import main
 
 GRID_AB = ((0.0, 0.0), (0.7, -0.5), (2.0, 2.0), (-0.5, 0.7))
 
@@ -58,6 +59,20 @@ def test_raising_examples():
     for r in (2, 3, 4):
         for n in range(0, 8):
             assert raising_check(n, Params(r, r - 0.5, r + 1.3)) <= 1e-11
+
+
+def test_identities_hold_at_large_alpha():
+    # p_n and the polynomials of its other side take their chain heads at
+    # the same positions, with the same large gamma arguments, so the heads'
+    # rounding cancels in each identity
+    for r in (1, 2, 3, 5, 8):
+        for n in range(1, 61):
+            assert lowering_check(n, Params(r, 300.0, 40.0)) <= 1e-13, (r, n)
+            assert ode_residual(ode_coeffs(n, Params(r, 1e3, 2.0))) <= 1e-13, (r, n)
+    for n in range(1, 41):
+        assert raising_check(n, Params(8, 7.5, 9.3)) <= 1e-11, n
+    argv = "verify --suite raising --r 8 --alpha 7.5 --beta 9.3 --n-max 40 --tol 1e-11"
+    assert main(argv.split()) == 0
 
 
 def test_raising_coefficient_values():

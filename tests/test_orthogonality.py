@@ -283,8 +283,10 @@ def test_down_vectors_near_r1_beta_corner():
 
 @pytest.mark.xfail(strict=True, reason="the r = 1 down vector at n = 2 loses digits as alpha -> -1")
 def test_down_vector_near_r1_alpha_corner():
-    # the norm residual reads 8.7e-7 at alpha = -1 + 1e-12 and 1.0e-9 at
-    # -1 + 1e-9 (2.2e-16 at -0.999); an mpmath oracle on the vector's own
-    # doubles agrees, so the vector is off, not the oracle
-    for alpha in (-1.0 + 1e-12, -1.0 + 1e-9):
-        assert verify_type1(type1_down(2, 1, Params(1, alpha, -0.999))).passed, alpha
+    # the norm residual reads 1.2e-8 at (alpha, beta) = (-1 + 1e-11, -0.999)
+    # and 1.2e-7 at (-1 + 1e-9, -0.9), against the oracle's 1e-9; it is not
+    # monotone in alpha (1.0e-9 at -1 + 1e-12, 1.3e-5 at -1 + 1e-13), so the
+    # points sit where the loss is clear of the tolerance.  An mpmath oracle
+    # on the vector's own doubles agrees, so the vector is off, not the oracle
+    for alpha, beta in ((-1.0 + 1e-11, -0.999), (-1.0 + 1e-9, -0.9)):
+        assert verify_type1(type1_down(2, 1, Params(1, alpha, beta))).passed, (alpha, beta)

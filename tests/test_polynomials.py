@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from angelesco import (
     DEGREE_CAP,
     DegenerateParameters,
     DegreeCapError,
+    DoubleRangeError,
     Params,
     base_poly,
     diagonal_normalizer,
@@ -69,9 +71,7 @@ def test_leading_coefficient_examples():
     for n in (1, 5, 12):
         for r in (1, 3, 5):
             p = Params(r, 0.7, -0.5)
-            assert leading_coefficient(n, p) == pytest.approx(
-                float(base_poly(n, p).coeffs[-1]), rel=1e-12
-            )
+            assert leading_coefficient(n, p) == base_poly(n, p).coeffs[-1]
 
 
 def test_degree_cap_enforced():
@@ -79,6 +79,25 @@ def test_degree_cap_enforced():
         base_poly(DEGREE_CAP + 1, Params(2, 0.0, 0.0))
     with pytest.raises(DegreeCapError):
         type1_diagonal(DEGREE_CAP + 2, Params(2, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 8])
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(1e300, -1.0 + 1e-12), (1e300, 0.0), (-1.0 + 1e-12, 1e300), (0.0, 1e300), (1e300, 1e300)],
+)
+def test_constructors_raise_where_offsets_vanish(r, alpha, beta):
+    # r(1 + alpha) + (1 + beta) or beta absorbs the integers that every gamma
+    # argument adds to it, so the closed form cannot be evaluated in doubles
+    params = Params(r, alpha, beta)
+    for n in (1, 2, 5):
+        builds = [base_poly, leading_coefficient, type1_diagonal]
+        builds += [partial(type1_up, k=k) for k in (1, r)]
+        if r * n > 1:  # r = 1, n = 1 is the empty index's zero vector
+            builds += [partial(type1_down, k=k) for k in (1, r)]
+        for build in builds:
+            with pytest.raises(DoubleRangeError):
+                build(n, params=params)
 
 
 def test_params_validation():
@@ -272,11 +291,12 @@ def _clear_level_tables():
 
 
 def _chain_heads(N, r, d):
-    # entries of a chain that gamma_ratio computes: t < r, the last entry, and
-    # every step whose factor has a negative integer part (beta - d + t <= 0
-    # or r(N + alpha + 1) + beta - d + t - r <= 0 at their smallest)
+    # entries of a chain that gamma_ratio computes, from the top down: the top
+    # r entries, and every t whose step to t + r has a factor with a negative
+    # integer part (beta - d + t + r <= 0 or r(N + alpha + 1) + beta - d + t
+    # <= 0 at their smallest)
     return sum(
-        1 for t in range(N + 1) if t < r or t == N or t <= d or r * N - r - 1 - d + t < 0
+        1 for t in range(N + 1) if t > N - r or t + r - d <= 0 or r * N - 1 - d + t < 0
     )
 
 
