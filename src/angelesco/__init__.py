@@ -36,7 +36,6 @@ from .numerics import (
 )
 from .operators import (
     OdeSpec,
-    RaisingCoeffs,
     lowering_check,
     ode_coeffs,
     ode_residual,
@@ -49,7 +48,7 @@ from .orthogonality import (
     ray_form,
     verify_type1,
 )
-from .poly import Poly, poly_derivative, poly_eval
+from .poly import Poly, poly_eval
 from .polynomials import (
     DEGREE_CAP,
     Constants,

@@ -6,6 +6,11 @@ raises the degree while lowering the exponents.  Chaining the two yields a
 linear differential equation of order r+1 satisfied by p_n, which is used
 here purely as an identity on known polynomials (it is also the source of
 the limiting algebraic Stieltjes equation, see asymptotics.py).
+
+All three checks work on the coefficient arrays of ``base_poly``: a
+derivative is taken exactly on the coefficients, a product with x^k is a
+shift, and each side of an identity is a coefficient vector padded to the
+identity's degree.
 """
 
 from __future__ import annotations
@@ -16,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import pochhammer
-from .poly import Poly, identity_residual, padded_coeffs
+from .poly import identity_residual, padded_coeffs
 from .polynomials import Params, base_poly
 
 __all__ = [
     "lowering_check",
-    "RaisingCoeffs",
     "raising_coeffs",
     "raising_check",
     "OdeSpec",
@@ -30,51 +34,39 @@ __all__ = [
 ]
 
 
+def _derivative(c):
+    # exact on the coefficients: k c_k moves to index k - 1
+    return c[1:] * np.arange(1, len(c))
+
+
+def _x_one_minus_xr(c, r, size):
+    # coefficients of x(1 - x^r) c(x), padded to ``size``
+    return padded_coeffs(c, size, 1) - padded_coeffs(c, size, r + 1)
+
+
 def _coef_dev(left, right):
     # max coefficientwise deviation relative to the larger inf-norm
-    n = max(len(left.coeffs), len(right.coeffs))
-    fa = padded_coeffs(left.coeffs, n)
-    fb = padded_coeffs(right.coeffs, n)
-    scale = max(np.abs(fa).max(), np.abs(fb).max(), 1e-300)
-    return float(np.abs(fa - fb).max() / scale)
+    scale = max(np.abs(left).max(), np.abs(right).max(), 1e-300)
+    return float(np.abs(left - right).max() / scale)
 
 
 def lowering_check(n, params):
     """Deviation of p_n' from n * p_(n-1) with both exponents raised by one."""
     if n < 1:
         raise ValueError("lowering_check needs n >= 1")
-    d = base_poly(n, params).derivative()
+    d = _derivative(base_poly(n, params).coeffs)
     shifted = Params(params.r, params.alpha + 1.0, params.beta + 1.0)
-    target = base_poly(n - 1, shifted).scale(float(n))
-    return _coef_dev(d, target)
-
-
-@dataclass(frozen=True)
-class RaisingCoeffs:
-    """Connection coefficients a_k, k = 1..r, of the raising identity."""
-
-    n: int
-    values: tuple
+    target = float(n) * base_poly(n - 1, shifted).coeffs
+    return _coef_dev(padded_coeffs(d, n), padded_coeffs(target, n))
 
 
 def raising_coeffs(n, params):
+    """Connection coefficients (a_1, ..., a_r) of the raising identity."""
     r, a, b = params.r, params.alpha, params.beta
-    vals = tuple(
+    return tuple(
         (-1.0) ** k * (math.comb(r, k) * (r * a + b) + math.comb(r + 1, k + 1) * k * n)
         for k in range(1, r + 1)
     )
-    return RaisingCoeffs(n, vals)
-
-
-def _weight_factor_polys(params):
-    r, a, b = params.r, params.alpha, params.beta
-    w1 = np.zeros(r + 1)
-    w1[0] = b
-    w1[r] = -(b + a * r)  # beta (1-x^r) - alpha r x^r
-    w2 = np.zeros(r + 2)
-    w2[1] = 1.0
-    w2[r + 1] = -1.0  # x (1-x^r)
-    return Poly(w1), Poly(w2)
 
 
 def raising_check(n, params):
@@ -87,14 +79,15 @@ def raising_check(n, params):
     r, a, b = params.r, params.alpha, params.beta
     if not (a > r - 1 and b > r - 1):
         raise ValueError("raising identity requires alpha, beta > r-1")
-    p = base_poly(n, params)
-    w1, w2 = _weight_factor_polys(params)
-    lhs = w1 * p + w2 * p.derivative()
+    c = base_poly(n, params).coeffs
+    size = n + r + 1  # both sides have degree <= n + r
+    lhs = b * padded_coeffs(c, size) - (b + a * r) * padded_coeffs(c, size, r)
+    lhs += _x_one_minus_xr(_derivative(c), r, size)
 
-    rhs = Poly([0.0])
-    for k, ak in zip(range(1, r + 1), raising_coeffs(n, params).values):
-        pk = base_poly(n + k, Params(r, a - k, b - k))
-        rhs = rhs + pk.shift_up(r - k).scale(ak)
+    rhs = np.zeros(size)
+    for k, ak in enumerate(raising_coeffs(n, params), start=1):
+        pk = base_poly(n + k, Params(r, a - k, b - k)).coeffs
+        rhs += ak * padded_coeffs(pk, size, r - k)
     return _coef_dev(lhs, rhs)
 
 
@@ -106,24 +99,6 @@ class OdeSpec:
     n: int
     params: Params
     c: tuple
-
-    @property
-    def order(self):
-        return self.params.r + 1
-
-    @property
-    def top_factor(self):
-        """Coefficients of x(1-x^r), the factor on the order-(r+1) term."""
-        r = self.params.r
-        out = np.zeros(r + 2)
-        out[1] = 1.0
-        out[r + 1] = -1.0
-        return out
-
-    @property
-    def subtop_scalar(self):
-        """r + beta, the constant factor on the order-r term."""
-        return self.params.r + self.params.beta
 
 
 def ode_coeffs(n, params):
@@ -154,10 +129,9 @@ def ode_residual(spec):
     size = n + 1  # every term has degree <= n
     derivs = [base_poly(n, params).coeffs]
     for _ in range(r + 1):
-        derivs.append(derivs[-1][1:] * np.arange(1, len(derivs[-1])))
-    top = derivs[r + 1]
+        derivs.append(_derivative(derivs[-1]))
     terms = [
-        padded_coeffs(top, size, 1) - padded_coeffs(top, size, r + 1),
+        _x_one_minus_xr(derivs[r + 1], r, size),
         (r + b) * padded_coeffs(derivs[r], size),
     ]
     terms.extend(spec.c[k] * padded_coeffs(derivs[k], size, k) for k in range(r + 1))

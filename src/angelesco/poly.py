@@ -1,22 +1,25 @@
-"""Dense monomial-basis polynomials.
+"""Dense monomial-basis polynomials: a read-only coefficient holder and
+the coefficient-array helpers of the identity checks.
 
 Coefficient index k holds the coefficient of x^k.  Degrees in this library
 stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
-right tool.  Evaluation is classical Horner in doubles; the zero finder does
-not use it, it evaluates in fixed-point integers at a precision sized by the
-conditioning (see ``zeros.py``), and the identity checks compare
-coefficients, not sampled values.
+right tool.  :class:`Poly` only holds coefficients; it has no arithmetic.
+Every polynomial identity (lowering, raising, the ODE, the recurrence) is
+checked on coefficient arrays: ``padded_coeffs`` places x^k c(x) in a
+vector of the identity's length, and ``identity_residual`` measures a sum
+of such vectors.  ``poly_eval`` is the one evaluator, classical Horner in
+doubles; the zero finder does not use it, it evaluates in fixed-point
+integers at a precision sized by the conditioning (see ``zeros.py``).
 """
-
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Poly", "poly_eval", "poly_derivative"]
+__all__ = ["Poly", "poly_eval"]
 
 
 class Poly:
-    """Immutable dense polynomial; trailing exact zeros are trimmed."""
+    """Read-only dense coefficients; trailing exact zeros are trimmed."""
 
     __slots__ = ("coeffs",)
 
@@ -79,10 +82,6 @@ class Poly:
     def is_zero(self):
         return self.degree == -1
 
-    @property
-    def is_real(self):
-        return not np.iscomplexobj(self.coeffs)
-
     def __len__(self):
         return len(self.coeffs)
 
@@ -96,45 +95,6 @@ class Poly:
             and bool(np.all(self.coeffs == other.coeffs))
         )
 
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-    def __call__(self, z):
-        return poly_eval(self, z)
-
-    def derivative(self):
-        return poly_derivative(self)
-
-    def scale(self, a):
-        return Poly(a * self.coeffs)
-
-    def shift_up(self, k):
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        pad = np.zeros(k, dtype=self.coeffs.dtype)
-        return Poly(np.concatenate([pad, self.coeffs]))
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=np.result_type(a, b))
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return Poly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero or other.is_zero:
-                return Poly([0.0])
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
 
 def poly_eval(p, z):
     """Evaluate p at a scalar point by classical Horner."""
@@ -143,13 +103,6 @@ def poly_eval(p, z):
     for ck in reversed(c[:-1]):
         acc = acc * z + ck
     return acc
-
-
-def poly_derivative(p):
-    if len(p.coeffs) == 1:
-        return Poly(np.zeros(1, dtype=p.coeffs.dtype))
-    k = np.arange(1, len(p.coeffs))
-    return Poly(p.coeffs[1:] * k)
 
 
 def padded_coeffs(c, size, shift=0):

@@ -31,7 +31,8 @@ once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
 two-double sum, and a step's factor adds nonnegative integers to X and to
 1 + beta, so arguments and factors near alpha, beta -> -1 keep their
 relative precision.  A table entry too large for the assembly, or an X or
-beta that absorbs an added 1, raises :class:`DoubleRangeError`.
+beta that absorbs an added 1, raises :class:`DoubleRangeError`; the
+normalizers take the same guard on X and beta.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their tables (the r combinations of the up family,
@@ -307,6 +308,7 @@ def diagonal_normalizer(level, params):
     """lambda at diagonal level: (1/r) (r(level-1)+r*alpha+beta+r)_level / (level-1)!."""
     if level < 1:
         raise ValueError("diagonal level must be >= 1")
+    _affine(params)  # the constructors' range guard; its sum is not needed here
     m = level - 1
     r, a, b = params.r, params.alpha, params.beta
     pb = r * m + r * a + b + r
@@ -315,6 +317,7 @@ def diagonal_normalizer(level, params):
 
 def up_normalizer(n, params):
     """tau at level n, the normalizer of the above-diagonal combination."""
+    _affine(params)
     r, a, b = params.r, params.alpha, params.beta
     return r * gamma_ratio(
         [n + 1.0, n + a + 1.0, (b + n + 1.0) / r, (r * n + r * a + b + 1.0, r)],
@@ -326,6 +329,7 @@ def down_normalizer(n, params):
     """gamma at level n, the normalizer of the below-diagonal combination."""
     if n < 1:
         raise ValueError("down_normalizer needs n >= 1")
+    _affine(params)
     r, a, b = params.r, params.alpha, params.beta
     db = r * n + r * a + b - 1.0
     return r * gamma_ratio(

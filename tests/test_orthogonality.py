@@ -281,12 +281,21 @@ def test_down_vectors_near_r1_beta_corner():
     assert failed == []
 
 
-@pytest.mark.xfail(strict=True, reason="the r = 1 down vector at n = 2 loses digits as alpha -> -1")
-def test_down_vector_near_r1_alpha_corner():
+@pytest.mark.xfail(
+    raises=AssertionError, reason="the r = 1 down vector at n = 2 loses digits as alpha -> -1"
+)
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(-1.0 + 1e-11, -0.999), (-1.0 + 1e-9, -0.9), (-1.0 + 1e-12, 300.0)],
+    ids=["-1+1e-11,-0.999", "-1+1e-9,-0.9", "-1+1e-12,300"],
+)
+def test_down_vector_near_r1_alpha_corner(alpha, beta):
     # the norm residual reads 1.2e-8 at (alpha, beta) = (-1 + 1e-11, -0.999)
     # and 1.2e-7 at (-1 + 1e-9, -0.9), against the oracle's 1e-9; it is not
     # monotone in alpha (1.0e-9 at -1 + 1e-12, 1.3e-5 at -1 + 1e-13), so the
-    # points sit where the loss is clear of the tolerance.  An mpmath oracle
-    # on the vector's own doubles agrees, so the vector is off, not the oracle
-    for alpha, beta in ((-1.0 + 1e-11, -0.999), (-1.0 + 1e-9, -0.9)):
-        assert verify_type1(type1_down(2, 1, Params(1, alpha, beta))).passed, (alpha, beta)
+    # points sit where the loss is clear of the tolerance.  At
+    # (-1 + 1e-12, 300) the vector is wrong outright: its norm value reads
+    # -305.6.  An mpmath oracle on the vector's own doubles agrees, so the
+    # vector is off, not the oracle; each point is its own case, so a fix of
+    # one shows as an XPASS
+    assert verify_type1(type1_down(2, 1, Params(1, alpha, beta))).passed

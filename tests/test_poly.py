@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angelesco import Poly, poly_derivative, poly_eval
+from angelesco import Poly, poly_eval
 
 
 def test_eval_examples():
@@ -25,18 +25,13 @@ def test_eval_matches_horner_on_benign_input():
         assert poly_eval(p, float(x)) == pytest.approx(ref, rel=1e-13, abs=1e-13)
 
 
-def test_derivative_and_axpy():
-    assert poly_derivative(Poly([3.0])).is_zero
-    d = poly_derivative(Poly([1.0, -3.75, 3.0]))
-    assert np.allclose(d.coeffs, [-3.75, 6.0])
-
-
 def test_degree_bookkeeping():
     assert Poly([0.0]).degree == -1
     assert Poly([0.0, 0.0]).degree == -1
     assert Poly([1.0, 2.0, 0.0]).degree == 1
     assert Poly([1.0, 2.0, 0.0]).coeffs.shape == (2,)
-    assert Poly([1.0 + 0j, 2.0 + 0j]).is_real  # pure-real complex input demoted
+    # pure-real complex input demoted
+    assert Poly([1.0 + 0j, 2.0 + 0j]).coeffs.dtype == np.float64
 
 
 def test_immutability():
@@ -45,16 +40,6 @@ def test_immutability():
         p.coeffs = np.array([3.0])
     with pytest.raises(ValueError):
         p.coeffs[0] = 5.0
-
-
-def test_poly_arithmetic():
-    a = Poly([1.0, 2.0])
-    b = Poly([3.0, 0.0, 1.0])
-    assert np.allclose((a + b).coeffs, [4.0, 2.0, 1.0])
-    assert np.allclose((b - a).coeffs, [2.0, -2.0, 1.0])
-    assert np.allclose((a * b).coeffs, [3.0, 6.0, 1.0, 2.0])
-    assert np.allclose(a.shift_up(2).coeffs, [0.0, 0.0, 1.0, 2.0])
-    assert math.isclose((2.0 * a)(1.0), 6.0)
 
 
 _ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e300, math.inf, math.nan])

@@ -100,6 +100,20 @@ def test_constructors_raise_where_offsets_vanish(r, alpha, beta):
                 build(n, params=params)
 
 
+@pytest.mark.parametrize(
+    "r, alpha, beta", [(1, 1e300, 0.0), (2, 1e17, 0.0), (3, 0.5, 1e300), (2, 1e16, 3.0)]
+)
+def test_normalizers_raise_where_offsets_vanish(r, alpha, beta):
+    # the normalizers' gamma arguments add integers to r alpha + beta and to
+    # beta as well, so they take the constructors' guard; unguarded they
+    # return finite wrong values (0.5 for the diagonal at (2, 1e17, 0), where
+    # the closed form is about 2e34)
+    params = Params(r, alpha, beta)
+    for normalizer in (diagonal_normalizer, up_normalizer, down_normalizer):
+        with pytest.raises(DoubleRangeError):
+            normalizer(2, params)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         Params(0, 0.0, 0.0)
