@@ -344,6 +344,30 @@ _DIGEST_CORPUS = [
     ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "e97ebc3e5ee5b522"),
     ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family down --k 3 --format json", 0, "c693612c21aeedc1"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 1 --family down --k 1", 0, "3b371444219f3fb5"),
+    # rows whose bytes follow the printing rules: at r = 1, 2 and 4 the
+    # phases are exactly +-1 or +-i, so whole rows come out real (their
+    # imaginary column prints +0), and the down vector's row k loses its
+    # top coefficient by exact cancellation (the row ends a column early)
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family diag", 0, "5aa843c2f4b8611a"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family diag --format json", 0, "1e8f82dcf6b8e659"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family up --k 1", 0, "ccc1303d7f096fe9"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family up --k 1 --format json", 0, "a6fc75097876dc0f"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1", 0, "8c20eccd27f5270e"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1 --format json", 0, "3dca5111a28ce916"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family diag", 0, "1038fe487003e3c7"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family diag --format json", 0, "795707113b911d97"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family up --k 2", 0, "ab1a1c8745540f2d"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family up --k 2 --format json", 0, "19f78043751714e5"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family down --k 2", 0, "5317f496ead1966d"),
+    ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family down --k 2 --format json", 0, "4e9a2a1f1bfd8166"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family diag", 0, "00b9571c43529852"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family diag --format json", 0, "5e4f9e08d0c1a01e"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family up --k 4", 0, "7236f893ce7cbab1"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family up --k 4 --format json", 0, "c0675bd30c981c60"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family down --k 4", 0, "3911f1cea76b62a2"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 4 --family down --k 4 --format json", 0, "a79ad9ff296503dd"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 0", 0, "8c45b177fc97c9ec"),
+    ("coeffs --r 4 --alpha -0.5 --beta 2 --n 0 --format json", 0, "b67760a68702f230"),
     ("coeffs --r 2 --n 1 --family up", 2, "e68fe57d9aa83556"),
     ("coeffs --r 2 --n 1 --family up --k 3", 2, "c13814ca3042a6cc"),
     ("coeffs --r 2 --n 1 --family base --k 1", 2, "f7de8ea26d3aaca9"),
