@@ -27,7 +27,7 @@ print(f"parameters: r={params.r}, alpha={params.alpha}, beta={params.beta}")
 # --- the diagonal vector at level 4: entries are rotations of one real base
 v = type1_diagonal(4, params)
 print("\ndiagonal level 4")
-print("  base coefficients:", np.array2string(v.base.coeffs, precision=6))
+print("  base coefficients:", np.array2string(v.base, precision=6))
 print("  entry degrees:", v.degrees())
 rep = verify_type1(v)
 print(f"  max orthogonality residual: {rep.max_ortho_residual:.3e}")

@@ -48,7 +48,7 @@ from .orthogonality import (
     ray_form,
     verify_type1,
 )
-from .poly import Poly, poly_eval
+from .poly import poly_eval
 from .polynomials import (
     DEGREE_CAP,
     Constants,

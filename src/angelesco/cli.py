@@ -143,17 +143,23 @@ def _cmd_coeffs(args):
         return _usage_fail("--n must be >= 1 for the down family")
 
     if fam == "base":
-        polys, columns = [base_poly(args.n, params)], ["k", "re", "im"]
+        table, columns = [base_poly(args.n, params)], ["k", "re", "im"]
     else:
         builder = {"diag": type1_diagonal, "up": type1_up, "down": type1_down}[fam]
         v = builder(args.n, params) if fam == "diag" else builder(args.n, args.k, params)
-        polys, columns = v.polys, ["ray", "k", "re", "im"]
-    # the base table is one polynomial and has no ray column
-    rows = [
-        (j, k, float(c.real), float(c.imag))[-len(columns):]
-        for j, p in enumerate(polys, start=1)
-        for k, c in enumerate(np.asarray(p.coeffs, dtype=complex))
-    ]
+        table, columns = v.coeffs, ["ray", "k", "re", "im"]
+    # each row up to its last nonzero coefficient (at least one); a row with
+    # no nonzero imaginary part prints +0 there.  The base table is one
+    # polynomial and has no ray column.
+    rows = []
+    for j, c in enumerate(table, start=1):
+        live = np.flatnonzero(c)
+        c = c[: live[-1] + 1 if live.size else 1]
+        im = c.imag.tolist() if c.imag.any() else [0.0] * len(c)
+        rows.extend(
+            (j, k, re, im_k)[-len(columns):]
+            for k, (re, im_k) in enumerate(zip(c.real.tolist(), im))
+        )
     _emit_table(args, "coefficients", columns, rows)
     return _EXIT_OK
 

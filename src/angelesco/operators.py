@@ -54,9 +54,9 @@ def lowering_check(n, params):
     """Deviation of p_n' from n * p_(n-1) with both exponents raised by one."""
     if n < 1:
         raise ValueError("lowering_check needs n >= 1")
-    d = _derivative(base_poly(n, params).coeffs)
+    d = _derivative(base_poly(n, params))
     shifted = Params(params.r, params.alpha + 1.0, params.beta + 1.0)
-    target = float(n) * base_poly(n - 1, shifted).coeffs
+    target = float(n) * base_poly(n - 1, shifted)
     return _coef_dev(padded_coeffs(d, n), padded_coeffs(target, n))
 
 
@@ -79,14 +79,14 @@ def raising_check(n, params):
     r, a, b = params.r, params.alpha, params.beta
     if not (a > r - 1 and b > r - 1):
         raise ValueError("raising identity requires alpha, beta > r-1")
-    c = base_poly(n, params).coeffs
+    c = base_poly(n, params)
     size = n + r + 1  # both sides have degree <= n + r
     lhs = b * padded_coeffs(c, size) - (b + a * r) * padded_coeffs(c, size, r)
     lhs += _x_one_minus_xr(_derivative(c), r, size)
 
     rhs = np.zeros(size)
     for k, ak in enumerate(raising_coeffs(n, params), start=1):
-        pk = base_poly(n + k, Params(r, a - k, b - k)).coeffs
+        pk = base_poly(n + k, Params(r, a - k, b - k))
         rhs += ak * padded_coeffs(pk, size, r - k)
     return _coef_dev(lhs, rhs)
 
@@ -127,7 +127,7 @@ def ode_residual(spec):
     params, n = spec.params, spec.n
     r, b = params.r, params.beta
     size = n + 1  # every term has degree <= n
-    derivs = [base_poly(n, params).coeffs]
+    derivs = [base_poly(n, params)]
     for _ in range(r + 1):
         derivs.append(_derivative(derivs[-1]))
     terms = [

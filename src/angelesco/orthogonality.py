@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import gamma_ratio, roots_of_unity
-from .poly import padded_coeffs
 from .polynomials import Params
 
 __all__ = [
@@ -68,8 +67,11 @@ def _star_forms(v, ks):
     exponents are broadcast products reduced mod r.
     """
     r = v.params.r
-    width = max(len(p.coeffs) for p in v.polys)
-    c = np.array([padded_coeffs(p.coeffs, width) for p in v.polys])
+    # up to the last column that holds a nonzero entry (at least one): the
+    # products then sum the same terms whatever zero columns the table ends in
+    live = np.flatnonzero(v.coeffs.any(axis=0))
+    width = int(live[-1]) + 1 if live.size else 1
+    c = v.coeffs[:, :width]
     h = _hankel(v.params, ks, width)
     roots = roots_of_unity(r)
     j = np.arange(r)

@@ -59,7 +59,6 @@ from .numerics import (
     gamma_ratio,
     roots_of_unity,
 )
-from .poly import Poly
 
 __all__ = [
     "DEGREE_CAP",
@@ -153,20 +152,26 @@ class MultiIndexTag:
 class TypeIVector:
     """The r polynomials (A_1, ..., A_r) of a type I vector.
 
-    Entry j-1 of ``polys`` is the polynomial attached to the segment
-    [0, omega^(j-1)].  Diagonal vectors additionally keep their real base
-    polynomial: every entry is an exact rotation of it.
+    ``coeffs`` is one read-only r x w coefficient table: row j-1 holds A_j,
+    the polynomial attached to the segment [0, omega^(j-1)], and column t
+    its x^t coefficient.  The width w is the level n for diagonal and down
+    vectors, n+1 for up vectors, and 1 for the empty down index (r = 1,
+    n = 1).  Rows are not trimmed: the down vector's row k keeps its exactly
+    cancelled top coefficient as a zero.  Diagonal vectors additionally keep
+    their real base row in ``base``: every entry is an exact rotation of it.
     """
 
-    __slots__ = ("params", "tag", "polys", "base")
+    __slots__ = ("params", "tag", "coeffs", "base")
 
-    def __init__(self, params, tag, polys, base=None):
+    def __init__(self, params, tag, coeffs, base=None):
+        coeffs = np.array(coeffs)
+        if coeffs.ndim != 2 or len(coeffs) != params.r:
+            raise ValueError("need an r-row coefficient table, one row per ray")
+        coeffs.setflags(write=False)
         self.params = params
         self.tag = tag
-        self.polys = tuple(polys)
+        self.coeffs = coeffs
         self.base = base
-        if len(self.polys) != params.r:
-            raise ValueError("need one polynomial per ray")
 
     @property
     def size(self):
@@ -184,17 +189,10 @@ class TypeIVector:
     def degrees(self, rel_tol=1e-10):
         """Observed degrees, ignoring leading coefficients below ``rel_tol``
         times the entry's coefficient scale (storage is never truncated)."""
-        out = []
-        for p in self.polys:
-            mags = np.abs(p.coeffs)
-            scale = mags.max() if mags.size else 0.0
-            deg = -1
-            for k in range(len(mags) - 1, -1, -1):
-                if mags[k] > rel_tol * scale:
-                    deg = k
-                    break
-            out.append(deg)
-        return out
+        mags = np.abs(self.coeffs)
+        live = mags > rel_tol * mags.max(axis=1, keepdims=True)
+        # one past the last live column of each row, minus one; -1 if none
+        return ((live * np.arange(1, live.shape[1] + 1)).max(axis=1) - 1).tolist()
 
     def __repr__(self):
         return f"TypeIVector(r={self.params.r}, tag={self.tag!r})"
@@ -232,7 +230,7 @@ def base_poly(n, params):
     """The degree-n member of the real kernel family p_n(.; alpha, beta)."""
     _check_cap(n)
     hi, head = _base_head(n, params)
-    return Poly(_table(_chain(n, params.r, 0, hi, params.beta, head), params.r))
+    return _table(_chain(n, params.r, 0, hi, params.beta, head), params.r)
 
 
 def base_coeffs_mp(n, params):
@@ -400,8 +398,8 @@ def _table(rows, r):
 
 @lru_cache(maxsize=4)
 def _diagonal_base(level, params):
-    # lambda * p_(level-1) on the chain; Poly is immutable, so every call at
-    # the level shares it
+    # lambda * p_(level-1) on the chain; the table is read-only, so every
+    # call at the level shares it
     r, a, b = params.r, params.alpha, params.beta
     m = level - 1
     hi, lo = _affine(params)
@@ -414,7 +412,7 @@ def _diagonal_base(level, params):
             [(pb, r), m + 1 + a, (t + r + b) / r, m + 1.0],
         ) / r
 
-    return Poly(_table(_chain(m, r, 0, hi, b, head), r))
+    return _table(_chain(m, r, 0, hi, b, head), r)
 
 
 def type1_diagonal(level, params):
@@ -432,8 +430,7 @@ def type1_diagonal(level, params):
     base = _diagonal_base(level, params)
     # row j - 1 is base(omega^(-(j-1)) x)
     phases = roots_of_unity(r)[(-np.arange(r)[:, None] * np.arange(len(base))) % r]
-    polys = Poly.rows(base.coeffs * phases)
-    return TypeIVector(params, MultiIndexTag(level, "diagonal"), polys, base=base)
+    return TypeIVector(params, MultiIndexTag(level, "diagonal"), base * phases, base=base)
 
 
 @lru_cache(maxsize=4)
@@ -488,8 +485,7 @@ def type1_up(n, k, params):
     j = np.arange(r)
     combos = _up_combos(n, params)[(j - k + 1) % r]
     phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k + 1) % r]
-    polys = Poly.rows(combos * phases)
-    return TypeIVector(params, MultiIndexTag(n, "plus", k), polys)
+    return TypeIVector(params, MultiIndexTag(n, "plus", k), combos * phases)
 
 
 @lru_cache(maxsize=4)
@@ -548,11 +544,10 @@ def type1_down(n, k, params):
     tag = MultiIndexTag(n, "minus", k)
     if n == 1 and r == 1:
         # empty multi-index: the zero vector, whose normalizer would be singular
-        return TypeIVector(params, tag, [Poly(np.zeros(1))])
+        return TypeIVector(params, tag, np.zeros((1, 1)))
 
     # row j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2)
     t1, t2 = _down_terms(n, params)
     roots = roots_of_unity(r)
     phases = roots[(-np.arange(r)[:, None] * np.arange(n)) % r]
-    polys = Poly.rows(phases * (roots[:, None] * t1 - roots[k - 1] * t2))
-    return TypeIVector(params, tag, polys)
+    return TypeIVector(params, tag, phases * (roots[:, None] * t1 - roots[k - 1] * t2))

@@ -134,14 +134,12 @@ def _ray_residual(n, k, params, cur, ups, a_n, b_n):
     size = n + 2  # every term has degree <= n
     worst = 0.0
     for j in range(r):
-        cj = cur.polys[j].coeffs
+        cj = cur.coeffs[j]
         terms = [
             padded_coeffs(cj, size, 1),
-            -padded_coeffs(dn.polys[j].coeffs, size),
+            -padded_coeffs(dn.coeffs[j], size),
             -bk * padded_coeffs(cj, size),
         ]
-        terms.extend(
-            -al[l] * padded_coeffs(ups[l].polys[j].coeffs, size) for l in range(r)
-        )
+        terms.extend(-al[l] * padded_coeffs(ups[l].coeffs[j], size) for l in range(r))
         worst = max(worst, identity_residual(terms))
     return worst

@@ -76,17 +76,17 @@ def test_criterion_2_r2_closed_forms():
         for n in range(0, 11):
             va, vb = mp_r2_pair(n, a, b, "diag")
             v = type1_diagonal(n + 1, Params(2, a, b))
-            assert coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-            assert coeffs_match(-1.0 * v.polys[1].coeffs, va, 1e-12)
+            assert coeffs_match(v.coeffs[0], vb, 1e-12)
+            assert coeffs_match(-1.0 * v.coeffs[1], va, 1e-12)
             va, vb = mp_r2_pair(n, a, b, "up")
             v = type1_up(n, 1, Params(2, a, b))
-            assert coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-            assert coeffs_match(-1.0 * v.polys[1].coeffs, va, 1e-12)
+            assert coeffs_match(v.coeffs[0], vb, 1e-12)
+            assert coeffs_match(-1.0 * v.coeffs[1], va, 1e-12)
             if n >= 1:
                 va, vb = mp_r2_pair(n - 1, a, b, "down")
                 v = type1_down(n, 1, Params(2, a, b))
-                assert coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-                assert coeffs_match(-1.0 * v.polys[1].coeffs, va, 1e-12)
+                assert coeffs_match(v.coeffs[0], vb, 1e-12)
+                assert coeffs_match(-1.0 * v.coeffs[1], va, 1e-12)
     _report(2, "r=2 closed-form agreement (n <= 10, rel 1e-12)")
 
 

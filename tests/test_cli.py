@@ -62,6 +62,18 @@ def test_empty_minus_index_is_zero_vector():
     assert out.strip().splitlines() == ["ray,k,re,im", "1,0,0,0"]
 
 
+def test_coeffs_rows_end_at_last_nonzero_and_real_rows_print_plus_zero():
+    # r = 2: the phases are +-1, so both rows are real, and row k = 2 of the
+    # down vector at n = 3 ends at x^1, its x^2 coefficient cancelled; the
+    # table holds -0.0 imaginary parts, which a real row prints as +0
+    code, out = run_cli(["coeffs", "--r", "2", "--alpha", "2", "--beta", "0.7", "--n", "3",
+                         "--family", "down", "--k", "2"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("1", "0"), ("1", "1"), ("1", "2"), ("2", "0"), ("2", "1")]
+    assert [r[3] for r in rows] == ["0"] * 5
+
+
 def test_degenerate_parameters_exit_2(capsys):
     code, out = run_cli(["coeffs", "--r", "1", "--alpha", "-0.5", "--beta", "-0.5",
                          "--n", "0", "--family", "base"])
@@ -149,7 +161,7 @@ def test_json_record_schema_and_roundtrip():
     rows = rec["payload"]["rows"]
     from angelesco import Params, base_poly
 
-    want = base_poly(2, Params(2, 0.0, 0.0)).coeffs
+    want = base_poly(2, Params(2, 0.0, 0.0))
     assert [row[1] for row in rows] == list(want)  # parses back without loss
     assert rec["payload"]["columns"] == ["k", "re", "im"]
 
@@ -171,7 +183,7 @@ def test_float_round_trip_17g():
                       "--n", "6", "--family", "base"])
     from angelesco import Params, base_poly
 
-    want = base_poly(6, Params(3, 0.7, -0.5)).coeffs
+    want = base_poly(6, Params(3, 0.7, -0.5))
     got = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
     assert np.array_equal(np.array(got), want)
 

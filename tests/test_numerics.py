@@ -115,7 +115,7 @@ _LARGE_ALPHA = Params(2, 1e7, 0.3)
 
 @pytest.mark.xfail(raises=AssertionError, reason="gamma_ratio loses digits at large arguments")
 def test_base_poly_at_large_alpha_matches_mpmath():
-    got = base_poly(5, _LARGE_ALPHA).coeffs
+    got = base_poly(5, _LARGE_ALPHA)
     with mp.workdps(40):
         want = base_coeffs_mp(5, _LARGE_ALPHA)
         assert len(got) == len(want)

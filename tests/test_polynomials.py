@@ -24,7 +24,7 @@ from angelesco import (
 )
 from angelesco import polynomials
 from angelesco.numerics import roots_of_unity
-from angelesco.poly import Poly
+from angelesco.polynomials import TypeIVector
 
 GRID = (-0.5, 0.0, 0.7, 2.0)
 
@@ -38,9 +38,9 @@ from r2_reference import coeffs_match as _coeffs_match, mp_p_r2 as _mp_p_r2, mp_
 
 def test_base_poly_small_cases():
     p = Params(2, 0.0, 0.0)
-    assert np.allclose(base_poly(0, p).coeffs, [1.0])
-    assert np.allclose(base_poly(1, p).coeffs, [-1.0, 1.5])
-    assert np.allclose(base_poly(2, p).coeffs, [1.0, -3.75, 3.0])
+    assert np.allclose(base_poly(0, p), [1.0])
+    assert np.allclose(base_poly(1, p), [-1.0, 1.5])
+    assert np.allclose(base_poly(2, p), [1.0, -3.75, 3.0])
 
 
 def test_base_poly_frozen_oracle_values():
@@ -51,7 +51,7 @@ def test_base_poly_frozen_oracle_values():
         -10.21765984777414333,
         6.3036973239082439226,
     ]
-    got = base_poly(3, Params(2, 0.7, -0.5)).coeffs
+    got = base_poly(3, Params(2, 0.7, -0.5))
     assert _coeffs_match(got, want, 1e-14)
 
 
@@ -59,7 +59,7 @@ def test_base_poly_frozen_oracle_values():
 @pytest.mark.parametrize("b", GRID)
 def test_base_poly_matches_r2_closed_form(a, b):
     for n in range(0, 21):
-        got = base_poly(n, Params(2, a, b)).coeffs
+        got = base_poly(n, Params(2, a, b))
         want = _mp_p_r2(n, a, b)
         assert _coeffs_match(got, want, 1e-13)
 
@@ -71,7 +71,7 @@ def test_leading_coefficient_examples():
     for n in (1, 5, 12):
         for r in (1, 3, 5):
             p = Params(r, 0.7, -0.5)
-            assert leading_coefficient(n, p) == base_poly(n, p).coeffs[-1]
+            assert leading_coefficient(n, p) == base_poly(n, p)[-1]
 
 
 def test_degree_cap_enforced():
@@ -137,19 +137,18 @@ def test_public_base_poly_degenerate_point_raises():
 
 def test_diagonal_level_one_r2():
     v = type1_diagonal(1, Params(2, 0.0, 0.0))
-    assert np.allclose(v.polys[0].coeffs, [1.0])
-    assert np.allclose(v.polys[1].coeffs, [1.0])
+    assert np.allclose(v.coeffs, [[1.0], [1.0]])
 
 
 def test_diagonal_rotation_covariance():
     for r in (2, 3, 5):
         v = type1_diagonal(4, Params(r, 0.7, -0.5))
-        c = v.base.coeffs
+        c = v.base
         roots = roots_of_unity(r)
         for j in range(1, r + 1):
             # entry j is the base polynomial composed with x -> omega^(-(j-1)) x
             want = c * roots[(-(j - 1) * np.arange(len(c))) % r]
-            assert np.allclose(v.polys[j - 1].coeffs, want)
+            assert np.allclose(v.coeffs[j - 1], want)
 
 
 def test_degree_patterns():
@@ -172,11 +171,8 @@ def test_up_leading_coefficient_cancels_structurally():
         for n in (2, 5):
             for k in range(1, r + 1):
                 v = type1_up(n, k, params)
-                for j, p in enumerate(v.polys, start=1):
-                    if j == k:
-                        continue
-                    c = np.abs(np.asarray(p.coeffs, dtype=complex))
-                    if len(c) > n:
+                for j, c in enumerate(np.abs(v.coeffs), start=1):
+                    if j != k:
                         assert c[n] <= 1e-10 * c.max()
 
 
@@ -187,38 +183,63 @@ def test_up_second_coefficient_nonvanishing():
         for a in GRID:
             for b in GRID:
                 v = type1_up(3, 1, Params(r, a, b))
-                for j, p in enumerate(v.polys, start=1):
-                    if j == 1:
-                        continue
-                    c = np.abs(np.asarray(p.coeffs, dtype=complex))
+                for c in np.abs(v.coeffs[1:]):
                     assert c[2] > 1e-6 * c.max()
 
 
 def test_down_degenerate_empty_index():
     v = type1_down(1, 1, Params(1, 0.0, 0.0))
     assert v.size == 0
-    assert v.polys[0].is_zero
+    assert v.coeffs.shape == (1, 1) and v.coeffs[0, 0] == 0.0
+    assert v.degrees() == [-1]
+
+
+def test_coefficient_tables_are_read_only():
+    params = Params(3, 0.7, -0.5)
+    diag = type1_diagonal(3, params)
+    for c in (base_poly(3, params), diag.base):
+        assert c.ndim == 1
+        with pytest.raises(ValueError):
+            c[0] = 5.0
+    empty = type1_down(1, 1, Params(1, 0.0, 0.0))
+    for v in (diag, type1_up(3, 2, params), type1_down(3, 2, params), empty):
+        assert v.coeffs.ndim == 2
+        with pytest.raises(ValueError):
+            v.coeffs[0, 0] = 5.0
+    # a table handed in is copied, so the vector never aliases it
+    mine = np.ones((3, 2))
+    v = TypeIVector(params, diag.tag, mine)
+    mine[0, 0] = 2.0
+    assert v.coeffs[0, 0] == 1.0 and not v.coeffs.flags.writeable
+
+
+def test_type1_vector_needs_one_row_per_ray():
+    params = Params(2, 0.0, 0.0)
+    tag = type1_diagonal(1, params).tag
+    for bad in ([1.0, 2.0], np.zeros((3, 2)), np.zeros((2, 2, 1))):
+        with pytest.raises(ValueError):
+            TypeIVector(params, tag, bad)
 
 
 def test_r1_up_equals_next_diagonal():
     for a, b in ((0.0, 0.0), (0.7, -0.5), (2.0, 2.0), (-0.5, 0.7)):
         params = Params(1, a, b)
         for n in (0, 1, 3, 7):
-            up = type1_up(n, 1, params).polys[0].coeffs
-            diag = type1_diagonal(n + 1, params).polys[0].coeffs
+            up = type1_up(n, 1, params).coeffs[0]
+            diag = type1_diagonal(n + 1, params).coeffs[0]
             assert _coeffs_match(up, diag, 1e-12)
 
 
 def test_vectors_finite_at_degenerate_loci():
     # fused construction must survive the removable singularities
     v = type1_diagonal(1, Params(1, -0.5, -0.5))
-    assert v.polys[0].coeffs[0] == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert v.coeffs[0, 0] == pytest.approx(1.0 / math.pi, rel=1e-13)
     v = type1_up(0, 1, Params(1, -0.5, -0.5))
-    assert v.polys[0].coeffs[0] == pytest.approx(1.0 / math.pi, rel=1e-13)
+    assert v.coeffs[0, 0] == pytest.approx(1.0 / math.pi, rel=1e-13)
     # r=2 down at the pochhammer-base zero (r(n+alpha)+beta = 1)
     v = type1_down(1, 1, Params(2, -0.5, 0.0))
     m0 = math.pi / 2  # int_0^1 (1-x^2)^(-1/2) dx
-    assert v.polys[1].coeffs[0] == pytest.approx(-1.0 / m0, rel=1e-12)
+    assert v.coeffs[1, 0] == pytest.approx(-1.0 / m0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +252,8 @@ def test_diagonal_matches_two_interval_form(a, b):
     for n in range(0, 11):
         va, vb = _mp_r2_pair(n, a, b, "diag")
         v = type1_diagonal(n + 1, Params(2, a, b))
-        assert _coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-        assert _coeffs_match((-1.0 * v.polys[1].coeffs), va, 1e-12)
+        assert _coeffs_match(v.coeffs[0], vb, 1e-12)
+        assert _coeffs_match((-1.0 * v.coeffs[1]), va, 1e-12)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.7, -0.5), (2.0, 0.7), (-0.5, 2.0)])
@@ -240,12 +261,12 @@ def test_up_matches_two_interval_form(a, b):
     for n in range(0, 11):
         va, vb = _mp_r2_pair(n, a, b, "up")  # (A_{n,n+1}, B_{n,n+1})
         v = type1_up(n, 1, Params(2, a, b))
-        assert _coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-        assert _coeffs_match(-1.0 * v.polys[1].coeffs, va, 1e-12)
+        assert _coeffs_match(v.coeffs[0], vb, 1e-12)
+        assert _coeffs_match(-1.0 * v.coeffs[1], va, 1e-12)
         va2, vb2 = _mp_r2_pair(n, a, b, "down")  # (A_{n+1,n}, B_{n+1,n})
         v2 = type1_up(n, 2, Params(2, a, b))
-        assert _coeffs_match(v2.polys[0].coeffs, vb2, 1e-12)
-        assert _coeffs_match(-1.0 * v2.polys[1].coeffs, va2, 1e-12)
+        assert _coeffs_match(v2.coeffs[0], vb2, 1e-12)
+        assert _coeffs_match(-1.0 * v2.coeffs[1], va2, 1e-12)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.7, -0.5), (2.0, 0.7), (-0.5, 2.0)])
@@ -254,19 +275,19 @@ def test_down_matches_two_interval_form(a, b):
     for n in range(1, 11):
         va, vb = _mp_r2_pair(n - 1, a, b, "down")  # (A_{n,n-1}, B_{n,n-1})
         v = type1_down(n, 1, Params(2, a, b))
-        assert _coeffs_match(v.polys[0].coeffs, vb, 1e-12)
-        assert _coeffs_match(-1.0 * v.polys[1].coeffs, va, 1e-12)
+        assert _coeffs_match(v.coeffs[0], vb, 1e-12)
+        assert _coeffs_match(-1.0 * v.coeffs[1], va, 1e-12)
         va2, vb2 = _mp_r2_pair(n - 1, a, b, "up")  # (A_{n-1,n}, B_{n-1,n})
         v2 = type1_down(n, 2, Params(2, a, b))
-        assert _coeffs_match(v2.polys[0].coeffs, vb2, 1e-12)
-        assert _coeffs_match(-1.0 * v2.polys[1].coeffs, va2, 1e-12)
+        assert _coeffs_match(v2.coeffs[0], vb2, 1e-12)
+        assert _coeffs_match(-1.0 * v2.coeffs[1], va2, 1e-12)
 
 
 def test_legendre_angelesco_frozen_values():
     # r = 2, alpha = beta = 0: B_{2,2} on ray 1 and minus A_{2,2} on ray 2
     v = type1_diagonal(2, Params(2, 0.0, 0.0))
-    assert np.allclose(v.polys[0].coeffs, [-10.0, 15.0])  # (1/2)(5!/3!) (1.5x - 1)
-    assert np.allclose(v.polys[1].coeffs, [-10.0, -15.0])  # B(-x): root at -2/3
+    assert np.allclose(v.coeffs[0], [-10.0, 15.0])  # (1/2)(5!/3!) (1.5x - 1)
+    assert np.allclose(v.coeffs[1], [-10.0, -15.0])  # B(-x): root at -2/3
 
 
 def test_normalization_constants_positive_and_consistent():
@@ -348,7 +369,7 @@ def _level_coeff_bytes(n, params, ks):
     for k in ks:
         for fam, build in (("up", type1_up), ("down", type1_down)):
             v = build(n, k, params)
-            out[fam, k] = [(p.coeffs.dtype.str, p.coeffs.tobytes()) for p in v.polys]
+            out[fam, k] = (v.coeffs.dtype.str, v.coeffs.shape, v.coeffs.tobytes())
     return out
 
 
@@ -364,11 +385,11 @@ def test_level_tables_are_shared_safely(r):
 
     combos = polynomials._up_combos(n, params)
     t1, t2 = polynomials._down_terms(n, params)
-    diag = polynomials._diagonal_base(n, params).coeffs
+    diag = polynomials._diagonal_base(n, params)
     for table in (combos, t1, t2, diag):
         with pytest.raises(ValueError):
             table[0] = 1.0
-    assert not np.shares_memory(type1_up(n, 1, params).polys[0].coeffs, combos)
+    assert not np.shares_memory(type1_up(n, 1, params).coeffs, combos)
 
 
 def _reference_rows(n, k, params, family):
@@ -381,15 +402,15 @@ def _reference_rows(n, k, params, family):
         t = np.arange(n + 1)
         for j in range(1, r + 1):
             phases = roots[((-j + 1) * t + (-k + 1)) % r]
-            rows.append(Poly(combos[(j - k) % r] * phases))
+            rows.append(combos[(j - k) % r] * phases)
     else:
         t1, t2 = polynomials._down_terms(n, params)
         wk = roots[(k - 1) % r]
         t = np.arange(n)
         for j in range(1, r + 1):
             phases = roots[((-j + 1) * t) % r]
-            rows.append(Poly(phases * (roots[j - 1] * t1 - wk * t2)))
-    return rows
+            rows.append(phases * (roots[j - 1] * t1 - wk * t2))
+    return np.array(rows)
 
 
 @pytest.mark.parametrize("r", range(1, 8))
@@ -399,11 +420,11 @@ def test_rows_equal_per_ray_assembly_bitwise(r, n):
         for family, build in (("up", type1_up), ("down", type1_down)):
             if family == "down" and r == 1 and n == 1:
                 continue  # the empty multi-index
-            got = build(n, k, params).polys
+            got = build(n, k, params).coeffs
             want = _reference_rows(n, k, params, family)
-            assert [(p.coeffs.dtype.str, p.coeffs.tobytes()) for p in got] == [
-                (p.coeffs.dtype.str, p.coeffs.tobytes()) for p in want
-            ], (family, k)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()
+            ), (family, k)
 
 
 # ---------------------------------------------------------------------------
