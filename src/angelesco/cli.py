@@ -187,6 +187,8 @@ def _cmd_verify(args):
         return err
     if args.n_max < 1:
         return _usage_fail("--n-max must be >= 1")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        return _usage_fail("--tol must be finite and >= 0")
     suite = args.suite
     if suite in ("recurrence",) and params.r < 2:
         return _usage_fail("the recurrence suite needs --r >= 2")

@@ -107,6 +107,23 @@ def test_verify_unreachable_tol_fails():
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol, capsys):
+    # nan and -1 would fail every level and inf would pass an uncertified one
+    code, out = run_cli(["verify", "--suite", "zeros", "--r", "3", "--alpha", "1e4",
+                         "--beta", "1e4", "--n-max", "3", "--tol", tol])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_verify_accepts_zero_tolerance():
+    # the level-1 lowering identity holds exactly, and a residual <= tol passes
+    code, out = run_cli(["verify", "--suite", "lowering", "--r", "2", "--n-max", "1", "--tol", "0"])
+    assert code == 0
+    assert out == "suite=lowering n=1 worst_residual=0 pass\nsuite=lowering overall=pass\n"
+
+
 def test_verify_raising_domain_guard():
     code, _ = run_cli(
         ["verify", "--suite", "raising", "--r", "2", "--alpha", "0", "--beta", "0", "--n-max", "3"]

@@ -1,7 +1,8 @@
 """Static checks of the library's modules.
 
-Every name a library module imports is used in that module
-(``__init__.py`` is skipped: its imports are the package's re-exports).
+Every name a library module, a test module or a demo script imports is
+used in that file (the package's ``__init__.py`` is skipped: its imports
+are the package's re-exports).
 Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
 passes.  No module but ``numerics.py`` uses a double-precision gamma
@@ -26,9 +27,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "angelesco"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "angelesco"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
+# the library's modules, then every test module and demo script
+IMPORTING = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -44,7 +48,9 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", IMPORTING, ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"
+)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 

@@ -6,7 +6,6 @@ raises ``DegenerateParameters``.  The examples are derandomized so that the
 suite is reproducible.
 """
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
