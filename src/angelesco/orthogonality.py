@@ -67,8 +67,9 @@ def _star_forms(v, ks):
     exponents are broadcast products reduced mod r.
     """
     r = v.params.r
-    # up to the last column that holds a nonzero entry (at least one): the
-    # products then sum the same terms whatever zero columns the table ends in
+    # only up to the last column that holds a nonzero entry (at least one):
+    # the products' rounding depends on the length they sum over, so zero
+    # columns at the end (a down vector's cancelled top) would move last bits
     live = np.flatnonzero(v.coeffs.any(axis=0))
     width = int(live[-1]) + 1 if live.size else 1
     c = v.coeffs[:, :width]

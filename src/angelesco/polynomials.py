@@ -39,8 +39,10 @@ root-of-unity phases.  Their tables (the r combinations of the up family,
 the two coefficient rows of the down family) are built once per level and
 shared by every k, in a memo of a few levels; the tables are read-only,
 and each k multiplies them by phases from the one table of roots of unity
-into fresh arrays.  The diagonal's row is memoized the same way, so the r
-ray checks of one level build it once.
+into a fresh r-row array, which the vector keeps, read-only, as its
+``coeffs``.  The diagonal's row is memoized the same way, so the r ray
+checks of one level build it once.  ``base_poly`` returns p_n's read-only
+coefficient array itself.
 """
 
 from __future__ import annotations
@@ -189,10 +191,17 @@ class TypeIVector:
     def degrees(self, rel_tol=1e-10):
         """Observed degrees, ignoring leading coefficients below ``rel_tol``
         times the entry's coefficient scale (storage is never truncated)."""
-        mags = np.abs(self.coeffs)
-        live = mags > rel_tol * mags.max(axis=1, keepdims=True)
-        # one past the last live column of each row, minus one; -1 if none
-        return ((live * np.arange(1, live.shape[1] + 1)).max(axis=1) - 1).tolist()
+        out = []
+        for c in self.coeffs:
+            mags = np.abs(c)
+            scale = mags.max()
+            deg = -1
+            for k in range(len(mags) - 1, -1, -1):
+                if mags[k] > rel_tol * scale:
+                    deg = k
+                    break
+            out.append(deg)
+        return out
 
     def __repr__(self):
         return f"TypeIVector(r={self.params.r}, tag={self.tag!r})"
