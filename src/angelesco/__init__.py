@@ -47,6 +47,7 @@ from .orthogonality import (
     moment,
     ray_form,
     verify_type1,
+    verify_type1_many,
 )
 from .poly import poly_eval
 from .polynomials import (

@@ -40,7 +40,7 @@ import numpy as np
 from .asymptotics import density_curve
 from .numerics import DegenerateParameters, DoubleRangeError
 from .operators import lowering_check, ode_coeffs, ode_residual, raising_check
-from .orthogonality import verify_type1
+from .orthogonality import verify_type1_many
 from .polynomials import (
     DegreeCapError,
     Params,
@@ -170,13 +170,15 @@ def _cmd_coeffs(args):
 
 
 def _ortho_residual_level(n, params, tol):
+    # one oracle call per level: the diagonal, the r up and the r down
+    # vectors are three stacks (the down index is empty for r = 1, n = 1)
+    r = params.r
+    vectors = [type1_diagonal(n, params)]
+    vectors += [type1_up(n, k, params) for k in range(1, r + 1)]
+    if r * n - 1 >= 1:
+        vectors += [type1_down(n, k, params) for k in range(1, r + 1)]
     worst = 0.0
-    reports = [verify_type1(type1_diagonal(n, params), tol)]
-    for k in range(1, params.r + 1):
-        reports.append(verify_type1(type1_up(n, k, params), tol))
-        if params.r * n - 1 >= 1:
-            reports.append(verify_type1(type1_down(n, k, params), tol))
-    for rep in reports:
+    for rep in verify_type1_many(vectors, tol):
         worst = max(worst, rep.max_ortho_residual, rep.norm_residual)
     return worst
 

@@ -8,6 +8,14 @@ a true oracle against which the closed-form constructions are checked.
 Every condition is a row of the moment Hankel matrix H[k, m] = moment(k+m)
 applied to the phase-rotated coefficients of each entry, so a check reads
 all r entries of the vector it is handed; no family takes a shortcut.
+
+One kernel checks a stack of vectors that share params, size and live
+width (the columns up to the last nonzero one): one Hankel gather and one
+pair of matrix products for the whole stack.  ``verify_type1_many`` groups
+the vectors it is handed into such stacks (a level of ``verify`` is three:
+the diagonal, the r up and the r down vectors); ``verify_type1`` and
+``ray_form`` run the kernel on a stack of one.  Every report is bitwise the
+same whichever stack a vector is checked in.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ __all__ = [
     "OrthoReport",
     "ray_form",
     "verify_type1",
+    "verify_type1_many",
 ]
 
 
@@ -44,50 +53,64 @@ def _moment_row(r, alpha, beta, max_m):
 
 
 def _hankel(params, ks, cols):
-    """H[i, m] = moment(ks[i] + m) for m < cols: a fresh array gathered from
-    the cached moment row by one broadcast index sum.  The row's length is
-    rounded up to a power of two, so the vectors of one ``verify`` share
-    O(log n) rows; each moment is computed on its own, so the gather equals
-    one from a row of exact length."""
-    need = int(ks.max()) + cols
+    """H[i, m] = moment(ks[i] + m) for m < cols, with ks ascending: a fresh
+    array gathered from the cached moment row by one broadcast index sum.
+    The row's length is rounded up to a power of two, so the vectors of one
+    ``verify`` share O(log n) rows; each moment is computed on its own, so
+    the gather equals one from a row of exact length."""
+    need = int(ks[-1]) + cols
     max_m = (1 << (need - 1).bit_length()) - 1
     mom = _moment_row(params.r, params.alpha, params.beta, max_m)
     return mom[ks[:, None] + np.arange(cols)]
 
 
-def _star_forms(v, ks):
-    """Star moment functional of ``v`` at the powers ``ks`` and its
-    positive-mass scale.
+def _live_width(coeffs):
+    # columns up to the last one that holds a nonzero entry (at least one):
+    # the products' rounding depends on the length they sum over, so zero
+    # columns at the end (a down vector's cancelled top) would move last bits
+    live = coeffs.any(axis=0).nonzero()[0]
+    return int(live[-1]) + 1 if live.size else 1
 
-    Entry j (0-based, on the ray x = omega^j t) contributes
+
+def _star_forms(c, params, ks):
+    """Star moment functionals of a stack of coefficient tables at the
+    powers ``ks``, and their positive-mass scales.
+
+    ``c[v, j, m]`` holds coefficient m of entry j (0-based, on the ray
+    x = omega^j t) of vector v; every vector shares ``params`` and the
+    width, which is each one's live width.  Entry j contributes
     omega^(j(k+1)) sum_m c_(j,m) omega^(jm) moment(k+m).  The scale replaces
     every term by its modulus: the size against which cancellation is
     measured, since coefficient growth makes absolute tolerances
-    meaningless.  Both are Hankel products over all ks at once; the phase
-    exponents are broadcast products reduced mod r.
+    meaningless.  One Hankel gather serves the stack, and each of the two is
+    one matrix product over all ks and vectors at once; the phase exponents
+    are broadcast products reduced mod r.  The complex product is followed
+    at once by an elementwise one, which keeps libm at full speed (see
+    ``polynomials._up_stack``).  Returns two (vectors, powers) arrays.
     """
-    r = v.params.r
-    # only up to the last column that holds a nonzero entry (at least one):
-    # the products' rounding depends on the length they sum over, so zero
-    # columns at the end (a down vector's cancelled top) would move last bits
-    live = np.flatnonzero(v.coeffs.any(axis=0))
-    width = int(live[-1]) + 1 if live.size else 1
-    c = v.coeffs[:, :width]
-    h = _hankel(v.params, ks, width)
+    r, width = params.r, c.shape[-1]
+    h = _hankel(params, ks, width)
     roots = roots_of_unity(r)
     j = np.arange(r)
     rotated = c * roots[(j[:, None] * np.arange(width)) % r]
-    forms = ((h @ rotated.T) * roots[((ks[:, None] + 1) * j) % r]).sum(axis=1)
-    scale = (h @ np.abs(c).T).sum(axis=1)
+    forms = ((h @ rotated.transpose(0, 2, 1)) * roots[((ks[:, None] + 1) * j) % r]).sum(axis=2)
+    scale = (h @ np.abs(c).transpose(0, 2, 1)).sum(axis=2)
     return forms, scale
 
 
 def ray_form(k, v):
     """Star moment functional of a type I vector at power k:
     sum_j int_0^(omega^(j-1)) x^k A_j(x) w(x) dx, reduced to [0,1] moments by
-    the ray parametrization x = omega^(j-1) t.  Reads every entry of ``v``."""
-    forms, _ = _star_forms(v, np.array([k]))
-    return complex(forms[0])
+    the ray parametrization x = omega^(j-1) t.  Reads every entry of ``v``.
+
+    k must be an integer >= 0 (a Python or numpy integer); anything else
+    raises ValueError.
+    """
+    if not (isinstance(k, (int, np.integer)) and k >= 0):
+        raise ValueError(f"the power k must be an integer >= 0, got {k!r}")
+    c = v.coeffs[None, :, : _live_width(v.coeffs)]
+    forms, _ = _star_forms(c, v.params, np.array([k]))
+    return complex(forms[0, 0])
 
 
 @dataclass(frozen=True)
@@ -107,18 +130,41 @@ class OrthoReport:
 
 def verify_type1(v, tol=1e-9):
     """Check all |n| conditions of a type I vector against the moment oracle."""
-    size = v.size
-    if size < 1:
-        raise ValueError("vector has an empty multi-index: nothing to verify")
-    forms, scale = _star_forms(v, np.arange(size))
-    ortho = np.abs(forms[:-1]) / np.maximum(scale[:-1], 1e-300)
-    worst = float(ortho.max(initial=0.0))
-    norm = complex(forms[-1])
-    norm_res = float(abs(norm - 1.0) / max(1.0, scale[-1]))
-    return OrthoReport(
-        max_ortho_residual=worst,
-        norm_value=norm,
-        norm_residual=norm_res,
-        tol=tol,
-        passed=(worst <= tol and norm_res <= tol),
-    )
+    return verify_type1_many([v], tol)[0]
+
+
+def verify_type1_many(vectors, tol=1e-9):
+    """:func:`verify_type1` of each vector of a sequence, as a list in
+    input order.
+
+    Vectors that share params, size and live width are checked as one
+    stack: one Hankel gather and one pair of products for the group.  Each
+    report is bitwise the one :func:`verify_type1` gives; a stack never pads
+    a vector to a wider one, since zero columns move the products' last
+    bits.  Raises ValueError if any vector has an empty multi-index.
+    """
+    groups = {}
+    for i, v in enumerate(vectors):
+        size = v.size
+        if size < 1:
+            raise ValueError("vector has an empty multi-index: nothing to verify")
+        groups.setdefault((v.params, size, _live_width(v.coeffs)), []).append(i)
+    reports = [None] * len(vectors)
+    for (params, size, width), members in groups.items():
+        if len(members) == 1:  # a view: a lone vector pays for no copy
+            c = vectors[members[0]].coeffs[None, :, :width]
+        else:
+            c = np.stack([vectors[i].coeffs[:, :width] for i in members])
+        forms, scale = _star_forms(c, params, np.arange(size))
+        ortho = np.abs(forms[:, :-1]) / np.maximum(scale[:, :-1], 1e-300)
+        worst = ortho.max(axis=1, initial=0.0).tolist()
+        for i, w, norm, s in zip(members, worst, forms[:, -1].tolist(), scale[:, -1].tolist()):
+            norm_res = abs(norm - 1.0) / max(1.0, s)
+            reports[i] = OrthoReport(
+                max_ortho_residual=w,
+                norm_value=norm,
+                norm_residual=norm_res,
+                tol=tol,
+                passed=(w <= tol and norm_res <= tol),
+            )
+    return reports

@@ -35,11 +35,12 @@ beta that absorbs an added 1, raises :class:`DoubleRangeError`; the
 normalizers take the same guard on X and beta.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
-root-of-unity phases.  Their tables (the r combinations of the up family,
-the two coefficient rows of the down family) are built once per level and
-shared by every k, in a memo of a few levels; the tables are read-only,
-and each k multiplies them by phases from the one table of roots of unity
-into a fresh r-row array, which the vector keeps, read-only, as its
+root-of-unity phases.  Their level tables (the r combinations of the up
+family, the two coefficient rows of the down family) are built once per
+level, and one gather of phases from the one table of roots of unity and
+one elementwise product turn each family's into the r per-ray tables of
+the level at once: an r x r x w read-only stack, in a memo of a few
+levels.  The vector at ray k copies row k-1 of it as its read-only
 ``coeffs``.  The diagonal's row is memoized the same way, so the r ray
 checks of one level build it once.  ``base_poly`` returns p_n's read-only
 coefficient array itself.
@@ -442,7 +443,6 @@ def type1_diagonal(level, params):
     return TypeIVector(params, MultiIndexTag(level, "diagonal"), base * phases, base=base)
 
 
-@lru_cache(maxsize=4)
 def _up_combos(n, params):
     # combos[l, t]: coefficient t of A_l, shared by every ray k of level n.
     # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)) on
@@ -467,9 +467,22 @@ def _up_combos(n, params):
 
     ratio = [_chain(n, r, m, hi, b, partial(head, m)) for m in range(r)]
     lm = np.arange(r)
-    combos = roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
-    combos.setflags(write=False)
-    return combos
+    return roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
+
+
+@lru_cache(maxsize=4)
+def _up_stack(n, params):
+    # the r x r x (n+1) tables of every ray of level n, read-only: ray k's
+    # row j - 1 is A_((j-k) mod r) times its phases omega^(-(j-1) t - (k-1)).
+    # No libm call may come between the combinations' complex matrix product
+    # and this elementwise product: after an OpenBLAS complex product, libm
+    # runs 3-5 times slower (lgamma included) until a numpy vector op runs
+    r = params.r
+    k, j = np.arange(r)[:, None], np.arange(r)  # k - 1 and j - 1
+    phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k[:, :, None]) % r]
+    stack = _up_combos(n, params)[(j - k) % r] * phases
+    stack.setflags(write=False)
+    return stack
 
 
 def type1_up(n, k, params):
@@ -481,8 +494,9 @@ def type1_up(n, k, params):
     of A_l for l != 0 cancels exactly by the root-of-unity sum.
 
     The combinations do not depend on k: level n builds their r x (n+1)
-    table once (a memo of a few levels, read-only), and each ray k applies
-    only its phases.
+    table once and applies every ray's phases in one product, into an
+    r x r x (n+1) stack (a memo of a few levels, read-only); ray k copies
+    row k-1.
     """
     if n < 0:
         raise ValueError("type1_up needs n >= 0")
@@ -490,14 +504,9 @@ def type1_up(n, k, params):
     r = params.r
     if not 1 <= k <= r:
         raise ValueError(f"ray k must be in 1..{r}")
-    # row j - 1 is A_((j-k) mod r) times its phases omega^(-(j-1) t - (k-1))
-    j = np.arange(r)
-    combos = _up_combos(n, params)[(j - k + 1) % r]
-    phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k + 1) % r]
-    return TypeIVector(params, MultiIndexTag(n, "plus", k), combos * phases)
+    return TypeIVector(params, MultiIndexTag(n, "plus", k), _up_stack(n, params)[k - 1])
 
 
-@lru_cache(maxsize=4)
 def _down_terms(n, params):
     # t1 = nu^(beta) coef_t(p_(n-1); beta-1) / gamma and
     # t2 = nu^(beta-1) coef_t(p_(n-1); beta) / gamma, each on its chain;
@@ -532,6 +541,18 @@ def _down_terms(n, params):
     )
 
 
+@lru_cache(maxsize=4)
+def _down_stack(n, params):
+    # the r x r x n tables of every ray of level n, read-only: ray k's row
+    # j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2)
+    t1, t2 = _down_terms(n, params)
+    roots = roots_of_unity(params.r)
+    phases = roots[(-np.arange(params.r)[:, None] * np.arange(n)) % params.r]
+    stack = phases * (roots[:, None] * t1 - roots[:, None, None] * t2)
+    stack.setflags(write=False)
+    return stack
+
+
 def type1_down(n, k, params):
     """Type I vector one step below the diagonal: multi-index (n,..,n)-e_k.
 
@@ -541,8 +562,8 @@ def type1_down(n, k, params):
     For r = 1, n = 1 the multi-index is empty and the vector is zero.
 
     The two fused coefficient rows do not depend on k: level n builds them
-    once (a memo of a few levels, read-only), and each ray k applies only
-    its phases.
+    once and applies every ray's phases in one product, into an r x r x n
+    stack (a memo of a few levels, read-only); ray k copies row k-1.
     """
     if n < 1:
         raise ValueError("type1_down needs n >= 1")
@@ -554,9 +575,4 @@ def type1_down(n, k, params):
     if n == 1 and r == 1:
         # empty multi-index: the zero vector, whose normalizer would be singular
         return TypeIVector(params, tag, np.zeros((1, 1)))
-
-    # row j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2)
-    t1, t2 = _down_terms(n, params)
-    roots = roots_of_unity(r)
-    phases = roots[(-np.arange(r)[:, None] * np.arange(n)) % r]
-    return TypeIVector(params, tag, phases * (roots[:, None] * t1 - roots[k - 1] * t2))
+    return TypeIVector(params, tag, _down_stack(n, params)[k - 1])

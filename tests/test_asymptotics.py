@@ -155,6 +155,32 @@ def test_density_curve_scalar_evaluations(monkeypatch):
     assert calls[0] < 1_000
 
 
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 12, 64])
+def test_numpy_margin_stays_far_inside_the_certification_bound(monkeypatch, r):
+    # every step the array bisection evaluates on a density curve, evaluated
+    # again with libm's transcendentals (np.log of the theta form's level
+    # included): if a numpy build drifts toward _CERTAIN, this fails before
+    # a certified step can take the sign libm would not
+    import angelesco.asymptotics as asym
+
+    seen = []
+    real = asym._margin
+
+    def recording(in_delta, mid, level, r, lib):
+        seen.append((in_delta, mid, level))
+        return real(in_delta, mid, level, r, lib)
+
+    monkeypatch.setattr(asym, "_margin", recording)
+    density_curve(r, 999, spacing="x")
+    assert {in_delta for in_delta, _, _ in seen} == {True, False}
+    worst = 0.0
+    for in_delta, mid, level in seen:
+        fast, scale = real(in_delta, mid, level, r, np)
+        exact, _ = real(in_delta, mid, level, r, asym._LIBM)
+        worst = max(worst, float((np.abs(fast - exact) / scale).max()))
+    assert worst <= asym._CERTAIN / 10, worst
+
+
 BITWISE_R = (*range(1, 13), 16, 24, 40, 64)
 BITWISE_SAMPLES = (1, 10, 99, 151, 999, 2001, 4000)
 

@@ -408,6 +408,13 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --n 61", 3, "89c8a126ed4a673c"),
     ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "9f30f923fdf06c72"),
     ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "51e39195b76cfaf9"),
+    # the shapes the benchmark runs: stacks of up to r = 8 vectors, levels to
+    # 24, and the r = 1 down vectors whose top coefficient cancels
+    ("verify --suite orthogonality --r 1 --n-max 24", 0, "4aa4a072b17184cf"),
+    ("verify --suite orthogonality --r 4 --alpha 2 --beta -0.5 --n-max 12", 0, "36d1fa189319d530"),
+    ("verify --suite orthogonality --r 5 --alpha -0.5 --beta 0.7 --n-max 24", 0, "c519a462d9a1c4a1"),
+    ("verify --suite orthogonality --r 8 --alpha 0.7 --beta -0.5 --n-max 12", 0, "d4a9e3e1cf6d3b56"),
+    ("verify --suite orthogonality --r 3 --alpha -0.999 --beta -0.999 --n-max 12", 0, "a8aa0f52ae849456"),
     ("verify --suite recurrence --r 3 --n-max 4", 0, "3fe30ca995e2e076"),
     ("verify --suite ode --r 2 --n-max 4", 0, "db8a37202f616c2d"),
     ("verify --suite lowering --r 3 --n-max 4", 0, "8f786bcab3d3caed"),

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from angelesco import (
@@ -16,9 +18,11 @@ from angelesco import (
     type1_down,
     type1_up,
     verify_type1,
+    verify_type1_many,
 )
+from angelesco import cli, orthogonality
 from angelesco.numerics import roots_of_unity
-from angelesco.orthogonality import _hankel, _moment_row, _star_forms
+from angelesco.orthogonality import _hankel, _live_width, _moment_row, _star_forms
 from angelesco.poly import padded_coeffs
 from angelesco.polynomials import TypeIVector
 
@@ -114,6 +118,21 @@ def test_ray_form_zero_vector():
     v = TypeIVector(p, type1_diagonal(1, p).tag, np.zeros((2, 1)))
     for k in range(5):
         assert ray_form(k, v) == 0j
+
+
+@pytest.mark.parametrize("k", [-1, -3, 2.5, 2.0, "1", None])
+def test_ray_form_rejects_a_power_that_is_not_a_nonnegative_integer(k):
+    # a negative power used to wrap to the end of the cached moment row
+    v = type1_diagonal(2, Params(2, 0.0, 0.0))
+    with pytest.raises(ValueError, match="integer >= 0"):
+        ray_form(k, v)
+
+
+def test_ray_form_takes_numpy_integers():
+    v = type1_up(3, 2, Params(3, 0.7, -0.5))
+    for k in range(v.size):
+        assert ray_form(np.int64(k), v) == ray_form(k, v)
+        assert ray_form(np.uint8(k), v) == ray_form(k, v)
 
 
 def test_verify_type1_grid_medium():
@@ -261,17 +280,100 @@ def _reference_star_forms(v, ks):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
 def test_star_forms_equal_window_formula_bitwise(r):
+    # one stack per family, as verify_type1_many forms them: each vector's
+    # slice equals the window formula run on that vector alone
     params = Params(r, 0.7, -0.5)
     for n in (1, 2, 7, 24):
-        vecs = [type1_diagonal(n, params), type1_up(n, r, params)]
+        stacks = [[type1_diagonal(n, params)], [type1_up(n, k, params) for k in range(1, r + 1)]]
         if r * n > 1:
-            vecs.append(type1_down(n, 1, params))
-        for v in vecs:
-            for ks in (np.arange(v.size), np.array([v.size - 1])):
-                got = _star_forms(v, ks)
-                want = _reference_star_forms(v, ks)
-                for g, w in zip(got, want):
-                    assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+            stacks.append([type1_down(n, k, params) for k in range(1, r + 1)])
+        for vecs in stacks:
+            width = _live_width(vecs[0].coeffs)
+            assert all(_live_width(v.coeffs) == width for v in vecs)
+            c = np.stack([v.coeffs[:, :width] for v in vecs])
+            size = vecs[0].size
+            for ks in (np.arange(size), np.array([size - 1])):
+                got = _star_forms(c, params, ks)
+                for i, v in enumerate(vecs):
+                    want = _reference_star_forms(v, ks)
+                    for g, w in zip((got[0][i], got[1][i]), want):
+                        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+# the unit corner, the criterion grid, both exponents near -1, and large
+# alpha or beta
+CORNERS = ((0.0, 0.0), (0.7, -0.5), (-0.999, -0.999), (300.0, 0.3), (-0.9, 40.0),
+           (-1.0 + 1e-11, -0.999))
+_SPEC = st.tuples(
+    st.sampled_from(("diagonal", "up", "down")),
+    st.integers(1, 24),  # level
+    st.integers(1, 8),  # ray, reduced mod r
+    st.integers(0, 1),  # which of the drawn parameter pairs
+)
+
+
+def _vector(family, n, k, params):
+    r = params.r
+    if family == "diagonal":
+        return type1_diagonal(n, params)
+    if family == "up":
+        return type1_up(n, (k - 1) % r + 1, params)
+    return type1_down(max(n, 2) if r == 1 else n, (k - 1) % r + 1, params)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    r=st.sampled_from((1, 2, 3, 5, 8)),
+    pairs=st.lists(st.sampled_from(CORNERS), min_size=1, max_size=2),
+    specs=st.lists(_SPEC, min_size=1, max_size=12),
+)
+# r = 1: the down vector at 12 has its top coefficient cancelled, so it
+# shares size and live width with the diagonal at 11 and the up vector at
+# 10 (one stack of three) and not with its own table width
+@example(r=1, pairs=[(0.7, -0.5)], specs=[
+    ("down", 12, 1, 0), ("diagonal", 11, 1, 0), ("up", 10, 1, 0), ("down", 5, 1, 0),
+    ("up", 24, 1, 0), ("down", 24, 1, 0),
+])
+# whole levels of two parameter pairs, interleaved
+@example(r=5, pairs=[(-0.999, -0.999), (300.0, 0.3)], specs=[
+    (family, 12, k, which) for k in range(1, 6) for family in ("up", "down") for which in (0, 1)
+] + [("diagonal", 12, 1, 0), ("diagonal", 24, 1, 1)])
+def test_verify_many_equals_one_at_a_time(r, pairs, specs):
+    vectors = [_vector(fam, n, k, Params(r, *pairs[which % len(pairs)])) for fam, n, k, which in specs]
+    many = verify_type1_many(vectors, 1e-9)
+    assert [repr(rep) for rep in many] == [repr(verify_type1(v, 1e-9)) for v in vectors]
+
+
+def test_verify_many_edge_cases():
+    params = Params(1, 0.7, -0.5)
+    down = type1_down(12, 1, params)
+    assert down.coeffs[0, -1] == 0 and _live_width(down.coeffs) == 11  # the r = 1 example's premise
+    # checked at its live width, as the window formula on the trimmed rows
+    forms, scale = _reference_star_forms(down, np.arange(down.size))
+    rep = verify_type1_many([down])[0]
+    assert rep.norm_value == complex(forms[-1])
+    assert rep.max_ortho_residual == float((np.abs(forms[:-1]) / scale[:-1]).max())
+    assert verify_type1_many([]) == []
+    with pytest.raises(ValueError):
+        verify_type1_many([down, type1_down(1, 1, params)])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 7, 13])
+def test_orthogonality_level_runs_three_stacks(monkeypatch, r, n):
+    # the diagonal, the r up and the r down vectors: one Hankel gather each,
+    # and none for the empty down index at r = 1, n = 1
+    calls = 0
+    real = orthogonality._hankel
+
+    def counting(params, ks, cols):
+        nonlocal calls
+        calls += 1
+        return real(params, ks, cols)
+
+    monkeypatch.setattr(orthogonality, "_hankel", counting)
+    cli._ortho_residual_level(n, Params(r, 0.7, -0.5), 1e-9)
+    assert calls == (3 if r * n > 1 else 2)
 
 
 def test_verify_shares_power_of_two_moment_rows():

@@ -321,8 +321,8 @@ def test_normalization_constants_positive_and_consistent():
 
 def _clear_level_tables():
     polynomials._diagonal_base.cache_clear()
-    polynomials._up_combos.cache_clear()
-    polynomials._down_terms.cache_clear()
+    polynomials._up_stack.cache_clear()
+    polynomials._down_stack.cache_clear()
 
 
 def _chain_heads(N, r, d):
@@ -383,13 +383,14 @@ def test_level_tables_are_shared_safely(r):
     backward = _level_coeff_bytes(n, params, range(r, 0, -1))
     assert forward == backward
 
-    combos = polynomials._up_combos(n, params)
-    t1, t2 = polynomials._down_terms(n, params)
+    up = polynomials._up_stack(n, params)
+    down = polynomials._down_stack(n, params)
     diag = polynomials._diagonal_base(n, params)
-    for table in (combos, t1, t2, diag):
+    for table in (up, down, diag):
         with pytest.raises(ValueError):
             table[0] = 1.0
-    assert not np.shares_memory(type1_up(n, 1, params).coeffs, combos)
+    assert not np.shares_memory(type1_up(n, 1, params).coeffs, up)
+    assert not np.shares_memory(type1_down(n, 1, params).coeffs, down)
 
 
 def _reference_rows(n, k, params, family):
