@@ -214,25 +214,15 @@ def _dlog_hatx_of_thetas(theta, r):
     return top - 1.0 / t1 - r**2 / tr, (tt == 0.0) | (t1 == 0.0) | (tr == 0.0)
 
 
-@lru_cache(maxsize=32)
-def _check_monotone(r):
-    # the inversion below assumes xhat is strictly decreasing; probe a fine
-    # grid once per r and fail loudly if that ever breaks
-    tm, c_r, _ = _consts(r)
-    grid = np.linspace(tm * 1e-4, tm * (1.0 - 1e-4), 10_000)
-    vals = _hatx(*_sines(grid, r), r, c_r)
-    if not np.all(np.diff(vals) < 0.0):
-        raise RuntimeError(f"hatx(theta) is not strictly decreasing for r={r}")
-    return True
-
-
 # theta(xh) is found in three stages: a bracket, 90 bisection steps and a
 # Newton polish.  For small xh the unknown is delta = tm - theta and the
 # level is log xh (log xhat increases in delta); otherwise the unknown is
 # theta itself and the level is xh (xhat decreases in theta).  A stage state
 # is (in_delta, level, lo, hi).  The scalar functions solve one xh; the
 # *_curve functions solve an array of them in lock-step, each sample
-# stopping where the scalar loop stops, with the same bits.
+# stopping where the scalar loop stops, with the same bits.  Every stage
+# assumes xhat strictly decreasing in theta, which the tests check on a fine
+# grid for every r <= MAX_R.
 #
 # Both are kept because each is the faster one where it runs (best of 9 on a
 # 2-vCPU VM): one point costs 35-96 us in the scalar solver but 1.2-2.2 ms
@@ -256,7 +246,6 @@ def _bracket(xh, r):
     if not 0.0 < xh < 1.0:
         raise ValueError("xhat must lie strictly inside (0,1)")
     _check_r(r)
-    _check_monotone(r)
     tm = _consts(r)[0]
 
     if xh <= 0.5:
@@ -289,7 +278,6 @@ def _bracket_curve(xh, r):
     if not np.all((0.0 < xh) & (xh < 1.0)):
         raise ValueError("xhat must lie strictly inside (0,1)")
     _check_r(r)
-    _check_monotone(r)
     tm = _consts(r)[0]
     in_delta = xh <= 0.5
     level, lo, hi = xh.copy(), np.full(len(xh), tm * 1e-9), np.full(len(xh), tm * 0.5)

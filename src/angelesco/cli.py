@@ -135,8 +135,8 @@ def _cmd_coeffs(args):
         return _usage_fail(f"--k must lie in 1..{args.r}")
     if fam in ("base", "diag") and args.k is not None:
         return _usage_fail(f"--family {fam} does not take --k")
-    if fam == "base" and args.n < 0:
-        return _usage_fail("--n must be >= 0 for the base family")
+    if fam in ("base", "up") and args.n < 0:
+        return _usage_fail(f"--n must be >= 0 for the {fam} family")
     if fam == "diag" and args.n < 1:
         return _usage_fail("--n must be >= 1 for the diagonal family")
     if fam == "down" and args.n < 1:

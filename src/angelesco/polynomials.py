@@ -53,7 +53,6 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-import mpmath as mp
 import numpy as np
 
 from .numerics import (
@@ -268,6 +267,8 @@ def base_coeffs_mp(n, params):
     relative error at most ``coeff_error_units(n, r) * 2^-w``; the zero
     finder's rounding test relies on that bound.
     """
+    import mpmath as mp
+
     r = params.r
     a = mp.mpf(params.alpha)
     b = mp.mpf(params.beta)

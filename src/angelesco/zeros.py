@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .numerics import DoubleRangeError
@@ -228,6 +227,8 @@ def _certify_at(n, params, dps):
     certified: (zeros, residuals, newton_iters), or _UNDECIDED when a
     rounding test cannot decide, or _UNISOLATED when the grid does not
     isolate n sign changes."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         w = mp.mp.prec
         # coefficients rounded once to integers at scale 2^prec; the 32 guard

@@ -53,6 +53,14 @@ def test_hatx_r1_is_cos_squared():
 
 
 def test_hatx_strictly_decreasing():
+    # the theta inversion assumes it: the array xhat on a fine grid for every
+    # supported r, and the scalar xhat for a few
+    from angelesco.asymptotics import _consts, _hatx, _sines
+
+    for r in range(1, MAX_R + 1):
+        tm, c_r, _ = _consts(r)
+        grid = np.linspace(tm * 1e-4, tm * (1 - 1e-4), 10_000)
+        assert np.all(np.diff(_hatx(*_sines(grid, r), r, c_r)) < 0.0), r
     for r in (1, 2, 3, 8):
         tm = math.pi / (r + 1)
         grid = np.linspace(tm * 1e-4, tm * (1 - 1e-4), 10_000)
@@ -138,7 +146,6 @@ def test_consts_past_the_power_overflow():
 
 
 def test_theta_bisection_stops_at_fixed_point(monkeypatch):
-    theta_of_hatx(0.5, 3)  # the one-off monotonicity probe
     calls = _count_evaluations(monkeypatch)
     for xh in (0.2, 0.8):
         calls[0] = 0

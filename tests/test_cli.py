@@ -401,6 +401,7 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --n 1 --family up --k 3", 2, "c13814ca3042a6cc"),
     ("coeffs --r 2 --n 1 --family base --k 1", 2, "f7de8ea26d3aaca9"),
     ("coeffs --r 2 --n -1", 2, "cfb0366958d3b1b5"),
+    ("coeffs --r 2 --n -1 --family up --k 1", 2, "ba7f643639182364"),
     ("coeffs --r 2 --n 0 --family diag", 2, "0658945f69007c82"),
     ("coeffs --r 0 --n 2", 2, "6ea9407c04e1a037"),
     ("coeffs --r 2 --alpha -1 --n 2", 2, "55974b91a7abba30"),

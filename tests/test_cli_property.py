@@ -107,6 +107,7 @@ def _check_output(argv, out):
 @example(argv=["coeffs", "--r=2", "--alpha=1e300", "--beta=1e300", "--n=2", "--family=up"])
 @example(argv=["verify", "--suite=recurrence", "--r=143", "--n-max=1"])
 @example(argv=["zeros", "--r=200", "--n=2", "--format=json"])
+@example(argv=["coeffs", "--r=2", "--n=-1", "--family=up", "--k=1"])
 def test_main_never_raises(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -15,11 +15,17 @@ bitwise what the one-sample libm code gives.  ``cli.py`` catches the
 library's documented exceptions only in ``main``, its one map from exception
 to exit code, and in ``verify``'s zeros suite, which counts a
 ``ZeroFindingError`` as a failed level.  Importing the CLI loads no
-scipy module: scipy's import alone costs a few hundred milliseconds, and
-only ``stieltjes_limit`` needs it, through a lazy import.
+scipy module and no mpmath module: scipy's import alone costs a few
+hundred milliseconds, and mpmath's would add about 13 ms to the 88 ms a
+one-shot command takes on a 2-vCPU VM (README, performance notes).  Only
+``stieltjes_limit`` needs scipy, and only ``base_coeffs_mp`` and the zero
+finder's ``_certify_at`` need mpmath, each through an import inside the
+function; a fresh ``zeros`` and ``verify --suite zeros`` run load mpmath
+on demand and print their pinned bytes.
 """
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -325,13 +331,40 @@ def test_scan_sees_a_library_exception_caught_outside_main():
     assert _stray_library_handlers(tree) == [4, 6, 16, 27]
 
 
-def test_cli_import_loads_no_scipy():
-    code = (
-        "import sys, angelesco.cli\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _fresh(code, *args):
+    # run code in a new interpreter that imports the library from src/
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_scipy():
+    done = _fresh(
+        "import sys, angelesco.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
+    )
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ("zeros --r 2 --n 13", "4571d0cd436feb49"),
+        ("verify --suite zeros --r 2 --n-max 2", "064820a75c3eef16"),
+    ],
+)
+def test_zeros_load_mpmath_on_demand(argv, digest):
+    # the commands that run extended precision import mpmath when they run
+    # it, and print the bytes they printed with mpmath loaded up front
+    done = _fresh(
+        "import sys\n"
+        "from angelesco.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*(m for m in ('mpmath', 'scipy') if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)",
+        *argv.split(),
+    )
+    assert done.stderr == "mpmath\n"
+    assert hashlib.sha256(done.stdout.encode()).hexdigest()[:16] == digest
