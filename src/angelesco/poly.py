@@ -5,12 +5,13 @@ Coefficient index k holds the coefficient of x^k.  Degrees in this library
 stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
 right tool; a polynomial is its coefficient array, and a type I vector is
 one r-row table of them.  Every polynomial identity (lowering, raising, the
-ODE, the recurrence) is checked on coefficient arrays: ``padded_coeffs``
-places x^k c(x) in a vector of the identity's length, and
-``identity_residual`` measures a sum of such vectors.  ``poly_eval`` is the
-one evaluator, classical Horner in doubles; the zero finder does not use
-it, it evaluates in fixed-point integers at a precision sized by the
-conditioning (see ``zeros.py``).
+ODE, the recurrence) is checked on coefficient arrays.  For the operator
+identities ``padded_coeffs`` places x^k c(x) in a vector of the identity's
+length, and ``identity_residual`` measures a sum of such vectors; the
+recurrence stacks a whole level's terms in one array (``recurrence.py``).
+``poly_eval`` is the one evaluator, classical Horner in doubles; the zero
+finder does not use it, it evaluates in fixed-point integers at a
+precision sized by the conditioning (see ``zeros.py``).
 """
 from __future__ import annotations
 

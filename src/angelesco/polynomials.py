@@ -41,9 +41,10 @@ level, and one gather of phases from the one table of roots of unity and
 one elementwise product turn each family's into the r per-ray tables of
 the level at once: an r x r x w read-only stack, in a memo of a few
 levels.  The vector at ray k copies row k-1 of it as its read-only
-``coeffs``.  The diagonal's row is memoized the same way, so the r ray
-checks of one level build it once.  ``base_poly`` returns p_n's read-only
-coefficient array itself.
+``coeffs``; ``type1_up_stack`` and ``type1_down_stack`` hand out the whole
+stack, under the constructors' guards.  The diagonal's row is memoized the
+same way, so the checks of one level build it once.  ``base_poly``
+returns p_n's read-only coefficient array itself.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ __all__ = [
     "type1_diagonal",
     "type1_up",
     "type1_down",
+    "type1_up_stack",
+    "type1_down_stack",
 ]
 
 # Coefficients grow combinatorially with n; the cap bounds the degree that
@@ -486,6 +489,17 @@ def _up_stack(n, params):
     return stack
 
 
+def _check_ray(k, r):
+    if not 1 <= k <= r:
+        raise ValueError(f"ray k must be in 1..{r}")
+
+
+def _check_up(n):
+    if n < 0:
+        raise ValueError("type1_up needs n >= 0")
+    _check_cap(n + 1)
+
+
 def type1_up(n, k, params):
     """Type I vector one step above the diagonal: multi-index (n,..,n)+e_k.
 
@@ -499,13 +513,18 @@ def type1_up(n, k, params):
     r x r x (n+1) stack (a memo of a few levels, read-only); ray k copies
     row k-1.
     """
-    if n < 0:
-        raise ValueError("type1_up needs n >= 0")
-    _check_cap(n + 1)
-    r = params.r
-    if not 1 <= k <= r:
-        raise ValueError(f"ray k must be in 1..{r}")
+    _check_up(n)
+    _check_ray(k, params.r)
     return TypeIVector(params, MultiIndexTag(n, "plus", k), _up_stack(n, params)[k - 1])
+
+
+def type1_up_stack(n, params):
+    """The coefficient tables of every up vector of level n as one
+    read-only r x r x (n+1) stack: entry k-1 is ``type1_up(n, k).coeffs``.
+    The stack is the memoized one the vectors copy from; the guards are
+    ``type1_up``'s."""
+    _check_up(n)
+    return _up_stack(n, params)
 
 
 def _down_terms(n, params):
@@ -554,6 +573,12 @@ def _down_stack(n, params):
     return stack
 
 
+def _check_down(n):
+    if n < 1:
+        raise ValueError("type1_down needs n >= 1")
+    _check_cap(n - 1)
+
+
 def type1_down(n, k, params):
     """Type I vector one step below the diagonal: multi-index (n,..,n)-e_k.
 
@@ -566,14 +591,21 @@ def type1_down(n, k, params):
     once and applies every ray's phases in one product, into an r x r x n
     stack (a memo of a few levels, read-only); ray k copies row k-1.
     """
-    if n < 1:
-        raise ValueError("type1_down needs n >= 1")
-    _check_cap(n - 1)
-    r = params.r
-    if not 1 <= k <= r:
-        raise ValueError(f"ray k must be in 1..{r}")
+    _check_down(n)
+    _check_ray(k, params.r)
     tag = MultiIndexTag(n, "minus", k)
-    if n == 1 and r == 1:
+    if n == 1 and params.r == 1:
         # empty multi-index: the zero vector, whose normalizer would be singular
         return TypeIVector(params, tag, np.zeros((1, 1)))
     return TypeIVector(params, tag, _down_stack(n, params)[k - 1])
+
+
+def type1_down_stack(n, params):
+    """The coefficient tables of every down vector of level n as one
+    read-only r x r x n stack: entry k-1 is ``type1_down(n, k).coeffs``.
+    The stack is the memoized one the vectors copy from; the guards are
+    ``type1_down``'s.  At r = 1, n = 1, the empty index, ``type1_down``
+    returns its zero vector without reading the stack."""
+    _check_down(n)
+    return _down_stack(n, params)
+

@@ -439,6 +439,11 @@ _DIGEST_CORPUS = [
     ("recurrence --r 2 --n-max 4 --format json", 0, "dc0fbf0d3a4ce7a7"),
     ("recurrence --r 1 --n-max 3", 2, "a833b98cd36954c2"),
     ("recurrence --r 2 --n-max 0", 2, "4a083246a97f61e5"),
+    # the profiles take the constructors' range guard: these printed a = nan,
+    # b = 1/sqrt(pi); a = 0, b = 1; and a(2) = 0.249, each with exit 0
+    ("recurrence --r 2 --alpha 1e300 --n-max 2", 3, "9a43d4e2b7b7f288"),
+    ("recurrence --r 3 --beta 1e300 --n-max 2", 3, "fa8d8aea82608d43"),
+    ("recurrence --r 3 --alpha 1e17 --n-max 2", 3, "cb658d5fb91f37c7"),
     ("density --r 3 --samples 99", 0, "03e04d716af00eb2"),
     ("density --r 2 --samples 7 --format json", 0, "98315e98920e24a4"),
     ("density --r 90 --samples 5", 2, "02f89a7149ae65eb"),

@@ -1,4 +1,5 @@
-"""Seeded fuzz of ``cli.main``: no argv makes it raise or print a traceback.
+"""Seeded fuzz of ``cli.main``: no argv makes it raise or print a traceback,
+and a ``recurrence`` table that exits 0 holds only finite values.
 
 The grammar covers every subcommand with small counts, ray counts up to 65
 for ``density``, exponents at the edges of their domain (just above -1,
@@ -12,6 +13,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -90,13 +92,18 @@ def _argv(draw):
 def _check_output(argv, out):
     if argv[0] == "verify":
         assert out.splitlines()[-1].endswith("overall=pass")
-    elif "--format=json" in argv:
+        return
+    if "--format=json" in argv:
         record = json.loads(out)
         assert record["schema_version"] == "1"
+        rows = record["payload"].get("rows", [])
     else:
-        rows = list(csv.reader(io.StringIO(out)))
-        assert ",".join(rows[0]) in _HEADERS[argv[0]]
-        assert all(len(row) == len(rows[0]) for row in rows)
+        header, *rows = csv.reader(io.StringIO(out))
+        assert ",".join(header) in _HEADERS[argv[0]]
+        assert all(len(row) == len(header) for row in rows)
+    if argv[0] == "recurrence":
+        # a table exits 0 only with finite coefficients
+        assert all(math.isfinite(float(v)) for row in rows for v in row), argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -108,6 +115,9 @@ def _check_output(argv, out):
 @example(argv=["verify", "--suite=recurrence", "--r=143", "--n-max=1"])
 @example(argv=["zeros", "--r=200", "--n=2", "--format=json"])
 @example(argv=["coeffs", "--r=2", "--n=-1", "--family=up", "--k=1"])
+@example(argv=["recurrence", "--r=2", "--alpha=1e300", "--n-max=2"])
+@example(argv=["recurrence", "--r=3", "--beta=1e300", "--n-max=2"])
+@example(argv=["recurrence", "--r=3", "--alpha=1e17", "--n-max=2"])
 def test_main_never_raises(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
