@@ -11,7 +11,6 @@ its algebraic Stieltjes transform.
 
 from .asymptotics import (
     DensityCurve,
-    algebraic_residual,
     algebraic_residual_w,
     cubic_branches_r2,
     density_curve,

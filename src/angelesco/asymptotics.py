@@ -52,7 +52,6 @@ __all__ = [
     "cubic_branches_r2",
     "solve_stieltjes_boundary",
     "perron_density",
-    "algebraic_residual",
     "algebraic_residual_w",
     "stieltjes_limit",
     "ks_distance",
@@ -781,20 +780,6 @@ def perron_density(x, r, eps=1e-3):
     eps = min(eps, x / 50.0, (1.0 - x) / 50.0)
     f = [-solve_stieltjes_boundary(x, e, r).imag / math.pi for e in (eps, eps / 2, eps / 4)]
     return (f[0] - 6.0 * f[1] + 8.0 * f[2]) / 3.0
-
-
-def algebraic_residual(z, S, r):
-    """|z S^(r+1) - (zS + r)(zS - 1)^r| scaled by the largest term.
-
-    This S form cancels for S_1 at large r, where zS is near -r and so is
-    the factor (zS + r): a correct S_1 reads 0.04 at r = 64,
-    z = 0.94 + 1.21j.  Judge branches with :func:`algebraic_residual_w`.
-    """
-    z, S = complex(z), complex(S)
-    t1 = z * S ** (r + 1)
-    t2 = -(z * S + r) * (z * S - 1.0) ** r
-    den = max(abs(t1), abs(t2), 1e-300)
-    return abs(t1 + t2) / den
 
 
 def algebraic_residual_w(z, S, r):

@@ -50,6 +50,7 @@ returns p_n's read-only coefficient array itself.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -114,6 +115,9 @@ class Params:
     def __post_init__(self):
         if not (isinstance(self.r, (int, np.integer)) and self.r >= 1):
             raise ValueError(f"r must be an integer >= 1, got {self.r!r}")
+        # a plain int, so that the sizes and bounds derived from r stay
+        # exact Python integers
+        object.__setattr__(self, "r", operator.index(self.r))
         if not (math.isfinite(self.alpha) and self.alpha > -1.0):
             raise ValueError(f"alpha must be finite and > -1, got {self.alpha!r}")
         if not (math.isfinite(self.beta) and self.beta > -1.0):
@@ -248,10 +252,21 @@ def base_poly(n, params):
 def base_coeffs_mp(n, params):
     """Coefficients c_0..c_n of p_n as mpmath numbers, evaluated from the
     closed form at the caller's working precision (``mp.workdps``; at least
-    53 bits, which hold alpha and beta exactly).
+    53 bits, which hold alpha and beta exactly): the numbers of
+    :func:`_base_coeffs_raw` at ``mp.prec``.
+    """
+    import mpmath as mp
+
+    return [mp.make_mpf(c) for c in _base_coeffs_raw(n, params, mp.mp.prec)]
+
+
+def _base_coeffs_raw(n, params, prec):
+    """Coefficients c_0..c_n of p_n as raw ``mpmath.libmp`` tuples at
+    ``prec`` working bits (at least 53, which hold alpha and beta exactly).
 
     This is the one extended-precision copy of the formula; the zero finder
-    builds on it.  With s_k = (beta + k)/r, the quotient
+    rounds its tuples to integers, and :func:`base_coeffs_mp` wraps them.
+    With s_k = (beta + k)/r, the quotient
     R_k = Gamma(n + alpha + s_k + 1) / Gamma(s_k + 1) advances along each
     chain k = j, j + r, j + 2r, ... by a rising factor,
 
@@ -260,42 +275,65 @@ def base_coeffs_mp(n, params):
 
     so the gamma function runs only at the chain heads k < r and once for
     Gamma(n + alpha + 1): 2 min(r, n + 1) + 1 calls.  The binomials are
-    exact integers (C(n, k+1) = C(n, k) (n - k)/(k + 1)).
+    exact integers (C(n, k+1) = C(n, k) (n - k)/(k + 1)).  Sums are exact;
+    products, quotients and gammas round to nearest at ``prec``, the gamma
+    arguments at more bits, as mpmath's context rounds them, so the tuples
+    are bitwise those of the same chain written with ``mp.fadd``,
+    ``mp.gamma`` and mpf operators.
 
-    Error model, at w working bits: the factor's numerator and denominator
-    are exact sums of doubles and integers, and the gamma arguments carry
-    enough guard bits that their rounding moves a gamma by at most one unit
-    of 2^-w.  Counting two units for the gamma function itself, one for
-    each argument, and one for each product and quotient, every c_k has
-    relative error at most ``coeff_error_units(n, r) * 2^-w``; the zero
-    finder's rounding test relies on that bound.
+    Error model, at w = ``prec`` bits: the factor's numerator and
+    denominator are exact sums of doubles and integers, and the gamma
+    arguments carry enough guard bits that their rounding moves a gamma by
+    at most one unit of 2^-w.  Counting two units for the gamma function
+    itself, one for each argument, and one for each product and quotient,
+    every c_k has relative error at most ``coeff_error_units(n, r) * 2^-w``;
+    the zero finder's rounding test relies on that bound.
     """
-    import mpmath as mp
+    from mpmath.libmp import (
+        from_float,
+        from_int,
+        mpf_add,
+        mpf_div,
+        mpf_gamma,
+        mpf_mul,
+        mpf_mul_int,
+        mpf_neg,
+        round_nearest as rnd,
+        to_int,
+    )
+
+    def exact(x):
+        # alpha or beta as a tuple, converted as ``mp.mpf`` converts it
+        return from_int(x, prec, rnd) if isinstance(x, int) else from_float(x)
+
+    def add(x, k):
+        return mpf_add(x, from_int(k), 0)
 
     r = params.r
-    a = mp.mpf(params.alpha)
-    b = mp.mpf(params.beta)
-    top = mp.fadd(mp.fmul(r, a, exact=True), r * (n + 1), exact=True)  # r (n + alpha + 1)
+    a, b = exact(params.alpha), exact(params.beta)
+    rr = from_int(r)
+    top = add(mpf_mul(rr, a, 0), r * (n + 1))  # r (n + alpha + 1)
     # every gamma argument y lies in (0, (top + beta + r)/r], where
     # y |psi(y)| <= (y + 1)^2
-    guard = 2 * (int((top + b + r) / r) + 2).bit_length() + 1
-    arg_prec = mp.mp.prec + guard
+    ymax = mpf_div(mpf_add(mpf_add(top, b, prec, rnd), rr, prec, rnd), rr, prec, rnd)
+    arg_prec = prec + 2 * (to_int(ymax) + 2).bit_length() + 1
     quot = []
     for k in range(n + 1):
         if k < r:
-            bk = mp.fadd(b, k, exact=True)
-            y = mp.fdiv(mp.fadd(top, bk, exact=True), r, prec=arg_prec)  # n + alpha + s_k + 1
-            s1 = mp.fdiv(mp.fadd(bk, r, exact=True), r, prec=arg_prec)  # s_k + 1
-            quot.append(mp.gamma(y) / mp.gamma(s1))
+            bk = add(b, k)
+            y = mpf_div(mpf_add(top, bk, 0), rr, arg_prec, rnd)  # n + alpha + s_k + 1
+            s1 = mpf_div(add(bk, r), rr, arg_prec, rnd)  # s_k + 1
+            quot.append(mpf_div(mpf_gamma(y, prec, rnd), mpf_gamma(s1, prec, rnd), prec, rnd))
         else:
-            bj = mp.fadd(b, k - r, exact=True)
-            quot.append(quot[k - r] * mp.fadd(top, bj, exact=True) / mp.fadd(bj, r, exact=True))
-    g = mp.gamma(mp.fadd(a, n + 1, exact=True))
+            bj = add(b, k - r)
+            up = mpf_mul(quot[k - r], mpf_add(top, bj, 0), prec, rnd)
+            quot.append(mpf_div(up, add(bj, r), prec, rnd))
+    g = mpf_gamma(add(a, n + 1), prec, rnd)
     out = []
     binom = 1
     for k in range(n + 1):
-        v = binom * quot[k] / g
-        out.append(v if (n - k) % 2 == 0 else -v)
+        v = mpf_div(mpf_mul_int(quot[k], binom, prec, rnd), g, prec, rnd)
+        out.append(v if (n - k) % 2 == 0 else mpf_neg(v))
         binom = binom * (n - k) // (k + 1)
     return out
 

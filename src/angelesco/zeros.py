@@ -3,11 +3,16 @@
 All n zeros of p_n lie simple in the open interval (0,1).  The monomial-basis
 root condition sum |c_k| x^k / |x p_n'(x)| reaches 10^42 (r = 1) to 10^112
 (r = 40) at n = 60, so the coefficients come from the closed form
-(``base_coeffs_mp``) at a precision sized by that condition: an estimate
-that grows like n log(r + 1), plus a 30-digit margin that also keeps the
+(``polynomials._base_coeffs_raw``, the kernel of ``base_coeffs_mp``, as raw
+mpmath tuples) at a precision sized by that condition: an estimate that
+grows like n log(r + 1), plus a 30-digit margin that also keeps the
 reported residuals accurate.  They are rounded once to integers at scale
-2^prec (the working precision plus 32 guard bits).  Grid points and iterates
-are dyadic, so Horner's rule runs on Python integers as shift-and-add.
+2^prec (the working precision plus 32 guard bits), and Horner's rule runs
+on Python integers.  Its multiplier is the abscissa's significand: every
+grid point and every abscissa of the rounding test is a double or the
+midpoint of two, X = m 2^(prec - s) with m of at most 54 bits, and
+((acc * m) >> s) is exactly ((acc * X) >> prec), at a fraction of the cost
+of a full-width product.
 
 The search runs on those integers shifted right to the attempt's digits
 with 20 digits in place of the margin and no guard bits: the condition
@@ -40,12 +45,13 @@ they are never recomputed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import DoubleRangeError
-from .polynomials import DEGREE_CAP, DegreeCapError, base_coeffs_mp, coeff_error_units
+from .polynomials import DEGREE_CAP, DegreeCapError, _base_coeffs_raw, coeff_error_units
 
 __all__ = ["ZeroSet", "ZeroFindingError", "find_zeros", "empirical_cdf", "stieltjes_empirical"]
 
@@ -139,29 +145,43 @@ def _fixed_exact(x, prec):
     return None if rem else q
 
 
+def _split(X, prec):
+    # X = m 2^(prec - s) with s >= 0, so that (acc * X) >> prec equals
+    # (acc * m) >> s for every integer acc: the left shift is exact and >>
+    # floors.  A double or the midpoint of two has at most 54 significant
+    # bits, so m is short however wide the scale
+    if not X:
+        return 0, prec
+    tz = min((X & -X).bit_length() - 1, prec)
+    return X >> tz, prec - tz
+
+
 def _fixed_eval(crev, X, prec):
     # Horner on integers at scale 2^prec; each step truncates below 2^-prec
+    m, s = _split(X, prec)
     acc = 0
     for c in crev:
-        acc = ((acc * X) >> prec) + c
+        acc = ((acc * m) >> s) + c
     return acc
 
 
 def _fixed_eval_d(crev, X, prec):
+    m, s = _split(X, prec)
     f = d = 0
     for c in crev:
-        d = ((d * X) >> prec) + f
-        f = ((f * X) >> prec) + c
+        d = ((d * m) >> s) + f
+        f = ((f * m) >> s) + c
     return f, d
 
 
 def _fixed_eval_mag(crev, X, prec):
     # p(x) and sum |c_k| x^k in one pass
-    f = m = 0
+    m, s = _split(X, prec)
+    f = a = 0
     for c in crev:
-        f = ((f * X) >> prec) + c
-        m = ((m * X) >> prec) + abs(c)
-    return f, m
+        f = ((f * m) >> s) + c
+        a = ((a * m) >> s) + abs(c)
+    return f, a
 
 
 def _rounding_test(crev, prec, w, K, X):
@@ -222,33 +242,42 @@ def _certified_newton(trev, shift, crev, prec, w, K, lo, hi, f_lo, f_hi):
     return _UNDECIDED, it
 
 
+def _fixed_coeffs(n, params, w, prec):
+    # p_n's coefficients at w working bits, each rounded to the nearest
+    # integer at scale 2^prec, highest degree first
+    from mpmath.libmp import mpf_shift, round_nearest, to_int
+
+    coeffs = _base_coeffs_raw(n, params, w)
+    try:
+        return [to_int(mpf_shift(c, prec), round_nearest) for c in reversed(coeffs)]
+    except (OverflowError, MemoryError):
+        # a shift past the address space: Python refuses it outright
+        # (OverflowError) or fails to allocate it (MemoryError)
+        raise DoubleRangeError(
+            f"coefficients of p_{n} at {params} are too large for the fixed-point evaluator"
+        ) from None
+
+
 def _certify_at(n, params, dps):
     """All n zeros of p_n from coefficients at ``dps`` digits, each
     certified: (zeros, residuals, newton_iters), or _UNDECIDED when a
     rounding test cannot decide, or _UNISOLATED when the grid does not
     isolate n sign changes."""
-    import mpmath as mp
+    from mpmath.libmp import dps_to_prec
 
-    with mp.workdps(dps):
-        w = mp.mp.prec
-        # coefficients rounded once to integers at scale 2^prec; the 32 guard
-        # bits keep the truncations in Horner below the coefficients' own
-        # rounding
-        prec = w + 32
-        coeffs = base_coeffs_mp(n, params)
-        try:
-            crev = [int(mp.nint(mp.ldexp(c, prec))) for c in reversed(coeffs)]
-        except OverflowError:
-            raise DoubleRangeError(
-                f"coefficients of p_{n} at {params} are too large for the fixed-point evaluator"
-            ) from None
+    w = dps_to_prec(dps)
+    # coefficients rounded once to integers at scale 2^prec; the 32 guard
+    # bits keep the truncations in Horner below the coefficients' own
+    # rounding
+    prec = w + 32
+    crev = _fixed_coeffs(n, params, w, prec)
     K = coeff_error_units(n, params.r)
     # the search (grid and Newton) runs on these integers truncated to the
     # attempt's digits with _SEARCH_DIGITS in place of _MARGIN_DIGITS and no
     # guard bits: the condition estimate plus _SEARCH_DIGITS at a first
     # attempt, more at a doubled one.  Only the certificate and the residuals
     # need the margin and the guard bits
-    shift = prec - mp.libmp.dps_to_prec(dps - _MARGIN_DIGITS + _SEARCH_DIGITS)
+    shift = prec - dps_to_prec(dps - _MARGIN_DIGITS + _SEARCH_DIGITS)
     tprec = prec - shift
     trev = [c >> shift for c in crev]
 
@@ -301,6 +330,7 @@ def find_zeros(n, params):
     too large to round to integers (alpha or beta near 1e300) raise
     :class:`DoubleRangeError`.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("find_zeros needs n >= 1")
     if n > DEGREE_CAP:

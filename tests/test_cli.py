@@ -319,6 +319,8 @@ def test_main_reuses_parser_across_calls(capsys):
         (["zeros", "--r", "2", "--alpha", "1e300", "--beta", "1e300", "--n", "1"], 3),
         (["verify", "--suite", "zeros", "--r", "2", "--alpha", "1e300",
           "--beta", "1e300", "--n-max", "1"], 3),
+        # coefficient integers too wide to allocate
+        (["zeros", "--r", "6", "--alpha", "1e20", "--beta", "1e20", "--n", "1"], 3),
     ],
 )
 def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):

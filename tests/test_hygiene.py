@@ -18,10 +18,11 @@ to exit code, and in ``verify``'s zeros suite, which counts a
 scipy module and no mpmath module: scipy's import alone costs a few
 hundred milliseconds, and mpmath's would add about 13 ms to the 88 ms a
 one-shot command takes on a 2-vCPU VM (README, performance notes).  Only
-``stieltjes_limit`` needs scipy, and only ``base_coeffs_mp`` and the zero
-finder's ``_certify_at`` need mpmath, each through an import inside the
-function; a fresh ``zeros`` and ``verify --suite zeros`` run load mpmath
-on demand and print their pinned bytes.
+``stieltjes_limit`` needs scipy, and only the coefficient kernel
+``polynomials._base_coeffs_raw``, its wrapper ``base_coeffs_mp`` and the
+zero finder's ``_fixed_coeffs`` and ``_certify_at`` need mpmath, each
+through an import inside the function; a fresh ``zeros`` and ``verify
+--suite zeros`` run load mpmath on demand and print their pinned bytes.
 """
 
 import ast

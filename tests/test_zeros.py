@@ -302,3 +302,67 @@ def test_undecided_search_redoes_the_attempt(monkeypatch, r, a, b, n):
     assert len(search_bits) == n + 1
     assert search_bits[1:] == [search_bits[1]] * n
     assert search_bits[1] > search_bits[0] + mp.libmp.dps_to_prec(want.dps) // 2
+
+
+def _context_coeffs_mp(n, params):
+    # the coefficient chain written on mpmath's context (mp.fadd, mp.gamma
+    # and mpf operators at the working precision): the reference that the
+    # library's kernel on raw libmp tuples must match bit for bit
+    r = params.r
+    a = mp.mpf(params.alpha)
+    b = mp.mpf(params.beta)
+    top = mp.fadd(mp.fmul(r, a, exact=True), r * (n + 1), exact=True)
+    guard = 2 * (int((top + b + r) / r) + 2).bit_length() + 1
+    arg_prec = mp.mp.prec + guard
+    quot = []
+    for k in range(n + 1):
+        if k < r:
+            bk = mp.fadd(b, k, exact=True)
+            y = mp.fdiv(mp.fadd(top, bk, exact=True), r, prec=arg_prec)
+            s1 = mp.fdiv(mp.fadd(bk, r, exact=True), r, prec=arg_prec)
+            quot.append(mp.gamma(y) / mp.gamma(s1))
+        else:
+            bj = mp.fadd(b, k - r, exact=True)
+            quot.append(quot[k - r] * mp.fadd(top, bj, exact=True) / mp.fadd(bj, r, exact=True))
+    g = mp.gamma(mp.fadd(a, n + 1, exact=True))
+    out = []
+    binom = 1
+    for k in range(n + 1):
+        v = binom * quot[k] / g
+        out.append(v if (n - k) % 2 == 0 else -v)
+        binom = binom * (n - k) // (k + 1)
+    return out
+
+
+_KERNEL_PAIRS = [(a, b) for _, a, b in _STRESS_DIGESTS] + [(-1 + 1e-13, -1 + 1e-12), (1e7, 0.3)]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("a, b", _KERNEL_PAIRS)
+def test_coeff_kernel_matches_context_chain(r, a, b):
+    # base_coeffs_mp's numbers and the zero finder's integers, at the first
+    # attempt's digits and at twice them, are bitwise the context chain's
+    params = Params(r, a, b)
+    for n in sorted({1, r - 1, r, r + 1, 13, 60} - {0}):
+        first = math.ceil(zero_finder._condition_digits(n, r)) + zero_finder._MARGIN_DIGITS
+        for dps in (first, 2 * first):
+            with mp.workdps(dps):
+                w = mp.mp.prec
+                want = _context_coeffs_mp(n, params)
+                got = base_coeffs_mp(n, params)
+                assert [c._mpf_ for c in got] == [c._mpf_ for c in want]
+                want_fixed = [int(mp.nint(mp.ldexp(c, w + 32))) for c in reversed(want)]
+            assert zero_finder._fixed_coeffs(n, params, w, w + 32) == want_fixed
+
+
+@pytest.mark.parametrize(
+    "r, n", [(np.int64(1), 5), (np.int32(3), np.int64(13)), (np.int64(5), np.int16(40))]
+)
+def test_numpy_integers_give_the_zeros_of_plain_ints(r, n):
+    # Params and find_zeros take numpy integers as the ints they equal
+    got = find_zeros(n, Params(r, 0.7, -0.5))
+    want = find_zeros(int(n), Params(int(r), 0.7, -0.5))
+    assert type(got.params.r) is int and type(got.n) is int
+    for field in ("zeros", "residuals", "newton_iters"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.dps == want.dps
