@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from functools import partial
@@ -436,6 +437,37 @@ def test_rows_equal_per_ray_assembly_bitwise(r, n):
 # the criterion grids, both exponents near -1, and large alpha or beta
 CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0),
                (-0.999, -0.999), (-0.9, 40.0), (300.0, 0.3))
+
+
+# sha256 prefix of the bytes of every coefficient table (or the name of the
+# exception its constructor raises) over r in {1, 2, 3, 5, 8}, n in {0, 1, 2,
+# 3, 7, 24, 60} and PINNED_PAIRS: pairs where r(1 + alpha) + (1 + beta) is an
+# integer (r = 1 with alpha + beta = -1 among them), exponents at -1 + 1e-13,
+# and 1e15 and 1e17, where the range guard and the double range bind
+_PINNED_TABLE_DIGEST = "af31fe8c77bc6913"
+PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5),
+                (-1 + 1e-13, 0.3), (2.0, -1 + 1e-13), (-1 + 1e-13, -1 + 1e-13),
+                (1e15, 0.5), (0.5, 1e15), (1e17, 0.0), (0.0, 1e17))
+
+
+def test_coefficient_tables_are_pinned():
+    builds = (
+        base_poly,
+        leading_coefficient,
+        lambda n, p: type1_diagonal(n + 1, p).coeffs,
+        polynomials.type1_up_stack,
+        polynomials.type1_down_stack,
+    )
+    h = hashlib.sha256()
+    for r, (a, b), n in itertools.product((1, 2, 3, 5, 8), PINNED_PAIRS, (0, 1, 2, 3, 7, 24, 60)):
+        for build in builds:
+            try:
+                out = np.asarray(build(n, Params(r, a, b)))
+                h.update(f"{out.dtype.str} {out.shape} ".encode() + out.tobytes())
+            except Exception as exc:
+                h.update(type(exc).__name__.encode())
+            h.update(b"\n")
+    assert h.hexdigest()[:16] == _PINNED_TABLE_DIGEST
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
