@@ -65,6 +65,9 @@ __all__ = [
 # constant of the bracket's leading-order start overflows.
 MAX_R = 64
 _TINY = sys.float_info.min
+_PERRON_EPS = 1e-3  # the largest offset from the real axis
+_STIELTJES_RTOL = 1e-11  # each quadrature's relative tolerance
+_ENDPOINT_SAMPLES = 25  # the samples of each log-log fit
 
 
 def _check_r(r):
@@ -771,13 +774,13 @@ def solve_stieltjes_boundary(x, eps, r):
     return w / (z * (w - 1.0))
 
 
-def perron_density(x, r, eps=1e-3):
+def perron_density(x, r):
     """Density recovered from the algebraic solution by Stieltjes-Perron
     inversion with Richardson extrapolation over e, e/2, e/4, where
-    e = min(eps, x/50, (1-x)/50) follows the distance to the ends of the
+    e = min(1e-3, x/50, (1-x)/50) follows the distance to the ends of the
     support.  Recovers u_r to 2e-7 relative on [0.01, 0.99] for every
     r <= 64."""
-    eps = min(eps, x / 50.0, (1.0 - x) / 50.0)
+    eps = min(_PERRON_EPS, x / 50.0, (1.0 - x) / 50.0)
     f = [-solve_stieltjes_boundary(x, e, r).imag / math.pi for e in (eps, eps / 2, eps / 4)]
     return (f[0] - 6.0 * f[1] + 8.0 * f[2]) / 3.0
 
@@ -794,7 +797,7 @@ def algebraic_residual_w(z, S, r):
     return abs(t1 + t2 + t3) / den
 
 
-def stieltjes_limit(z, r, rtol=1e-11):
+def stieltjes_limit(z, r):
     """S(z) = int u_r(x)/(z-x) dx by quadrature in the theta parameter,
     where the measure is exactly uniform: (r+1)/pi dtheta."""
     from scipy.integrate import quad
@@ -806,9 +809,9 @@ def stieltjes_limit(z, r, rtol=1e-11):
         return hatx_of_theta(t, r) ** (1.0 / r)
 
     re = quad(lambda t: ((r + 1) / math.pi) * (1.0 / (z - xval(t))).real, 0.0, tm,
-              epsabs=0.0, epsrel=rtol, limit=200)[0]
+              epsabs=0.0, epsrel=_STIELTJES_RTOL, limit=200)[0]
     im = quad(lambda t: ((r + 1) / math.pi) * (1.0 / (z - xval(t))).imag, 0.0, tm,
-              epsabs=0.0, epsrel=rtol, limit=200)[0]
+              epsabs=0.0, epsrel=_STIELTJES_RTOL, limit=200)[0]
     return complex(re, im)
 
 
@@ -833,7 +836,7 @@ def _u_densities(x, r):
     return _u_curve(x, xh, r)[1]
 
 
-def endpoint_exponents(r, npts=25):
+def endpoint_exponents(r):
     """Fitted log-log slopes of u_r at the endpoints.
 
     Left: regression of log u against log x over x in [1e-6, 1e-3].
@@ -841,11 +844,11 @@ def endpoint_exponents(r, npts=25):
     window.  The limits are -1/(r+1) and -1/2.  Raises ValueError where
     :func:`u_density` does on either grid (from r = 52, 1e-6^r underflows).
     """
-    xs = np.geomspace(1e-6, 1e-3, npts)
-    ts = np.geomspace(1e-6, 1e-3, npts)
+    xs = np.geomspace(1e-6, 1e-3, _ENDPOINT_SAMPLES)
+    ts = np.geomspace(1e-6, 1e-3, _ENDPOINT_SAMPLES)
     xr = _pow(1.0 - ts, 1.0 / r)
     # both grids in one pass; the left one first, as its errors come first
     u = _u_densities(np.concatenate((xs, xr)), r)
-    s0 = np.polyfit(np.log(xs), np.log(u[:npts]), 1)[0]
-    s1 = np.polyfit(np.log(ts), np.log(u[npts:]), 1)[0]
+    s0 = np.polyfit(np.log(xs), np.log(u[:_ENDPOINT_SAMPLES]), 1)[0]
+    s1 = np.polyfit(np.log(ts), np.log(u[_ENDPOINT_SAMPLES:]), 1)[0]
     return float(s0), float(s1)

@@ -12,9 +12,13 @@ whose rotations and beta-shifts produce the type I vectors at the diagonal
 multi-index (n,...,n) and one step above/below it.
 
 Every double-precision coefficient list, p_n and each row of the type I
-tables, runs on one chain kernel.  With c_t = (-1)^(N-t) C(N, t) q_t and
-an exact integer binomial, entries of a list built on beta' = beta - d
-differ within a residue class t mod r by an exact rational factor,
+tables, runs on one chain kernel, ``_chain``.  A list on beta' = beta - d
+has the entries c_t = (-1)^(N-t) C(N, t) q_t F: an exact integer binomial,
+q_t the gamma quotient of p_N at beta', and a factor F free of t, passed
+as the gamma arguments of r F: lambda for the diagonal, 1/(tau
+nu_n(beta-m)) for up row m, nu_(n-1)(beta)/gamma and nu_(n-1)(beta-1)/gamma
+for the down rows, none for p_n.  nu_N at beta' is q_N (``_nu_args``).
+Within a residue class t mod r, entries differ by an exact rational factor,
 
     q_(t+r) / q_t = [r(N + alpha + 1) + beta' + t] / (beta' + t + r).
 
@@ -23,16 +27,16 @@ heads: the top r entries, and every t whose factor has a negative integer
 part (which covers the steps where it is exactly 0).  The two sides of
 the lowering identity take their heads at the same positions with the
 same large gamma arguments, so the heads' rounding cancels between them.
-Each head is one fused gamma-ratio call (normalization constants folded
-in), so parameter combinations where the normalizer vanishes while a
-polynomial coefficient blows up, e.g. r=1 with alpha+beta = -1, evaluate
-to their finite limit instead of inf*0.  Every gamma argument is rounded
-once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
-two-double sum, and a step's factor adds nonnegative integers to X and to
-1 + beta, so arguments and factors near alpha, beta -> -1 keep their
-relative precision.  A table entry too large for the assembly, or an X or
-beta that absorbs an added 1, raises :class:`DoubleRangeError`; the
-normalizers take the same guard on X and beta.
+Each head is one gamma-ratio call over the arguments of q_t and r F, so
+where a normalizer vanishes while a coefficient blows up, e.g. r=1 with
+alpha+beta = -1, it evaluates to the finite limit instead of inf*0, and a
+q_t equal to a nu in F cancels exactly: the degree drops are exact.  Every
+gamma argument is rounded once from its exact value, with X = r(1 + alpha)
++ (1 + beta) carried as a two-double sum, and a step's factor adds
+nonnegative integers to X and to 1 + beta, so arguments and factors near
+alpha, beta -> -1 keep their relative precision.  A table entry too large
+for the assembly, or an X or beta that absorbs an added 1, raises
+:class:`DoubleRangeError`; the normalizers take the same guard.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their level tables (the r combinations of the up
@@ -53,7 +57,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +94,7 @@ __all__ = [
 # every constructor and CLI command accepts (the root finder works in
 # extended precision at every degree, see zeros.py).
 DEGREE_CAP = 60
+_DEGREE_REL_TOL = 1e-10  # TypeIVector.degrees
 
 
 class DegreeCapError(ValueError):
@@ -195,16 +200,16 @@ class TypeIVector:
             return [n if j == self.tag.k else n - 1 for j in range(1, r + 1)]
         return [n - 2 if j == self.tag.k else n - 1 for j in range(1, r + 1)]
 
-    def degrees(self, rel_tol=1e-10):
-        """Observed degrees, ignoring leading coefficients below ``rel_tol``
-        times the entry's coefficient scale (storage is never truncated)."""
+    def degrees(self):
+        """Observed degrees, ignoring leading coefficients below 1e-10 times
+        the entry's coefficient scale (storage is never truncated)."""
         out = []
         for c in self.coeffs:
             mags = np.abs(c)
             scale = mags.max()
             deg = -1
             for k in range(len(mags) - 1, -1, -1):
-                if mags[k] > rel_tol * scale:
+                if mags[k] > _DEGREE_REL_TOL * scale:
                     deg = k
                     break
             out.append(deg)
@@ -230,23 +235,10 @@ class Constants:
 # ---------------------------------------------------------------------------
 
 
-def _base_head(n, params):
-    # X's hi and the head of p_n's chain: q_t = Gamma(n + alpha + s_t + 1) /
-    # [Gamma(n + alpha + 1) Gamma(s_t + 1)], s_t = (beta + t)/r
-    r, a, b = params.r, params.alpha, params.beta
-    hi, lo = _affine(params)
-
-    def head(t):
-        return gamma_ratio([math.fsum((r * n + t - 1, hi, lo)) / r], [n + 1 + a, (t + r + b) / r])
-
-    return hi, head
-
-
 def base_poly(n, params):
     """The degree-n member of the real kernel family p_n(.; alpha, beta)."""
     _check_cap(n)
-    hi, head = _base_head(n, params)
-    return _table(_chain(n, params.r, 0, hi, params.beta, head), params.r)
+    return _table(_chain(n, 0, params, *_affine(params)), params.r)
 
 
 def base_coeffs_mp(n, params):
@@ -351,7 +343,7 @@ def coeff_error_units(n, r):
 
 def leading_coefficient(n, params):
     """Leading coefficient nu_n of p_n: the head of its chain at t = n."""
-    return _base_head(n, params)[1](n)
+    return gamma_ratio(*_nu_args(n, 0, params, *_affine(params)))
 
 
 def diagonal_normalizer(level, params):
@@ -422,20 +414,45 @@ def _affine(params):
     return hi, math.fsum(terms)
 
 
-def _chain(N, r, d, hi, beta, head):
-    # Entries t = 0..N of a fused list (-1)^(N-t) C(N,t) q_t, with q_t =
-    # Gamma(N + alpha + s_t + 1)/Gamma(s_t + 1), s_t = (beta - d + t)/r, times
-    # factors free of t.  From the top down, q_t is q_(t+r) divided by the
-    # step's factor (kn + X)/(kd + beta); head(t), the fused gamma-ratio value
-    # of q_t, runs at the top r entries and wherever kn < 0 or kd <= 0.
+def _chain(N, d, params, hi, lo, factor=((), ()), over=1):
+    # Entries t = 0..N of the list (-1)^(N-t) C(N,t) q_t F / over on beta - d,
+    # with q_t = Gamma((kn + X)/r) / [Gamma(N + alpha + 1) Gamma((kd + beta)/r)]
+    # and F the gamma ratio of factor = (nums, dens).  From the top down, q_t
+    # is q_(t+r) divided by the step's factor (kn + X)/(kd + beta); a head, at
+    # the top r entries and wherever kn < 0 or kd <= 0, is one gamma_ratio
+    # call over the arguments of q_t and F.
+    r, b = params.r, params.beta
+    n1 = N + 1 + params.alpha
+    nums, dens = factor
     q = [0.0] * (N + 1)
     for t in range(N, -1, -1):
         kn, kd = r * N - 1 - d + t, t + r - d
         if t > N - r or kn < 0 or kd <= 0:
-            q[t] = head(t)
+            y = math.fsum((kn, hi, lo)) / r
+            q[t] = gamma_ratio([y, *nums], [n1, (kd + b) / r, *dens]) / over
         else:
-            q[t] = q[t + r] / ((kn + hi) / (kd + beta))
+            q[t] = q[t + r] / ((kn + hi) / (kd + b))
     return [(-1) ** (N - t) * math.comb(N, t) * q[t] for t in range(N + 1)]
+
+
+def _nu_args(N, d, params, hi, lo):
+    # nu_N at beta - d, the leading coefficient of p_N(.; alpha, beta - d):
+    # the arguments of _chain's head at t = N
+    r, a, b = params.r, params.alpha, params.beta
+    return [math.fsum((r * N - 1 - d + N, hi, lo)) / r], [N + 1 + a, (N + r - d + b) / r]
+
+
+def _times(f, g):
+    # the arguments (nums, dens) of the product of the gamma ratios f and g,
+    # less those on both sides: gamma_ratio would pair such a pole with
+    # another pole, whose rate may differ, and round log(rate) differently
+    nums, dens = [*f[0], *g[0]], []
+    for x in (*f[1], *g[1]):
+        if x in nums:
+            nums.remove(x)
+        else:
+            dens.append(x)
+    return nums, dens
 
 
 def _table(rows, r):
@@ -452,19 +469,12 @@ def _table(rows, r):
 def _diagonal_base(level, params):
     # lambda * p_(level-1) on the chain; the table is read-only, so every
     # call at the level shares it
-    r, a, b = params.r, params.alpha, params.beta
-    m = level - 1
+    r, m = params.r, level - 1
     hi, lo = _affine(params)
-    pb = math.fsum((r * m - 1, hi, lo))  # r m + r alpha + beta + r
-    pbl = math.fsum((r * m - 1 + level, hi, lo))  # pb + level
-
-    def head(t):
-        return gamma_ratio(
-            [(pbl, r), math.fsum((r * m + t - 1, hi, lo)) / r],
-            [(pb, r), m + 1 + a, (t + r + b) / r, m + 1.0],
-        ) / r
-
-    return _table(_chain(m, r, 0, hi, b, head), r)
+    # r lambda = Gamma(pb + level) / [Gamma(pb) m!], pb = rm - 1 + X at rate r
+    pb = math.fsum((r * m - 1, hi, lo))
+    r_lambda = [(math.fsum((r * m - 1 + level, hi, lo)), r)], [(pb, r), m + 1.0]
+    return _table(_chain(m, 0, params, hi, lo, r_lambda, r), r)
 
 
 def type1_diagonal(level, params):
@@ -487,27 +497,23 @@ def type1_diagonal(level, params):
 
 def _up_combos(n, params):
     # combos[l, t]: coefficient t of A_l, shared by every ray k of level n.
-    # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau * nu^(beta-m)) on
-    # the chain of beta - m.  Its head at t = n takes the m-dependent gamma
-    # pair from the same expressions as numerator and denominator, so they
-    # cancel exactly and that entry is the same for every m: this is what
-    # makes the degree drop structural.
+    # ratio[m, t] is coefficient t of p_n(.; beta-m) / (tau nu_n(beta-m)) on
+    # the chain of beta - m.  At t = n, q_n and nu_n(beta-m) take the same
+    # arguments and cancel exactly, so that entry is the same for every m:
+    # this is what makes the degree drop structural.
     r, a, b = params.r, params.alpha, params.beta
     hi, lo = _affine(params)
-    n1 = n + 1 + a
-    # the gamma arguments of 1/tau, numerator and denominator
-    tau_num = [math.fsum((r * n + n - r, hi, lo)) / r, (math.fsum((r * n + n - r + 1, hi, lo)), r)]
-    tau_den = [(n + 1 + b) / r, (math.fsum((r * n - r, hi, lo)), r)]
-
-    def head(m, t):
-        y = math.fsum((r * n - m + t - 1, hi, lo)) / r  # n + alpha + (beta - m + t)/r + 1
-        yn = math.fsum((r * n - m + n - 1, hi, lo)) / r  # the same at t = n
-        return gamma_ratio(
-            [y, (n - m + r + b) / r] + tau_num,
-            [n1, (t - m + r + b) / r, yn] + tau_den + [n + 1.0],
-        ) / r
-
-    ratio = [_chain(n, r, m, hi, b, partial(head, m)) for m in range(r)]
+    # r/tau = Gamma((rn + n - r + X)/r) Gamma(rn + n - r + 1 + X) / [n!
+    # Gamma(n + 1 + alpha) Gamma((n + 1 + beta)/r) Gamma(rn - r + X)], the
+    # arguments without /r at pole rate r
+    r_over_tau = (
+        [math.fsum((r * n + n - r, hi, lo)) / r, (math.fsum((r * n + n - r + 1, hi, lo)), r)],
+        [n + 1.0, n + 1 + a, (n + 1 + b) / r, (math.fsum((r * n - r, hi, lo)), r)],
+    )
+    ratio = []
+    for m in range(r):
+        nu_nums, nu_dens = _nu_args(n, m, params, hi, lo)
+        ratio.append(_chain(n, m, params, hi, lo, _times((nu_dens, nu_nums), r_over_tau), r))
     lm = np.arange(r)
     return roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
 
@@ -566,36 +572,23 @@ def type1_up_stack(n, params):
 
 
 def _down_terms(n, params):
-    # t1 = nu^(beta) coef_t(p_(n-1); beta-1) / gamma and
-    # t2 = nu^(beta-1) coef_t(p_(n-1); beta) / gamma, each on its chain;
-    # shared by every ray k of level n.  t2's head at t = n-1 takes its two
-    # t-dependent gamma pairs from the expressions of their t-independent
-    # partners, so it equals t1's head there bitwise and the degree drop on
-    # ray k is exact.
+    # t1 = nu_(n-1)(beta) coef_t(p_(n-1); beta-1) / gamma and
+    # t2 = nu_(n-1)(beta-1) coef_t(p_(n-1); beta) / gamma, each on its chain;
+    # shared by every ray k of level n.  At t = n-1 each row's q is its own
+    # nu_(n-1), so both heads take the arguments of r/gamma and both nu's,
+    # up to pairs on both sides, which cancel unless they are poles (X = 1,
+    # n = 1): the top entries are bitwise equal and the degree drop exact.
     r, a, b = params.r, params.alpha, params.beta
     hi, lo = _affine(params)
     db = math.fsum((r * n - r - 2, hi, lo))  # r n + r alpha + beta - 1
     dbn = math.fsum((r * n - r - 2 + n, hi, lo))
-    na = n + a
-
-    def y(k):  # (k + X)/r
-        return math.fsum((k, hi, lo)) / r
-
-    def head1(t):
-        return gamma_ratio(
-            [(dbn, r), y(r * n - r - 2 + t)],
-            [(db, r), na, (t - 1 + r + b) / r, n + 0.0],
-        ) / r
-
-    def head2(t):
-        return gamma_ratio(
-            [(n - 1 + r + b) / r, (dbn, r), y(r * n - r - 3 + n), y(r * n - r - 1 + t)],
-            [dbn / r, (db, r), (n - 2 + r + b) / r, na, (t + r + b) / r, n + 0.0],
-        ) / r
-
+    # r/gamma = Gamma(n + alpha) Gamma((n - 1 + r + beta)/r) Gamma(db + n) /
+    # [(n-1)! Gamma((db + n)/r) Gamma(db)], db's at rate r
+    r_over_gamma = [n + a, (n - 1 + r + b) / r, (dbn, r)], [n + 0.0, dbn / r, (db, r)]
+    nu0, nu1 = (_nu_args(n - 1, d, params, hi, lo) for d in (0, 1))
     return (
-        _table(_chain(n - 1, r, 1, hi, b, head1), r),
-        _table(_chain(n - 1, r, 0, hi, b, head2), r),
+        _table(_chain(n - 1, 1, params, hi, lo, _times(nu0, r_over_gamma), r), r),
+        _table(_chain(n - 1, 0, params, hi, lo, _times(nu1, r_over_gamma), r), r),
     )
 
 

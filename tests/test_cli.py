@@ -409,7 +409,7 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --alpha -1 --n 2", 2, "55974b91a7abba30"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 0", 2, "692f98690070139a"),
     ("coeffs --r 2 --n 61", 3, "89c8a126ed4a673c"),
-    ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "9f30f923fdf06c72"),
+    ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "cfcb1885d0be787b"),
     ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "51e39195b76cfaf9"),
     # the shapes the benchmark runs: stacks of up to r = 8 vectors, levels to
     # 24, and the r = 1 down vectors whose top coefficient cancels

@@ -204,6 +204,59 @@ def test_scan_sees_a_gamma_call():
     assert _gamma_uses(tree) == [4, 8, 9, 10, 11, 13]
 
 
+# the functions of polynomials.py that may name gamma_ratio: the chain, whose
+# head forms q_t's arguments, the leading coefficient, which reads them at
+# t = N, and the three public normalizers
+_GAMMA_RATIO_CALLERS = {
+    "_chain", "leading_coefficient", "diagonal_normalizer", "up_normalizer", "down_normalizer"
+}
+
+
+def _stray_gamma_ratios(tree):
+    """Lines that name ``gamma_ratio`` outside the module-level functions
+    ``_GAMMA_RATIO_CALLERS`` lists, or in a function or lambda nested in
+    one."""
+    allowed = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in _GAMMA_RATIO_CALLERS:
+            nested = [
+                node for node in ast.walk(fn)
+                if node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda))
+            ]
+            allowed.update(set(ast.walk(fn)).difference(*map(ast.walk, nested)))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _name(node) == "gamma_ratio"
+        and isinstance(node, (ast.Name, ast.Attribute))
+        and node not in allowed
+    )
+
+
+def test_one_head_formula():
+    assert _stray_gamma_ratios(ast.parse((SRC / "polynomials.py").read_text())) == []
+
+
+def test_scan_sees_a_gamma_ratio_outside_the_head():
+    tree = ast.parse(
+        "from .numerics import gamma_ratio\n"
+        "def _chain(N):\n"
+        "    x = gamma_ratio([N], [])\n"
+        "    def head(t):\n"
+        "        return gamma_ratio([t], [])\n"
+        "    return x + (lambda t: numerics.gamma_ratio([t], []))(N)\n"
+        "def up_normalizer(n):\n"
+        "    return numerics.gamma_ratio([n], [])\n"
+        "def _up_combos(n):\n"
+        "    return partial(gamma_ratio, [n])\n"
+        "class K:\n"
+        "    def leading_coefficient(self, n):\n"
+        "        return gamma_ratio([n], [])\n"
+        "y = gamma_ratio([1.0], [])\n"
+    )
+    assert _stray_gamma_ratios(tree) == [5, 6, 10, 13, 14]
+
+
 _NP_TRANSCENDENTALS = {"sin", "cos", "tan", "log", "exp", "hypot", "power"}
 
 

@@ -435,17 +435,19 @@ def test_rows_equal_per_ray_assembly_bitwise(r, n):
 
 # the (alpha, beta) pairs of the chain's accuracy check: the unit corner,
 # the criterion grids, both exponents near -1, and large alpha or beta
-CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0),
-               (-0.999, -0.999), (-0.9, 40.0), (300.0, 0.3))
+CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0), (-0.999, -0.999),
+               (-1 + 1e-13, -1 + 1e-12), (-0.9, 40.0), (300.0, 0.3), (1e7, 0.3), (0.5, 1e5))
 
 
 # sha256 prefix of the bytes of every coefficient table (or the name of the
-# exception its constructor raises) over r in {1, 2, 3, 5, 8}, n in {0, 1, 2,
-# 3, 7, 24, 60} and PINNED_PAIRS: pairs where r(1 + alpha) + (1 + beta) is an
-# integer (r = 1 with alpha + beta = -1 among them), exponents at -1 + 1e-13,
-# and 1e15 and 1e17, where the range guard and the double range bind
-_PINNED_TABLE_DIGEST = "af31fe8c77bc6913"
-PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5),
+# exception its constructor raises) over r in {1, 2, 3, 5, 7, 8}, n in {0, 1,
+# 2, 3, 7, 24, 60} and PINNED_PAIRS: pairs where r(1 + alpha) + (1 + beta) is
+# an integer (r = 1 with alpha + beta = -1 among them, and 1 at r = 7, where
+# the down rows' gamma ratios hold poles of rates 1 and 7), exponents at
+# -1 + 1e-13, and 1e15 and 1e17, where the range guard and the double range
+# bind
+_PINNED_TABLE_DIGEST = "676429131a3f4e3f"
+PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5), (-0.875, -0.875),
                 (-1 + 1e-13, 0.3), (2.0, -1 + 1e-13), (-1 + 1e-13, -1 + 1e-13),
                 (1e15, 0.5), (0.5, 1e15), (1e17, 0.0), (0.0, 1e17))
 
@@ -459,7 +461,7 @@ def test_coefficient_tables_are_pinned():
         polynomials.type1_down_stack,
     )
     h = hashlib.sha256()
-    for r, (a, b), n in itertools.product((1, 2, 3, 5, 8), PINNED_PAIRS, (0, 1, 2, 3, 7, 24, 60)):
+    for r, (a, b), n in itertools.product((1, 2, 3, 5, 7, 8), PINNED_PAIRS, (0, 1, 2, 3, 7, 24, 60)):
         for build in builds:
             try:
                 out = np.asarray(build(n, Params(r, a, b)))
@@ -474,12 +476,15 @@ def test_coefficient_tables_are_pinned():
 def test_chain_keeps_degree_drops_exact(r):
     # A_l for l != 0 has no x^n term: its table entry is a root-of-unity sum
     # of r equal heads.  On ray k of a down vector the leading terms of the
-    # two rows cancel.
+    # two rows cancel: their heads take the same arguments, so they are equal.
     for (a, b), n in itertools.product(CHAIN_PAIRS, range(1, 60)):
         params = Params(r, a, b)
-        combos = polynomials._up_combos(n, params)
-        assert np.all(np.abs(combos[1:, n]) <= 1e-15 * abs(combos[0, n])), (a, b, n)
-        if r == 1 and n == 1:
-            continue  # the empty minus index
-        t1, t2 = polynomials._down_terms(n, params)
-        assert abs(t1[n - 1] - t2[n - 1]) <= 1e-13 * abs(t1[n - 1]), (a, b, n)
+        try:
+            combos = polynomials._up_combos(n, params)
+            assert np.all(np.abs(combos[1:, n]) <= 1e-15 * abs(combos[0, n])), (a, b, n)
+            if r == 1 and n == 1:
+                continue  # the empty minus index
+            t1, t2 = polynomials._down_terms(n, params)
+            assert t1[n - 1] == t2[n - 1], (a, b, n)
+        except DoubleRangeError:
+            assert max(a, b) >= 1e5 and n >= 25  # the level leaves the double range
