@@ -65,9 +65,9 @@ __all__ = [
 # constant of the bracket's leading-order start overflows.
 MAX_R = 64
 _TINY = sys.float_info.min
-_PERRON_EPS = 1e-3  # the largest offset from the real axis
-_STIELTJES_RTOL = 1e-11  # each quadrature's relative tolerance
-_ENDPOINT_SAMPLES = 25  # the samples of each log-log fit
+_PERRON_EPS = 1e-3  # perron_density's largest distance from the real axis
+_STIELTJES_RTOL = 1e-11  # stieltjes_limit's quadrature tolerance
+_ENDPOINT_SAMPLES = 25  # the samples of each endpoint_exponents fit
 
 
 def _check_r(r):

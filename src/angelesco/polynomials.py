@@ -17,7 +17,7 @@ has the entries c_t = (-1)^(N-t) C(N, t) q_t F: an exact integer binomial,
 q_t the gamma quotient of p_N at beta', and a factor F free of t, passed
 as the gamma arguments of r F: lambda for the diagonal, 1/(tau
 nu_n(beta-m)) for up row m, nu_(n-1)(beta)/gamma and nu_(n-1)(beta-1)/gamma
-for the down rows, none for p_n.  nu_N at beta' is q_N (``_nu_args``).
+for the down rows; p_n passes none.  nu_N at beta' is q_N (``_nu_args``).
 Within a residue class t mod r, entries differ by an exact rational factor,
 
     q_(t+r) / q_t = [r(N + alpha + 1) + beta' + t] / (beta' + t + r).
@@ -27,16 +27,17 @@ heads: the top r entries, and every t whose factor has a negative integer
 part (which covers the steps where it is exactly 0).  The two sides of
 the lowering identity take their heads at the same positions with the
 same large gamma arguments, so the heads' rounding cancels between them.
-Each head is one gamma-ratio call over the arguments of q_t and r F, so
-where a normalizer vanishes while a coefficient blows up, e.g. r=1 with
-alpha+beta = -1, it evaluates to the finite limit instead of inf*0, and a
-q_t equal to a nu in F cancels exactly: the degree drops are exact.  Every
-gamma argument is rounded once from its exact value, with X = r(1 + alpha)
-+ (1 + beta) carried as a two-double sum, and a step's factor adds
-nonnegative integers to X and to 1 + beta, so arguments and factors near
-alpha, beta -> -1 keep their relative precision.  A table entry too large
-for the assembly, or an X or beta that absorbs an added 1, raises
-:class:`DoubleRangeError`; the normalizers take the same guard.
+Each head is one gamma-ratio call over the arguments of q_t and r F,
+divided by r (p_n's by 1), so where a normalizer vanishes while a
+coefficient blows up, e.g. r=1 with alpha+beta = -1, it evaluates to the
+finite limit instead of inf*0, and a q_t equal to a nu in F cancels
+exactly: the degree drops are exact.  Every gamma argument is rounded
+once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
+two-double sum, and a step's factor adds nonnegative integers to X and to
+1 + beta, so arguments and factors near alpha, beta -> -1 keep their
+relative precision.  A table entry too large for the assembly, or an X or
+beta that absorbs an added 1, raises :class:`DoubleRangeError`; the
+normalizers take the same guard.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their level tables (the r combinations of the up

@@ -7,7 +7,10 @@ Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
 passes.  No module but ``numerics.py`` uses a double-precision gamma
 function: ``gamma_ratio`` is the one double kernel (mpmath's gamma is the
-extended-precision one).  ``asymptotics.py`` calls no numpy
+extended-precision one).  In ``polynomials.py`` only ``_chain``,
+``leading_coefficient`` and the three public normalizers name
+``gamma_ratio``, and no function nested in them does: every chain head
+takes its arguments from one formula.  ``asymptotics.py`` calls no numpy
 transcendental and hands numpy to no function, except where the last bits
 do not matter (``_certified_steps``, which certifies each sign it takes,
 and the log-log fits of ``endpoint_exponents``): the limit density is
@@ -227,9 +230,7 @@ def _stray_gamma_ratios(tree):
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if _name(node) == "gamma_ratio"
-        and isinstance(node, (ast.Name, ast.Attribute))
-        and node not in allowed
+        if _name(node) == "gamma_ratio" and node not in allowed
     )
 
 
