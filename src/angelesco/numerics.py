@@ -12,7 +12,7 @@ rounding (``math.fsum``, Shewchuk's summation), so equal numerator and
 denominator arguments cancel inside the sum, and it resolves the pole/pole
 cancellations of degenerate parameter combinations (e.g. ``r=1`` with
 ``alpha+beta = -1``).  A ratio whose value leaves the double range raises
-:class:`DoubleRangeError`.
+:class:`DoubleRangeError`, as does a numpy overflow under :func:`overflow_trap`.
 """
 
 from __future__ import annotations
@@ -40,6 +40,15 @@ class DoubleRangeError(ValueError):
     """A closed-form value leaves the double range: a gamma ratio, or a
     coefficient of a type I vector, is too large for a double, or a
     coefficient of p_n is too large for the zero finder's integers."""
+
+
+def _overflow(kind, flag):
+    raise DoubleRangeError("an identity term exceeds the double range")
+
+
+# the identity checks' decorator: a numpy overflow inside one raises
+# DoubleRangeError, with no RuntimeWarning and no inf
+overflow_trap = np.errstate(over="call", call=_overflow)
 
 
 def pochhammer(a, n):
@@ -100,6 +109,11 @@ def gamma_ratio(nums, dens):
     try:
         logs, num_poles, den_poles = [], [], []
         sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
+        if num_poles and den_poles:
+            for pole in num_poles[:]:
+                if pole in den_poles:  # cancels exactly; a pairing across rates rounds log(rate)
+                    num_poles.remove(pole)
+                    den_poles.remove(pole)
         num_poles.sort()
         den_poles.sort()
         if len(num_poles) > len(den_poles):

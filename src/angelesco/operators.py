@@ -10,7 +10,7 @@ the limiting algebraic Stieltjes equation, see asymptotics.py).
 All three checks work on the coefficient arrays of ``base_poly``: a
 derivative is taken exactly on the coefficients, a product with x^k is a
 shift, and each side of an identity is a coefficient vector padded to the
-identity's degree.
+identity's degree, built under ``numerics.overflow_trap``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import pochhammer
+from .numerics import overflow_trap, pochhammer
 from .poly import identity_residual, padded_coeffs
 from .polynomials import Params, base_poly
 
@@ -50,6 +50,7 @@ def _coef_dev(left, right):
     return float(np.abs(left - right).max() / scale)
 
 
+@overflow_trap
 def lowering_check(n, params):
     """Deviation of p_n' from n * p_(n-1) with both exponents raised by one."""
     if n < 1:
@@ -69,6 +70,7 @@ def raising_coeffs(n, params):
     )
 
 
+@overflow_trap
 def raising_check(n, params):
     """Deviation between the two expansions of the raised polynomial
     (beta(1-x^r) - alpha r x^r) p_n + x(1-x^r) p_n'  (degree n+r).
@@ -113,6 +115,7 @@ def ode_coeffs(n, params):
     return OdeSpec(n, params, tuple(c))
 
 
+@overflow_trap
 def ode_residual(spec):
     """Max normalized residual of the ODE applied to p_n, checked as a
     polynomial identity on coefficients.
@@ -120,9 +123,9 @@ def ode_residual(spec):
     p_n is ``base_poly(n)``; its derivatives are taken exactly on the
     coefficient representation, and the ODE coefficients are the doubles
     ``spec.c`` as handed in.  The terms x(1-x^r) y^(r+1), (r+beta) y^(r)
-    and c_k x^k y^(k) are coefficient vectors; at each coefficient index
-    the magnitude of their sum is divided by the largest term there, and
-    the worst ratio over indices is returned.
+    and c_k x^k y^(k) are coefficient vectors, and the worst ratio of
+    ``poly.identity_residual`` is returned: NaN if a coefficient is NaN.
+    A term outside the double range raises ``DoubleRangeError``.
     """
     params, n = spec.params, spec.n
     r, b = params.r, params.beta
@@ -135,4 +138,4 @@ def ode_residual(spec):
         (r + b) * padded_coeffs(derivs[r], size),
     ]
     terms.extend(spec.c[k] * padded_coeffs(derivs[k], size, k) for k in range(r + 1))
-    return identity_residual(terms)
+    return float(identity_residual(terms).max())

@@ -5,13 +5,13 @@ Coefficient index k holds the coefficient of x^k.  Degrees in this library
 stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
 right tool; a polynomial is its coefficient array, and a type I vector is
 one r-row table of them.  Every polynomial identity (lowering, raising, the
-ODE, the recurrence) is checked on coefficient arrays.  For the operator
-identities ``padded_coeffs`` places x^k c(x) in a vector of the identity's
-length, and ``identity_residual`` measures a sum of such vectors; the
-recurrence stacks a whole level's terms in one array (``recurrence.py``).
-``poly_eval`` is the one evaluator, classical Horner in doubles; the zero
-finder does not use it, it evaluates in fixed-point integers at a
-precision sized by the conditioning (see ``zeros.py``).
+ODE, the recurrence) is checked on coefficient arrays, under
+``numerics.overflow_trap``: a term outside the double range raises
+``DoubleRangeError``.  ``padded_coeffs`` places x^k c(x) in a vector of an
+operator identity's length.  ``identity_residual`` is the one per-index
+residual kernel (the ODE's and the recurrence's), where a NaN term reads
+NaN.  ``poly_eval`` is the one evaluator, classical Horner in doubles; the
+zero finder evaluates in fixed-point integers instead (see ``zeros.py``).
 """
 from __future__ import annotations
 
@@ -37,14 +37,13 @@ def padded_coeffs(c, size, shift=0):
 
 
 def identity_residual(terms):
-    """Worst normalized residual of a polynomial identity sum_i T_i = 0.
+    """Per-index normalized residual of a polynomial identity sum_i T_i = 0.
 
-    ``terms`` stacks the coefficient vectors T_i as rows of equal length.
-    At each coefficient index the magnitude of the sum is divided by the
-    largest term there; indices where every term is zero are skipped.
+    ``terms`` stacks the T_i along its first axis.  They are added in stack
+    order (the pinned residual digests guard it), and the magnitude of the
+    sum is divided by the largest term at each index: 0 where every term
+    is zero, NaN where any term is NaN.
     """
     terms = np.asarray(terms)
-    num = np.abs(terms.sum(axis=0))
     den = np.abs(terms).max(axis=0)
-    live = den > 0.0
-    return float((num[live] / den[live]).max()) if live.any() else 0.0
+    return np.divide(np.abs(terms.sum(axis=0)), den, out=np.zeros(den.shape), where=den != 0.0)

@@ -91,9 +91,9 @@ __all__ = [
     "type1_down_stack",
 ]
 
-# Coefficients grow combinatorially with n; the cap bounds the degree that
-# every constructor and CLI command accepts (the root finder works in
-# extended precision at every degree, see zeros.py).
+# The degree every constructor and CLI command accepts.  The constructors
+# raise DoubleRangeError from n = 166..227 at r <= 8 without it; the cap
+# guards the oracle's and identity checks' range and the zero finder's cost.
 DEGREE_CAP = 60
 _DEGREE_REL_TOL = 1e-10  # TypeIVector.degrees
 

@@ -11,16 +11,18 @@ constructors' range guard, so they raise ``DoubleRangeError`` where the
 vectors do.
 
 The recurrence is checked as an identity on coefficients, one level at a
-time: one kernel stacks the terms of every ray k and entry j, read from
-the level's memoized up and down tables, and sums them in a fixed order
-(see :func:`recurrence_residuals`).
+time: :func:`recurrence_residuals` stacks the terms of every ray k and
+entry j, read from the level's memoized up and down tables, for
+``poly.identity_residual``, the ODE's kernel too.  A NaN term reads NaN,
+and a term outside the double range raises ``DoubleRangeError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numerics import gamma_ratio, roots_of_unity
+from .numerics import gamma_ratio, overflow_trap, roots_of_unity
+from .poly import identity_residual
 from .polynomials import (
     _affine,
     _check_ray,
@@ -106,35 +108,27 @@ def limit_b(r):
 
 def recurrence_residual(n, k, params):
     """Largest normalized deviation of the nearest-neighbor relation at
-    level n, ray k, checked as a polynomial identity on coefficients.
-
-    Every vector comes from its closed-form construction.  For each ray
-    entry j the terms x A_n, -A_(n-e_k), -b_k A_n and -a_l A_(n+e_l) are
-    coefficient vectors; at each coefficient index the magnitude of their
-    sum is divided by the largest term there, and the worst ratio over
-    indices and entries is returned.  This is entry k-1 of
-    :func:`recurrence_residuals`.
-    """
-    return _level_residuals(n, params, k)[k - 1]
+    level n, ray k, checked as a polynomial identity on coefficients: entry
+    k-1 of :func:`recurrence_residuals`, once the ray k is checked."""
+    _check_ray(k, params.r)
+    return recurrence_residuals(n, params)[k - 1]
 
 
+@overflow_trap
 def recurrence_residuals(n, params):
     """``recurrence_residual(n, k, params)`` for k = 1..r, in ray order.
 
-    One kernel checks the whole level.  It reads the diagonal vector and
-    the memoized r x r tables of the up and down vectors once, and stacks
-    every term of every ray k and entry j into one
-    (r + 3) x r x r x (n + 2) array, indexed (term, k, j, coefficient).
-    The terms are summed in the order x A_n, -A_(n-e_k), -b_k A_n, then
-    -a_l A_(n+e_l) for l = 1..r, one vectorized add per term, so every
-    residual is bitwise the one a per-ray, per-entry loop gives.
+    Every vector comes from its closed-form construction.  One kernel
+    checks the whole level: it reads the diagonal vector and the memoized
+    r x r tables of the up and down vectors once, and stacks the terms
+    x A_n, -A_(n-e_k), -b_k A_n, then -a_l A_(n+e_l) for l = 1..r, of every
+    ray k and entry j into one (r + 3) x r x r x (n + 2) array, indexed
+    (term, k, j, coefficient).  ``poly.identity_residual`` adds them in that
+    order and divides the sum at each index by the largest term there, so
+    every ratio is bitwise the one a per-ray, per-entry loop gives; ray k's
+    residual is the worst ratio over its entries and indices.
     """
-    return _level_residuals(n, params)
-
-
-def _level_residuals(n, params, k=None):
-    # the constructors' guards run in the order the per-ray loop met them:
-    # the diagonal, the up vectors, the profiles, the ray k, the down vectors
+    # the constructors' guards, in the order a per-ray loop meets them
     if n < 1:
         raise ValueError("recurrence_residual needs n >= 1")
     r = params.r
@@ -143,25 +137,14 @@ def _level_residuals(n, params, k=None):
     cur = type1_diagonal(n, params).coeffs  # [j, t], t < n
     ups = type1_up_stack(n, params)  # [l, j, t], t <= n
     a_n, b_n = coeff_a(n, params), coeff_b(n, params)
-    if k is not None:
-        _check_ray(k, r)
     downs = type1_down_stack(n, params)  # [k, j, t], t < n
 
     roots = roots_of_unity(r)
     bk = b_n * roots  # ray k's phase omega^(k-1)
     al = a_n * roots[(2 * np.arange(r)) % r]  # ray l's phase omega^(2(l-1))
-    size = n + 2  # every term has degree <= n
-    terms = np.zeros((r + 3, r, r, size), dtype=complex)
+    terms = np.zeros((r + 3, r, r, n + 2), dtype=complex)  # degrees <= n
     terms[0, :, :, 1 : n + 1] = cur
     terms[1, :, :, :n] = -downs
     terms[2, :, :, :n] = -bk[:, None, None] * cur
     terms[3:, :, :, : n + 1] = (-al[:, None, None] * ups)[:, None]
-    # the per-entry sum ((T_0 + T_1) + T_2) + ..., in term order; neither
-    # np.sum (pairwise) nor a product over l keeps that rounding
-    total = terms[0] + terms[1]
-    for term in terms[2:]:
-        total += term
-    # indices where every term is zero are skipped; a NaN reaches its ray
-    den = np.abs(terms).max(axis=0)
-    ratio = np.divide(np.abs(total), den, out=np.zeros(den.shape), where=den > 0.0)
-    return ratio.max(axis=(1, 2)).tolist()
+    return identity_residual(terms).max(axis=(1, 2)).tolist()

@@ -430,6 +430,10 @@ _DIGEST_CORPUS = [
     ("verify --suite ode --r 2 --n-max 0", 2, "4a083246a97f61e5"),
     ("verify --suite ode --r 2 --n-max 61", 3, "83add2fe5e088e11"),
     ("verify --suite ode --r 2 --alpha 300 --beta 1e5 --n-max 2", 3, "4b2a858bdb8bf211"),
+    # base_poly(5) peaks at 1.8e302 there, and an identity term overflows:
+    # these printed numpy warnings and nan FAIL at n = 5, then exit 3 at n = 6
+    ("verify --suite ode --r 2 --alpha 15 --beta 9e15 --n-max 6", 3, "32ec9f401e115bbd"),
+    ("verify --suite raising --r 2 --alpha 15 --beta 9e15 --n-max 6", 3, "06a65347f9abe670"),
     ("zeros --r 2 --alpha 0.7 --beta -0.5 --n 6", 0, "1632b54de13ebc1a"),
     ("zeros --r 3 --n 5 --format json", 0, "9aa3107d3fe5135f"),
     ("zeros --r 3 --alpha 1e4 --beta 1e4 --n 3", 1, "c6c77bae801302ec"),

@@ -10,7 +10,11 @@ function: ``gamma_ratio`` is the one double kernel (mpmath's gamma is the
 extended-precision one).  In ``polynomials.py`` only ``_chain``,
 ``leading_coefficient`` and the three public normalizers name
 ``gamma_ratio``, and no function nested in them does: every chain head
-takes its arguments from one formula.  ``asymptotics.py`` calls no numpy
+takes its arguments from one formula.  ``operators.py`` and
+``recurrence.py`` call no numpy division and pass no ``where=`` mask:
+per-index residual arithmetic lives in ``poly.identity_residual``, the
+one kernel that divides a sum of terms by its largest term and lets a
+NaN term through.  ``asymptotics.py`` calls no numpy
 transcendental and hands numpy to no function, except where the last bits
 do not matter (``_certified_steps``, which certifies each sign it takes,
 and the log-log fits of ``endpoint_exponents``): the limit density is
@@ -256,6 +260,41 @@ def test_scan_sees_a_gamma_ratio_outside_the_head():
         "y = gamma_ratio([1.0], [])\n"
     )
     assert _stray_gamma_ratios(tree) == [5, 6, 10, 13, 14]
+
+
+_MASKED_DIVISIONS = {"divide", "true_divide", "where"}
+
+
+def _residual_arithmetic(tree):
+    """Lines of every call of a numpy division or ``where``, and of every
+    call that passes a ``where=`` mask."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            _name(node.func) in _MASKED_DIVISIONS
+            or any(k.arg == "where" for k in node.keywords)
+        )
+    )
+
+
+@pytest.mark.parametrize("name", ["operators.py", "recurrence.py"])
+def test_one_residual_kernel(name):
+    assert _residual_arithmetic(ast.parse((SRC / name).read_text())) == []
+
+
+def test_scan_sees_residual_arithmetic_outside_the_kernel():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import divide\n"
+        "a = np.divide(x, y, out=z, where=y > 0)\n"
+        "b = divide(x, y) + x / y\n"
+        "c = np.abs(x).max(axis=0, where=m, initial=0.0)\n"
+        "d = np.true_divide(x, y) + np.where(y > 0, x, 0.0)\n"
+        "e = identity_residual(terms).max(axis=(1, 2))\n"
+    )
+    assert _residual_arithmetic(tree) == [3, 4, 5, 6, 6]
 
 
 _NP_TRANSCENDENTALS = {"sin", "cos", "tan", "log", "exp", "hypot", "power"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from angelesco import (
+    DoubleRangeError,
     Params,
     base_poly,
     lowering_check,
@@ -184,6 +185,30 @@ def test_ode_r1_shape():
     spec = ode_coeffs(4, Params(1, 0.0, 0.0))
     assert len(spec.c) == 2
     assert ode_residual(spec) <= 1e-10
+
+
+@pytest.mark.parametrize("nan_at", [(0,), (2,), (0, 1, 2)])
+def test_ode_residual_reads_a_nan_coefficient(nan_at):
+    # a NaN term must fail every tolerance, not drop out of the maximum
+    import dataclasses
+
+    spec = ode_coeffs(5, Params(2, 0.7, -0.5))
+    c = tuple(math.nan if k in nan_at else ck for k, ck in enumerate(spec.c))
+    assert math.isnan(ode_residual(dataclasses.replace(spec, c=c)))
+
+
+@pytest.mark.parametrize("check", ["ode", "raising"])
+def test_identity_term_outside_the_double_range_raises(check):
+    # base_poly(5) peaks at 1.8e302 here, and its products by r + beta, by
+    # c_k and by beta overflow: that is a DoubleRangeError, not a
+    # RuntimeWarning and a nan residual
+    params = Params(2, 15.0, 9e15)
+    assert ode_residual(ode_coeffs(4, params)) <= 1e-15
+    with pytest.raises(DoubleRangeError, match="^an identity term exceeds the double range$"):
+        if check == "ode":
+            ode_residual(ode_coeffs(5, params))
+        else:
+            raising_check(5, params)
 
 
 # sha256 prefix of the repr of each residual (or the name of the exception

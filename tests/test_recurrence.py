@@ -106,6 +106,20 @@ def test_residual_sensitive_to_coefficient():
     assert dirty >= 1e3 * max(clean, 1e-300)
 
 
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_nan_profile_fails_every_ray(monkeypatch, r):
+    # a NaN term reads NaN on its ray instead of dropping out of the maximum
+    monkeypatch.setattr(recurrence, "coeff_a", lambda n, params: float("nan"))
+    got = recurrence_residuals(3, Params(r, 0.0, 0.0))
+    assert len(got) == r and all(x != x for x in got)
+
+
+def test_term_outside_the_double_range_raises(monkeypatch):
+    monkeypatch.setattr(recurrence, "coeff_a", lambda n, params: 1e308)
+    with pytest.raises(DoubleRangeError, match="^an identity term exceeds the double range$"):
+        recurrence_residuals(3, Params(3, 0.7, -0.5))
+
+
 @pytest.mark.parametrize("n", [12, 30, 59])
 @pytest.mark.parametrize("name", ["coeff_a", "coeff_b"])
 def test_residual_sensitive_at_high_degree(n, name):
@@ -203,7 +217,7 @@ def _reference_residuals(n, params):
                 -bk * padded_coeffs(cj, size),
             ]
             terms.extend(-al[l] * padded_coeffs(ups[l].coeffs[j], size) for l in range(r))
-            worst = max(worst, identity_residual(terms))
+            worst = max(worst, identity_residual(terms).max())
         out.append(worst)
     return out
 
