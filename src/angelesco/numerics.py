@@ -42,13 +42,13 @@ class DoubleRangeError(ValueError):
     coefficient of p_n is too large for the zero finder's integers."""
 
 
-def _overflow(kind, flag):
-    raise DoubleRangeError("an identity term exceeds the double range")
+def overflow_trap(what):
+    # a check's decorator: a numpy overflow inside it raises DoubleRangeError
+    # "<what> exceeds the double range", with no RuntimeWarning and no inf
+    def call(kind, flag):
+        raise DoubleRangeError(f"{what} exceeds the double range")
 
-
-# the identity checks' decorator: a numpy overflow inside one raises
-# DoubleRangeError, with no RuntimeWarning and no inf
-overflow_trap = np.errstate(over="call", call=_overflow)
+    return np.errstate(over="call", call=call)
 
 
 def pochhammer(a, n):

@@ -50,7 +50,7 @@ def _coef_dev(left, right):
     return float(np.abs(left - right).max() / scale)
 
 
-@overflow_trap
+@overflow_trap("an identity term")
 def lowering_check(n, params):
     """Deviation of p_n' from n * p_(n-1) with both exponents raised by one."""
     if n < 1:
@@ -70,7 +70,7 @@ def raising_coeffs(n, params):
     )
 
 
-@overflow_trap
+@overflow_trap("an identity term")
 def raising_check(n, params):
     """Deviation between the two expansions of the raised polynomial
     (beta(1-x^r) - alpha r x^r) p_n + x(1-x^r) p_n'  (degree n+r).
@@ -115,7 +115,7 @@ def ode_coeffs(n, params):
     return OdeSpec(n, params, tuple(c))
 
 
-@overflow_trap
+@overflow_trap("an identity term")
 def ode_residual(spec):
     """Max normalized residual of the ODE applied to p_n, checked as a
     polynomial identity on coefficients.

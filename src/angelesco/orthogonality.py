@@ -15,7 +15,8 @@ pair of matrix products for the whole stack.  ``verify_type1_many`` groups
 the vectors it is handed into such stacks (a level of ``verify`` is three:
 the diagonal, the r up and the r down vectors); ``verify_type1`` and
 ``ray_form`` run the kernel on a stack of one.  Every report is bitwise the
-same whichever stack a vector is checked in.
+same whichever stack a vector is checked in; an overflow raises
+``DoubleRangeError`` (``numerics.overflow_trap``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import gamma_ratio, roots_of_unity
+from .numerics import gamma_ratio, overflow_trap, roots_of_unity
 from .polynomials import Params
 
 __all__ = [
@@ -72,6 +73,7 @@ def _live_width(coeffs):
     return int(live[-1]) + 1 if live.size else 1
 
 
+@overflow_trap("a moment-oracle term")
 def _star_forms(c, params, ks):
     """Star moment functionals of a stack of coefficient tables at the
     powers ``ks``, and their positive-mass scales.

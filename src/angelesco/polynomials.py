@@ -95,7 +95,6 @@ __all__ = [
 # raise DoubleRangeError from n = 166..227 at r <= 8 without it; the cap
 # guards the oracle's and identity checks' range and the zero finder's cost.
 DEGREE_CAP = 60
-_DEGREE_REL_TOL = 1e-10  # TypeIVector.degrees
 
 
 class DegreeCapError(ValueError):
@@ -171,9 +170,9 @@ class TypeIVector:
     the polynomial attached to the segment [0, omega^(j-1)], and column t
     its x^t coefficient.  The width w is the level n for diagonal and down
     vectors, n+1 for up vectors, and 1 for the empty down index (r = 1,
-    n = 1).  Rows are not trimmed: the down vector's row k keeps its exactly
-    cancelled top coefficient as a zero.  Diagonal vectors additionally keep
-    their real base row in ``base``: every entry is an exact rotation of it.
+    n = 1).  Rows are not trimmed: every coefficient past an entry's nominal
+    degree (up rows j != k, down row k) is an exact zero.  A diagonal vector
+    keeps its real base row in ``base``: each entry is an exact rotation.
     """
 
     __slots__ = ("params", "tag", "coeffs", "base")
@@ -202,19 +201,9 @@ class TypeIVector:
         return [n - 2 if j == self.tag.k else n - 1 for j in range(1, r + 1)]
 
     def degrees(self):
-        """Observed degrees, ignoring leading coefficients below 1e-10 times
-        the entry's coefficient scale (storage is never truncated)."""
-        out = []
-        for c in self.coeffs:
-            mags = np.abs(c)
-            scale = mags.max()
-            deg = -1
-            for k in range(len(mags) - 1, -1, -1):
-                if mags[k] > _DEGREE_REL_TOL * scale:
-                    deg = k
-                    break
-            out.append(deg)
-        return out
+        """Observed degrees: the index of each row's last nonzero
+        coefficient, -1 for a zero row."""
+        return [int(nz[-1]) if nz.size else -1 for nz in map(np.flatnonzero, self.coeffs)]
 
     def __repr__(self):
         return f"TypeIVector(r={self.params.r}, tag={self.tag!r})"
@@ -516,7 +505,9 @@ def _up_combos(n, params):
         nu_nums, nu_dens = _nu_args(n, m, params, hi, lo)
         ratio.append(_chain(n, m, params, hi, lo, _times((nu_dens, nu_nums), r_over_tau), r))
     lm = np.arange(r)
-    return roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
+    combos = roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
+    combos[1:, n] = 0  # sum_m omega^(lm) = 0 for l != 0, on equal tops
+    return combos
 
 
 @lru_cache(maxsize=4)
@@ -551,7 +542,9 @@ def type1_up(n, k, params):
     Built from the r combinations A_l(x) = (1/tau) sum_m omega^(l m)
     p_n(x; alpha, beta-m)/nu_n^(beta-m); entry j is then
     A_((j-k) mod r)(omega^(-j+1) x) omega^(-k+1).  The leading coefficient
-    of A_l for l != 0 cancels exactly by the root-of-unity sum.
+    of A_l for l != 0 is set to exactly 0 from the identity
+    sum_m omega^(l m) = 0, since the chain makes the x^n coefficient of
+    p_n(x; alpha, beta-m)/nu_n^(beta-m) the same for every m.
 
     The combinations do not depend on k: level n builds their r x (n+1)
     table once and applies every ray's phases in one product, into an
@@ -596,11 +589,18 @@ def _down_terms(n, params):
 @lru_cache(maxsize=4)
 def _down_stack(n, params):
     # the r x r x n tables of every ray of level n, read-only: ray k's row
-    # j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2)
-    t1, t2 = _down_terms(n, params)
-    roots = roots_of_unity(params.r)
-    phases = roots[(-np.arange(params.r)[:, None] * np.arange(n)) % params.r]
-    stack = phases * (roots[:, None] * t1 - roots[:, None, None] * t2)
+    # j - 1 is omega^(-(j-1) t) (omega^(j-1) t1 - omega^(k-1) t2).  At r = 1,
+    # where t1 - t2 cancels badly, it is the diagonal row of level n - 1
+    # and a zero top (all zero at the empty index n = 1)
+    if params.r == 1:
+        stack = np.zeros((1, 1, n), dtype=complex)
+        if n > 1:
+            stack[0, 0, :-1] = _diagonal_base(n - 1, params)
+    else:
+        t1, t2 = _down_terms(n, params)
+        roots = roots_of_unity(params.r)
+        phases = roots[(-np.arange(params.r)[:, None] * np.arange(n)) % params.r]
+        stack = phases * (roots[:, None] * t1 - roots[:, None, None] * t2)
     stack.setflags(write=False)
     return stack
 
@@ -617,27 +617,23 @@ def type1_down(n, k, params):
     gamma * A_j(x) = omega^(j-1) nu^(beta) p_(n-1)(omega^(-j+1)x; beta-1)
                    - omega^(k-1) nu^(beta-1) p_(n-1)(omega^(-j+1)x; beta);
     on ray j = k the two leading terms coincide and the degree drops to n-2.
-    For r = 1, n = 1 the multi-index is empty and the vector is zero.
 
     The two fused coefficient rows do not depend on k: level n builds them
     once and applies every ray's phases in one product, into an r x r x n
-    stack (a memo of a few levels, read-only); ray k copies row k-1.
+    stack (a memo of a few levels, read-only); ray k copies row k-1.  At
+    r = 1 the index (n) - e_1 is (n - 1): the vector is the diagonal's
+    memoized row with a zero top, and zero at the empty index n = 1.
     """
     _check_down(n)
     _check_ray(k, params.r)
-    tag = MultiIndexTag(n, "minus", k)
-    if n == 1 and params.r == 1:
-        # empty multi-index: the zero vector, whose normalizer would be singular
-        return TypeIVector(params, tag, np.zeros((1, 1)))
-    return TypeIVector(params, tag, _down_stack(n, params)[k - 1])
+    return TypeIVector(params, MultiIndexTag(n, "minus", k), _down_stack(n, params)[k - 1])
 
 
 def type1_down_stack(n, params):
     """The coefficient tables of every down vector of level n as one
     read-only r x r x n stack: entry k-1 is ``type1_down(n, k).coeffs``.
     The stack is the memoized one the vectors copy from; the guards are
-    ``type1_down``'s.  At r = 1, n = 1, the empty index, ``type1_down``
-    returns its zero vector without reading the stack."""
+    ``type1_down``'s."""
     _check_down(n)
     return _down_stack(n, params)
 

@@ -114,7 +114,7 @@ def recurrence_residual(n, k, params):
     return recurrence_residuals(n, params)[k - 1]
 
 
-@overflow_trap
+@overflow_trap("an identity term")
 def recurrence_residuals(n, params):
     """``recurrence_residual(n, k, params)`` for k = 1..r, in ray order.
 

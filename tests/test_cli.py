@@ -372,19 +372,19 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --alpha 0.7 --beta -0.5 --n 4 --format json", 0, "80c442b3747dc94a"),
     ("coeffs --r 3 --n 3 --family diag", 0, "a08bbdd564eea693"),
     ("coeffs --r 3 --n 3 --family diag --format json", 0, "f89d9787b8bb34f7"),
-    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "e97ebc3e5ee5b522"),
+    ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family up --k 2", 0, "be6872aa7ee99e6d"),
     ("coeffs --r 3 --alpha 2 --beta 0.5 --n 3 --family down --k 3 --format json", 0, "c693612c21aeedc1"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 1 --family down --k 1", 0, "3b371444219f3fb5"),
     # rows whose bytes follow the printing rules: at r = 1, 2 and 4 the
     # phases are exactly +-1 or +-i, so whole rows come out real (their
-    # imaginary column prints +0), and the down vector's row k loses its
-    # top coefficient by exact cancellation (the row ends a column early)
+    # imaginary column prints +0), and the down vector's row k ends a
+    # column early at its exact zero top coefficient
     ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family diag", 0, "5aa843c2f4b8611a"),
     ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family diag --format json", 0, "1e8f82dcf6b8e659"),
     ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family up --k 1", 0, "ccc1303d7f096fe9"),
     ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family up --k 1 --format json", 0, "a6fc75097876dc0f"),
-    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1", 0, "8c20eccd27f5270e"),
-    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1 --format json", 0, "3dca5111a28ce916"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1", 0, "03dd34e454fb5e9c"),
+    ("coeffs --r 1 --alpha 0.7 --beta -0.5 --n 12 --family down --k 1 --format json", 0, "b462ea59fab96bba"),
     ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family diag", 0, "1038fe487003e3c7"),
     ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family diag --format json", 0, "795707113b911d97"),
     ("coeffs --r 2 --alpha 2 --beta 0.7 --n 3 --family up --k 2", 0, "ab1a1c8745540f2d"),
@@ -412,18 +412,18 @@ _DIGEST_CORPUS = [
     ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "cfcb1885d0be787b"),
     ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "51e39195b76cfaf9"),
     # the shapes the benchmark runs: stacks of up to r = 8 vectors, levels to
-    # 24, and the r = 1 down vectors whose top coefficient cancels
-    ("verify --suite orthogonality --r 1 --n-max 24", 0, "4aa4a072b17184cf"),
+    # 24, and the r = 1 down vectors, which read the diagonal's rows
+    ("verify --suite orthogonality --r 1 --n-max 24", 0, "124816b7658bf984"),
     ("verify --suite orthogonality --r 4 --alpha 2 --beta -0.5 --n-max 12", 0, "36d1fa189319d530"),
-    ("verify --suite orthogonality --r 5 --alpha -0.5 --beta 0.7 --n-max 24", 0, "c519a462d9a1c4a1"),
-    ("verify --suite orthogonality --r 8 --alpha 0.7 --beta -0.5 --n-max 12", 0, "d4a9e3e1cf6d3b56"),
-    ("verify --suite orthogonality --r 3 --alpha -0.999 --beta -0.999 --n-max 12", 0, "a8aa0f52ae849456"),
-    ("verify --suite recurrence --r 3 --n-max 4", 0, "3fe30ca995e2e076"),
+    ("verify --suite orthogonality --r 5 --alpha -0.5 --beta 0.7 --n-max 24", 0, "6dc461855df8758e"),
+    ("verify --suite orthogonality --r 8 --alpha 0.7 --beta -0.5 --n-max 12", 0, "0c3cb3bc46613122"),
+    ("verify --suite orthogonality --r 3 --alpha -0.999 --beta -0.999 --n-max 12", 0, "459f9b5db5ddd522"),
+    ("verify --suite recurrence --r 3 --n-max 4", 0, "17aad0c77648df74"),
     ("verify --suite ode --r 2 --n-max 4", 0, "db8a37202f616c2d"),
     ("verify --suite lowering --r 3 --n-max 4", 0, "8f786bcab3d3caed"),
     ("verify --suite raising --r 2 --alpha 2 --beta 2 --n-max 4", 0, "f2110c5b63be024d"),
     ("verify --suite zeros --r 2 --n-max 4", 0, "56121c3cad7b8579"),
-    ("verify --suite orthogonality --r 3 --n-max 3 --tol 1e-30", 1, "8342269c94b5f112"),
+    ("verify --suite orthogonality --r 3 --n-max 3 --tol 1e-30", 1, "b0cb8d55509f830f"),
     ("verify --suite zeros --r 3 --alpha 1e4 --beta 1e4 --n-max 3", 1, "9dc6a295e641181a"),
     ("verify --suite recurrence --r 1 --n-max 2", 2, "88df01d06f45348e"),
     ("verify --suite raising --r 2 --n-max 2", 2, "50d52baf1817e17e"),

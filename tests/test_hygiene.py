@@ -14,10 +14,13 @@ takes its arguments from one formula.  ``operators.py`` and
 ``recurrence.py`` call no numpy division and pass no ``where=`` mask:
 per-index residual arithmetic lives in ``poly.identity_residual``, the
 one kernel that divides a sum of terms by its largest term and lets a
-NaN term through.  ``asymptotics.py`` calls no numpy
-transcendental and hands numpy to no function, except where the last bits
-do not matter (``_certified_steps``, which certifies each sign it takes,
-and the log-log fits of ``endpoint_exponents``): the limit density is
+NaN term through.  Every ``@`` product in ``orthogonality.py`` runs in a
+function decorated with ``numerics.overflow_trap``: a moment form that
+overflows raises ``DoubleRangeError``, not a RuntimeWarning and an inf.
+``asymptotics.py`` calls no numpy transcendental and hands numpy to no
+function, except where the last bits do not matter (``_certified_steps``,
+which certifies each sign it takes, and the log-log fits of
+``endpoint_exponents``): the limit density is
 bitwise what the one-sample libm code gives.  ``cli.py`` catches the
 library's documented exceptions only in ``main``, its one map from exception
 to exit code, and in ``verify``'s zeros suite, which counts a
@@ -295,6 +298,58 @@ def test_scan_sees_residual_arithmetic_outside_the_kernel():
         "e = identity_residual(terms).max(axis=(1, 2))\n"
     )
     assert _residual_arithmetic(tree) == [3, 4, 5, 6, 6]
+
+
+def _is_trap(decorator):
+    return _name(getattr(decorator, "func", decorator)) == "overflow_trap"
+
+
+def _untrapped_products(tree):
+    """Lines of every ``@`` product outside a function decorated with
+    ``overflow_trap(...)``: at module level, in a lambda, or in a function
+    without the decorator, nested ones included (they may run after the
+    trap is left)."""
+    bad = []
+
+    def visit(node, trapped):
+        for child in ast.iter_child_nodes(node):
+            inner = trapped
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = any(map(_is_trap, child.decorator_list))
+            elif isinstance(child, ast.Lambda):
+                inner = False
+            elif isinstance(getattr(child, "op", None), ast.MatMult) and not trapped:
+                bad.append(child.lineno)
+            visit(child, inner)
+
+    visit(tree, False)
+    return sorted(bad)
+
+
+def test_oracle_products_are_trapped():
+    assert _untrapped_products(ast.parse((SRC / "orthogonality.py").read_text())) == []
+
+
+def test_scan_sees_an_untrapped_product():
+    tree = ast.parse(
+        "from .numerics import overflow_trap\n"
+        "@overflow_trap('a term')\n"
+        "def a(h, c):\n"
+        "    return h @ c\n"
+        "def b(h, c):\n"
+        "    return (h @ c).sum()\n"
+        "@numerics.overflow_trap('a term')\n"
+        "def c(h, c):\n"
+        "    def d(x):\n"
+        "        return x @ c\n"
+        "    h @= c\n"
+        "    return d, h * c\n"
+        "@lru_cache(maxsize=4)\n"
+        "def e(h):\n"
+        "    return (lambda x: x @ x)(h)\n"
+        "f = g @ g\n"
+    )
+    assert _untrapped_products(tree) == [6, 10, 15, 16]
 
 
 _NP_TRANSCENDENTALS = {"sin", "cos", "tan", "log", "exp", "hypot", "power"}

@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from angelesco import (
+    DoubleRangeError,
     Params,
     base_poly,
     gamma_ratio,
@@ -395,21 +397,35 @@ def test_down_vectors_near_r1_beta_corner():
     assert failed == []
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, reason="the r = 1 down vector at n = 2 loses digits as alpha -> -1"
-)
 @pytest.mark.parametrize(
     "alpha, beta",
     [(-1.0 + 1e-11, -0.999), (-1.0 + 1e-9, -0.9), (-1.0 + 1e-12, 300.0)],
     ids=["-1+1e-11,-0.999", "-1+1e-9,-0.9", "-1+1e-12,300"],
 )
 def test_down_vector_near_r1_alpha_corner(alpha, beta):
-    # the norm residual reads 1.2e-8 at (alpha, beta) = (-1 + 1e-11, -0.999)
-    # and 1.2e-7 at (-1 + 1e-9, -0.9), against the oracle's 1e-9; it is not
-    # monotone in alpha (1.0e-9 at -1 + 1e-12, 1.3e-5 at -1 + 1e-13), so the
-    # points sit where the loss is clear of the tolerance.  At
-    # (-1 + 1e-12, 300) the vector is wrong outright: its norm value reads
-    # -305.6.  An mpmath oracle on the vector's own doubles agrees, so the
-    # vector is off, not the oracle; each point is its own case, so a fix of
-    # one shows as an XPASS
+    # built as the difference of two chains, the vector read a norm residual
+    # of 1.2e-8 at (alpha, beta) = (-1 + 1e-11, -0.999) and 1.2e-7 at
+    # (-1 + 1e-9, -0.9), and a norm value of -305.6 at (-1 + 1e-12, 300);
+    # it is now the diagonal vector of level n - 1
     assert verify_type1(type1_down(2, 1, Params(1, alpha, beta))).passed
+
+
+def test_r1_down_vectors_pass_near_every_corner():
+    alphas = (-1 + 1e-13, -1 + 1e-12, -1 + 1e-11, -1 + 1e-9, -0.999, -0.9, -0.5, 0.0, 0.7, 2.0, 300.0)
+    betas = (-1 + 1e-12, -0.999, -0.9, 0.0, 0.7, 2.0, 300.0)
+    failed = [
+        (a, b, n)
+        for a, b, n in itertools.product(alphas, betas, range(2, 41))
+        if not verify_type1(type1_down(n, 1, Params(1, a, b))).passed
+    ]
+    assert failed == []
+
+
+def test_oracle_overflow_raises():
+    # a product of the star forms overflows: it used to print numpy's
+    # RuntimeWarning and read inf
+    v = type1_diagonal(4, Params(2, 0.0, -0.9))
+    huge = TypeIVector(v.params, v.tag, np.full((2, 4), 1.7e308))
+    for check in (verify_type1, partial(ray_form, 3)):
+        with pytest.raises(DoubleRangeError, match="^a moment-oracle term exceeds the double range$"):
+            check(huge)

@@ -166,6 +166,46 @@ def test_degree_patterns():
                 assert dn.degrees() == dn.nominal_degrees()
 
 
+# the structural-zero grid: at every level n, the diagonal, up and down
+# vectors of each ray; ROADMAP item 1's zero vectors are the levels below,
+# where X = r(1 + alpha) + (1 + beta) is an integer in decimal but not in
+# doubles and a head's gamma_ratio sees a surplus denominator pole
+ZERO_GRID = (-1 + 1e-12, -0.9, -0.5, 0.0, 0.7, 2.0, 40.0)
+ZERO_VECTOR_LEVELS = ((3, -0.9, 0.7, "plus", 0), (5, -0.9, -0.5, "minus", 1))
+
+
+def _level_vectors(n, kind, params):
+    if kind == "diagonal":
+        return [type1_diagonal(n, params)] if n >= 1 else []
+    if kind == "minus" and n < 1:
+        return []
+    build = type1_up if kind == "plus" else type1_down
+    return [build(n, k, params) for k in range(1, params.r + 1)]
+
+
+def test_structural_zeros_are_exact():
+    # every coefficient past an entry's nominal degree is an exact zero, and
+    # degrees() reads the nominal degrees without a tolerance
+    for a, b, r, n, kind in itertools.product(
+        ZERO_GRID, ZERO_GRID, range(1, 9), (0, 1, 2, 5, 12), ("diagonal", "plus", "minus")
+    ):
+        for v in _level_vectors(n, kind, Params(r, a, b)):
+            nominal = v.nominal_degrees()
+            assert not any(c[d + 1:].any() for c, d in zip(v.coeffs, nominal)), (v, a, b)
+            if (r, a, b, kind, n) not in ZERO_VECTOR_LEVELS:
+                assert v.degrees() == nominal, (v, a, b)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: a near-integer X from decimal inputs makes the vector zero",
+)
+@pytest.mark.parametrize("r, alpha, beta, kind, n", ZERO_VECTOR_LEVELS)
+def test_zero_vector_levels_read_their_nominal_degrees(r, alpha, beta, kind, n):
+    for v in _level_vectors(n, kind, Params(r, alpha, beta)):
+        assert v.degrees() == v.nominal_degrees()
+
+
 def test_up_leading_coefficient_cancels_structurally():
     # the x^n coefficient of the non-leading combinations must sit far below
     # the coefficient scale (root-of-unity cancellation of the leading terms)
@@ -231,6 +271,20 @@ def test_r1_up_equals_next_diagonal():
             up = type1_up(n, 1, params).coeffs[0]
             diag = type1_diagonal(n + 1, params).coeffs[0]
             assert _coeffs_match(up, diag, 1e-12)
+
+
+def test_r1_down_equals_previous_diagonal_bitwise():
+    # at r = 1 the index (n) - e_1 is (n - 1): the diagonal vector of that
+    # level with a zero top, and the zero vector at the empty index n = 1
+    for a, b in ((0.0, 0.0), (0.7, -0.5), (-1 + 1e-12, 300.0), (300.0, -0.999)):
+        params = Params(1, a, b)
+        assert type1_down(1, 1, params).coeffs.tobytes() == np.zeros((1, 1), complex).tobytes()
+        for n in (2, 3, 7, 24, 60):
+            down = type1_down(n, 1, params).coeffs
+            want = np.append(type1_diagonal(n - 1, params).coeffs, [[0]], axis=1)
+            assert (down.dtype, down.shape, down.tobytes()) == (
+                want.dtype, want.shape, want.tobytes()
+            ), (a, b, n)
 
 
 def test_vectors_finite_at_degenerate_loci():
@@ -357,13 +411,14 @@ def test_level_tables_built_once_per_level(monkeypatch, r, n):
         type1_up(n, k, params)
         type1_down(n, k, params)
     # the heads of one n-long diagonal chain, of the r chains (n+1 long) of
-    # the up table and of the two n-long down chains, once for the level
-    want = (
-        _chain_heads(n - 1, r, 0)
-        + sum(_chain_heads(n, r, m) for m in range(r))
-        + _chain_heads(n - 1, r, 1)
-        + _chain_heads(n - 1, r, 0)
+    # the up table and of the two n-long down chains, once for the level; at
+    # r = 1 the down table is the diagonal row of level n - 1, one chain
+    down = (
+        _chain_heads(n - 2, r, 0)
+        if r == 1
+        else _chain_heads(n - 1, r, 1) + _chain_heads(n - 1, r, 0)
     )
+    want = _chain_heads(n - 1, r, 0) + sum(_chain_heads(n, r, m) for m in range(r)) + down
     assert calls == want
 
 
@@ -407,6 +462,10 @@ def _reference_rows(n, k, params, family):
         for j in range(1, r + 1):
             phases = roots[((-j + 1) * t + (-k + 1)) % r]
             rows.append(combos[(j - k) % r] * phases)
+    elif r == 1:
+        # the diagonal row of level n - 1 and a zero top
+        row = polynomials._diagonal_base(n - 1, params) if n > 1 else []
+        rows.append(np.append(row, 0).astype(complex))
     else:
         t1, t2 = polynomials._down_terms(n, params)
         wk = roots[(k - 1) % r]
@@ -422,8 +481,6 @@ def _reference_rows(n, k, params, family):
 def test_rows_equal_per_ray_assembly_bitwise(r, n):
     for params, k in itertools.product((Params(r, 0.7, -0.5), Params(r, -0.5, 2.0)), range(1, r + 1)):
         for family, build in (("up", type1_up), ("down", type1_down)):
-            if family == "down" and r == 1 and n == 1:
-                continue  # the empty multi-index
             got = build(n, k, params).coeffs
             want = _reference_rows(n, k, params, family)
             assert (got.dtype, got.shape, got.tobytes()) == (
@@ -448,7 +505,7 @@ CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0), (-0.999, -0.999
 # the down rows' gamma ratios hold poles of rates 1 and 7), exponents at
 # -1 + 1e-13, and 1e15 and 1e17, where the range guard and the double range
 # bind
-_PINNED_TABLE_DIGEST = "f3d4a67303091f21"
+_PINNED_TABLE_DIGEST = "316e4dda2c197dc5"
 PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5), (-0.875, -0.875),
                 (-1 + 1e-13, 0.3), (2.0, -1 + 1e-13), (-1 + 1e-13, -1 + 1e-13),
                 (1e15, 0.5), (0.5, 1e15), (1e17, 0.0), (0.0, 1e17))
@@ -475,15 +532,21 @@ def test_coefficient_tables_are_pinned():
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
-def test_chain_keeps_degree_drops_exact(r):
-    # A_l for l != 0 has no x^n term: its table entry is a root-of-unity sum
-    # of r equal heads.  On ray k of a down vector the leading terms of the
-    # two rows cancel: their heads take the same arguments, so they are equal.
+def test_chain_keeps_degree_drops_exact(monkeypatch, r):
+    # A_l for l != 0 has no x^n term: the r chains of the up table end in
+    # bitwise-equal heads, so their root-of-unity sum is exactly 0.  On ray k
+    # of a down vector the leading terms of the two rows cancel: their heads
+    # take the same arguments, so they are equal.
+    tables = []
+    real = polynomials._table
+    monkeypatch.setattr(polynomials, "_table", lambda rows, r: tables.append(rows) or real(rows, r))
     for (a, b), n in itertools.product(CHAIN_PAIRS, range(1, 60)):
         params = Params(r, a, b)
         try:
+            tables.clear()
             combos = polynomials._up_combos(n, params)
-            assert np.all(np.abs(combos[1:, n]) <= 1e-15 * abs(combos[0, n])), (a, b, n)
+            assert len({row[n] for row in tables[0]}) == 1, (a, b, n)
+            assert not combos[1:, n].any(), (a, b, n)
             if r == 1 and n == 1:
                 continue  # the empty minus index
             t1, t2 = polynomials._down_terms(n, params)
