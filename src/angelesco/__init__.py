@@ -45,6 +45,7 @@ from .orthogonality import (
     OrthoReport,
     moment,
     ray_form,
+    verify_level,
     verify_type1,
     verify_type1_many,
 )

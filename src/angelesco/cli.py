@@ -21,8 +21,12 @@ them, each reported as one `error:` line on stderr: `DegenerateParameters` (a
 formula singular at the exact parameter values given) -> 2; `DegreeCapError`
 and `DoubleRangeError` (a value outside the double range) -> 3;
 `ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  An
-output file that cannot be written also exits 3.  `verify --suite zeros`
-counts a level whose zeros cannot be certified as failed (residual inf).
+output that cannot be written also exits 3 with one `error:` line: an
+`--svg` file, or a stdout whose reader has gone (`BrokenPipeError`, as
+under `| head -1`).  ``main`` flushes stdout before it returns, so a closed
+pipe fails there, and then points the descriptor at the null device, so
+the flush at exit prints no traceback.  `verify --suite zeros` counts a
+level whose zeros cannot be certified as failed (residual inf).
 
 ``main`` parses with one parser built on its first call and reused for the
 life of the process; ``build_parser`` returns a fresh one.
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import lru_cache
 
@@ -40,7 +45,7 @@ import numpy as np
 from .asymptotics import density_curve
 from .numerics import DegenerateParameters, DoubleRangeError
 from .operators import lowering_check, ode_coeffs, ode_residual, raising_check
-from .orthogonality import verify_type1_many
+from .orthogonality import verify_level
 from .polynomials import (
     DegreeCapError,
     Params,
@@ -170,15 +175,9 @@ def _cmd_coeffs(args):
 
 
 def _ortho_residual_level(n, params, tol):
-    # one oracle call per level: the diagonal, the r up and the r down
-    # vectors are three stacks (the down index is empty for r = 1, n = 1)
-    r = params.r
-    vectors = [type1_diagonal(n, params)]
-    vectors += [type1_up(n, k, params) for k in range(1, r + 1)]
-    if r * n - 1 >= 1:
-        vectors += [type1_down(n, k, params) for k in range(1, r + 1)]
+    # one oracle call per level, on the constructors' memoized stacks
     worst = 0.0
-    for rep in verify_type1_many(vectors, tol):
+    for rep in verify_level(n, params, tol):
         worst = max(worst, rep.max_ortho_residual, rep.norm_residual)
     return worst
 
@@ -442,18 +441,31 @@ def _shared_parser():
 def main(argv=None):
     ap = _shared_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits 2 on usage errors already
-        return int(e.code) if e.code is not None else _EXIT_USAGE
-    # the one map from the library's documented exceptions to exit codes
-    try:
-        return args.func(args)
-    except DegenerateParameters as e:
-        return _usage_fail(f"degenerate parameters: {e}")
-    except (DoubleRangeError, DegreeCapError, ZeroFindingError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _EXIT_VERIFY if isinstance(e, ZeroFindingError) else _EXIT_CAP
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as e:
+            # argparse exits 2 on usage errors already
+            code = int(e.code) if e.code is not None else _EXIT_USAGE
+        else:
+            # the one map from the library's documented exceptions to exit codes
+            try:
+                code = args.func(args)
+            except DegenerateParameters as e:
+                code = _usage_fail(f"degenerate parameters: {e}")
+            except (DoubleRangeError, DegreeCapError, ZeroFindingError) as e:
+                print(f"error: {e}", file=sys.stderr)
+                code = _EXIT_VERIFY if isinstance(e, ZeroFindingError) else _EXIT_CAP
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError as e:
+        # stdout's reader is gone: an output that cannot be written.  The
+        # descriptor now points at devnull, so flushing what is left in the
+        # buffer at exit stays silent
+        print(f"error: cannot write stdout: {e.strerror or e}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _EXIT_CAP
+    return code
 
 
 if __name__ == "__main__":

@@ -11,20 +11,29 @@ advance every other entry, from the top down, by an exact rational factor
 rounding (``math.fsum``, Shewchuk's summation), so equal numerator and
 denominator arguments cancel inside the sum, and it resolves the pole/pole
 cancellations of degenerate parameter combinations (e.g. ``r=1`` with
-``alpha+beta = -1``).  A ratio whose value leaves the double range raises
-:class:`DoubleRangeError`, as does a numpy overflow under :func:`overflow_trap`.
+``alpha+beta = -1``).  The heads of one chain share a factor free of t:
+:func:`log_gamma_factor` sums its log-gammas once, into an exact
+expansion that each head's ``fsum`` takes in place of the factor's terms.
+``fsum`` is correctly rounded over the exact sum (Shewchuk, "Adaptive
+Precision Floating-Point Arithmetic", 1997), so every head keeps the bits
+it has with the factor's arguments inline.  A ratio whose value leaves the
+double range raises :class:`DoubleRangeError`, as does a numpy overflow
+under :func:`overflow_trap`.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "pochhammer",
     "gamma_ratio",
+    "log_gamma_factor",
+    "LogGammaFactor",
     "roots_of_unity",
     "DegenerateParameters",
     "DoubleRangeError",
@@ -85,7 +94,53 @@ def _log_gammas(args, logs, poles, side):
     return sign
 
 
-def gamma_ratio(nums, dens):
+class LogGammaFactor(NamedTuple):
+    """The log-gammas of a gamma ratio free of poles, summed once:
+    ``sign * exp(sum(logs))`` is prod Gamma(nums) / prod Gamma(dens), and
+    ``logs`` is an exact expansion of its +-lgamma terms (their exact sum,
+    as a few doubles).  ``nums`` and ``dens`` are the arguments as given,
+    for :func:`gamma_ratio`'s overflow message."""
+
+    sign: float
+    logs: tuple
+    nums: tuple
+    dens: tuple
+
+
+def log_gamma_factor(nums, dens):
+    """A gamma ratio's log-gammas as one :class:`LogGammaFactor`, for
+    :func:`gamma_ratio` to take as its ``factor``, or ``None`` if an argument
+    is a pole (pole pairing needs the arguments themselves).
+
+    The expansion's components are the correctly rounded sum of the
+    +-lgamma terms (``math.fsum``), then that of the terms less the
+    components so far, until the remainder is exactly 0 (it is a multiple of
+    2^-1074, so a nonzero one never rounds to 0).  Its exact sum is the
+    terms' exact sum, so ``math.fsum`` rounds a list that holds it to the
+    same double as the list with the terms.  A log-gamma above the double
+    range raises :class:`DoubleRangeError`.
+    """
+    logs, poles = [], []
+    try:
+        sign = _log_gammas(nums, logs, poles, 1.0) * _log_gammas(dens, logs, poles, -1.0)
+        if poles:
+            return None
+        expansion = []
+        while part := math.fsum(logs):
+            expansion.append(part)
+            logs.append(-part)
+    except OverflowError:
+        raise _range_error(nums, dens) from None
+    return LogGammaFactor(sign, tuple(expansion), tuple(nums), tuple(dens))
+
+
+def _range_error(nums, dens):
+    return DoubleRangeError(
+        f"gamma ratio exceeds the double range: {list(nums)!r} over {list(dens)!r}"
+    )
+
+
+def gamma_ratio(nums, dens, factor=None):
     """Signed ratio  prod Gamma(nums) / prod Gamma(dens), as a ``float``.
 
     Arguments may carry a rate as a ``(value, rate)`` pair.  Pole arguments
@@ -105,10 +160,18 @@ def gamma_ratio(nums, dens):
     and a denominator cancels exactly.  Arguments are finite.  A result (or
     a log-gamma) above the double range raises :class:`DoubleRangeError`;
     a result below it underflows to 0.
+
+    ``factor``, a :func:`log_gamma_factor`, multiplies the ratio by its
+    own: its expansion joins the list, so the result is bitwise
+    ``gamma_ratio(nums + factor.nums, dens + factor.dens)``, and so is the
+    message of a :class:`DoubleRangeError`.
     """
     try:
         logs, num_poles, den_poles = [], [], []
         sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
+        if factor is not None:
+            sign *= factor.sign
+            logs.extend(factor.logs)
         if num_poles and den_poles:
             for pole in num_poles[:]:
                 if pole in den_poles:  # cancels exactly; a pairing across rates rounds log(rate)
@@ -129,9 +192,9 @@ def gamma_ratio(nums, dens):
             logs.append(math.log(rb / ra))
         return sign * math.exp(math.fsum(logs))
     except OverflowError:
-        raise DoubleRangeError(
-            f"gamma ratio exceeds the double range: {list(nums)!r} over {list(dens)!r}"
-        ) from None
+        if factor is not None:
+            nums, dens = [*nums, *factor.nums], [*dens, *factor.dens]
+        raise _range_error(nums, dens) from None
 
 
 def _cospi(x):

@@ -12,11 +12,14 @@ all r entries of the vector it is handed; no family takes a shortcut.
 One kernel checks a stack of vectors that share params, size and live
 width (the columns up to the last nonzero one): one Hankel gather and one
 pair of matrix products for the whole stack.  ``verify_type1_many`` groups
-the vectors it is handed into such stacks (a level of ``verify`` is three:
-the diagonal, the r up and the r down vectors); ``verify_type1`` and
-``ray_form`` run the kernel on a stack of one.  Every report is bitwise the
-same whichever stack a vector is checked in; an overflow raises
-``DoubleRangeError`` (``numerics.overflow_trap``).
+the vectors it is handed into such stacks; ``verify_type1`` and
+``ray_form`` run the kernel on a stack of one.  ``verify_level`` checks a
+level of ``verify`` straight from the constructors' memoized tables: the
+diagonal's, the r up vectors' and the r down vectors' stacks, each one
+product when all of its vectors reach its full width, and split by live
+width otherwise.  Every report is bitwise the same whichever stack a
+vector is checked in; an overflow raises ``DoubleRangeError``
+(``numerics.overflow_trap``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import gamma_ratio, overflow_trap, roots_of_unity
-from .polynomials import Params
+from .polynomials import Params, type1_diagonal, type1_down_stack, type1_up_stack
 
 __all__ = [
     "moment",
@@ -35,6 +38,7 @@ __all__ = [
     "ray_form",
     "verify_type1",
     "verify_type1_many",
+    "verify_level",
 ]
 
 
@@ -135,6 +139,44 @@ def verify_type1(v, tol=1e-9):
     return verify_type1_many([v], tol)[0]
 
 
+def _stack_reports(c, params, size, tol):
+    # the reports of a stack c[v, j, m] of vectors that share params, size
+    # and live width, in stack order
+    forms, scale = _star_forms(c, params, np.arange(size))
+    ortho = np.abs(forms[:, :-1]) / np.maximum(scale[:, :-1], 1e-300)
+    worst = ortho.max(axis=1, initial=0.0).tolist()
+    reports = []
+    for w, norm, s in zip(worst, forms[:, -1].tolist(), scale[:, -1].tolist()):
+        norm_res = abs(norm - 1.0) / max(1.0, s)
+        reports.append(
+            OrthoReport(
+                max_ortho_residual=w,
+                norm_value=norm,
+                norm_residual=norm_res,
+                tol=tol,
+                passed=(w <= tol and norm_res <= tol),
+            )
+        )
+    return reports
+
+
+def _reports_by_width(tables, params, size, tol):
+    # the reports of coefficient tables that share params and size, in
+    # order: each is checked in one stack with the others of its live width
+    groups = {}
+    for i, table in enumerate(tables):
+        groups.setdefault(_live_width(table), []).append(i)
+    reports = [None] * len(tables)
+    for width, members in groups.items():
+        if len(members) == 1:  # a view: a lone vector pays for no copy
+            c = tables[members[0]][None, :, :width]
+        else:
+            c = np.stack([tables[i][:, :width] for i in members])
+        for i, rep in zip(members, _stack_reports(c, params, size, tol)):
+            reports[i] = rep
+    return reports
+
+
 def verify_type1_many(vectors, tol=1e-9):
     """:func:`verify_type1` of each vector of a sequence, as a list in
     input order.
@@ -150,23 +192,38 @@ def verify_type1_many(vectors, tol=1e-9):
         size = v.size
         if size < 1:
             raise ValueError("vector has an empty multi-index: nothing to verify")
-        groups.setdefault((v.params, size, _live_width(v.coeffs)), []).append(i)
+        groups.setdefault((v.params, size), []).append(i)
     reports = [None] * len(vectors)
-    for (params, size, width), members in groups.items():
-        if len(members) == 1:  # a view: a lone vector pays for no copy
-            c = vectors[members[0]].coeffs[None, :, :width]
+    for (params, size), members in groups.items():
+        tables = [vectors[i].coeffs for i in members]
+        for i, rep in zip(members, _reports_by_width(tables, params, size, tol)):
+            reports[i] = rep
+    return reports
+
+
+def verify_level(n, params, tol=1e-9):
+    """The reports of every type I vector of level n, bitwise those of
+    :func:`verify_type1_many` on them: the diagonal vector, the up vectors
+    k = 1..r, then the down vectors k = 1..r (none at the empty index
+    r = 1, n = 1).
+
+    Reads the constructors' memoized tables (``type1_diagonal(n).coeffs``,
+    ``type1_up_stack``, ``type1_down_stack``) and builds no vector.  A stack
+    whose vectors all reach its full width (its last column is nonzero in
+    some row of each) is checked in one product; any other is split by live
+    width, as :func:`verify_type1_many` splits it.
+    """
+    r = params.r
+    stacks = [
+        (type1_diagonal(n, params).coeffs[None], r * n),
+        (type1_up_stack(n, params), r * n + 1),
+    ]
+    if r * n - 1 >= 1:
+        stacks.append((type1_down_stack(n, params), r * n - 1))
+    reports = []
+    for c, size in stacks:
+        if c[:, :, -1].any(axis=1).all():
+            reports += _stack_reports(c, params, size, tol)
         else:
-            c = np.stack([vectors[i].coeffs[:, :width] for i in members])
-        forms, scale = _star_forms(c, params, np.arange(size))
-        ortho = np.abs(forms[:, :-1]) / np.maximum(scale[:, :-1], 1e-300)
-        worst = ortho.max(axis=1, initial=0.0).tolist()
-        for i, w, norm, s in zip(members, worst, forms[:, -1].tolist(), scale[:, -1].tolist()):
-            norm_res = abs(norm - 1.0) / max(1.0, s)
-            reports[i] = OrthoReport(
-                max_ortho_residual=w,
-                norm_value=norm,
-                norm_residual=norm_res,
-                tol=tol,
-                passed=(w <= tol and norm_res <= tol),
-            )
+            reports += _reports_by_width(c, params, size, tol)
     return reports

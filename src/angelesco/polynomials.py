@@ -27,17 +27,22 @@ heads: the top r entries, and every t whose factor has a negative integer
 part (which covers the steps where it is exactly 0).  The two sides of
 the lowering identity take their heads at the same positions with the
 same large gamma arguments, so the heads' rounding cancels between them.
-Each head is one gamma-ratio call over the arguments of q_t and r F,
-divided by r (p_n's by 1), so where a normalizer vanishes while a
-coefficient blows up, e.g. r=1 with alpha+beta = -1, it evaluates to the
-finite limit instead of inf*0, and a q_t equal to a nu in F cancels
-exactly: the degree drops are exact.  Every gamma argument is rounded
-once from its exact value, with X = r(1 + alpha) + (1 + beta) carried as a
-two-double sum, and a step's factor adds nonnegative integers to X and to
-1 + beta, so arguments and factors near alpha, beta -> -1 keep their
-relative precision.  A table entry too large for the assembly, or an X or
-beta that absorbs an added 1, raises :class:`DoubleRangeError`; the
-normalizers take the same guard.
+Each head is one gamma-ratio call over q_t's three arguments and r F,
+divided by r (p_n's by 1).  The chain sums r F's log-gammas once
+(``numerics.log_gamma_factor``, an exact expansion that each head's one
+``fsum`` takes in place of F's terms), so every head has the bits of one
+call over all of its arguments; where F has a pole, its arguments go to
+each head as they are, for ``gamma_ratio`` to pair.  So where a
+normalizer vanishes while a coefficient blows up, e.g. r=1 with
+alpha+beta = -1, a head evaluates to the finite limit instead of inf*0,
+and a q_t equal to a nu in F cancels exactly: the degree drops are exact.
+The signed binomials (-1)^(N-t) C(N, t) are memoized per N.  Every gamma
+argument is rounded once from its exact value, with X = r(1 + alpha) +
+(1 + beta) carried as a two-double sum, and a step's factor adds
+nonnegative integers to X and to 1 + beta, so arguments and factors near
+alpha, beta -> -1 keep their relative precision.  A table entry too
+large for the assembly, or an X or beta that absorbs an added 1, raises
+:class:`DoubleRangeError`; the normalizers take the same guard.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their level tables (the r combinations of the up
@@ -66,6 +71,7 @@ from .numerics import (
     DegenerateParameters,
     DoubleRangeError,
     gamma_ratio,
+    log_gamma_factor,
     roots_of_unity,
 )
 
@@ -404,25 +410,36 @@ def _affine(params):
     return hi, math.fsum(terms)
 
 
+@lru_cache(maxsize=64)
+def _signed_binomials(N):
+    # (-1)^(N-t) C(N, t) for t = 0..N as doubles: a product of an int and a
+    # float rounds the int to this same double first
+    return tuple(float((-1) ** (N - t) * math.comb(N, t)) for t in range(N + 1))
+
+
 def _chain(N, d, params, hi, lo, factor=((), ()), over=1):
     # Entries t = 0..N of the list (-1)^(N-t) C(N,t) q_t F / over on beta - d,
     # with q_t = Gamma((kn + X)/r) / [Gamma(N + alpha + 1) Gamma((kd + beta)/r)]
     # and F the gamma ratio of factor = (nums, dens).  From the top down, q_t
     # is q_(t+r) divided by the step's factor (kn + X)/(kd + beta); a head, at
     # the top r entries and wherever kn < 0 or kd <= 0, is one gamma_ratio
-    # call over the arguments of q_t and F.
+    # call over the arguments of q_t and F's log-gammas, summed once for the
+    # chain (F's arguments themselves if one is a pole; p_n has no F)
     r, b = params.r, params.beta
     n1 = N + 1 + params.alpha
     nums, dens = factor
+    log_f = log_gamma_factor(nums, dens) if nums or dens else None
+    if log_f is not None:
+        nums, dens = (), ()
     q = [0.0] * (N + 1)
     for t in range(N, -1, -1):
         kn, kd = r * N - 1 - d + t, t + r - d
         if t > N - r or kn < 0 or kd <= 0:
             y = math.fsum((kn, hi, lo)) / r
-            q[t] = gamma_ratio([y, *nums], [n1, (kd + b) / r, *dens]) / over
+            q[t] = gamma_ratio([y, *nums], [n1, (kd + b) / r, *dens], log_f) / over
         else:
             q[t] = q[t + r] / ((kn + hi) / (kd + b))
-    return [(-1) ** (N - t) * math.comb(N, t) * q[t] for t in range(N + 1)]
+    return [c * qt for c, qt in zip(_signed_binomials(N), q)]
 
 
 def _nu_args(N, d, params, hi, lo):

@@ -365,6 +365,42 @@ def test_zeros_not_isolated_is_a_verification_failure(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+_LONG_VERIFY = ["verify", "--suite", "orthogonality", "--r", "3", "--n-max", "30"]
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [(_LONG_VERIFY, False), (_LONG_VERIFY, True), (["verify", "--help"], False)],
+    ids=["buffered", "unbuffered", "help"],
+)
+def test_closed_stdout_is_one_error_line(argv, unbuffered):
+    # stdout is a pipe whose reader has gone, as under `| head -1`: exit 3
+    # with one error line, and no traceback from the run or from the flush
+    # at exit (unbuffered, argparse itself drops a help text it cannot write)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import angelesco
+
+    env = dict(os.environ, PYTHONPATH=str(Path(angelesco.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "angelesco.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == "error: cannot write stdout: Broken pipe\n"
+
+
 # (argv, exit code, sha256 prefix of stdout, stderr and the SVG written):
 # every subcommand, both formats and each exit code, pinned byte for byte
 _DIGEST_CORPUS = [

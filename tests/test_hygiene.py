@@ -220,15 +220,17 @@ def test_scan_sees_a_gamma_call():
 _GAMMA_RATIO_CALLERS = {
     "_chain", "leading_coefficient", "diagonal_normalizer", "up_normalizer", "down_normalizer"
 }
+# the one function that may name log_gamma_factor: the chain, which sums its
+# factor's log-gammas once for all of its heads
+_FACTOR_CALLERS = {"_chain"}
 
 
-def _stray_gamma_ratios(tree):
-    """Lines that name ``gamma_ratio`` outside the module-level functions
-    ``_GAMMA_RATIO_CALLERS`` lists, or in a function or lambda nested in
-    one."""
+def _stray_names(tree, name, callers):
+    """Lines that name ``name`` outside the module-level functions
+    ``callers`` lists, or in a function or lambda nested in one."""
     allowed = set()
     for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef) and fn.name in _GAMMA_RATIO_CALLERS:
+        if isinstance(fn, ast.FunctionDef) and fn.name in callers:
             nested = [
                 node for node in ast.walk(fn)
                 if node is not fn and isinstance(node, (ast.FunctionDef, ast.Lambda))
@@ -237,12 +239,24 @@ def _stray_gamma_ratios(tree):
     return sorted(
         node.lineno
         for node in ast.walk(tree)
-        if _name(node) == "gamma_ratio" and node not in allowed
+        if _name(node) == name and node not in allowed
     )
+
+
+def _stray_gamma_ratios(tree):
+    return _stray_names(tree, "gamma_ratio", _GAMMA_RATIO_CALLERS)
+
+
+def _stray_factors(tree):
+    return _stray_names(tree, "log_gamma_factor", _FACTOR_CALLERS)
 
 
 def test_one_head_formula():
     assert _stray_gamma_ratios(ast.parse((SRC / "polynomials.py").read_text())) == []
+
+
+def test_one_factor_per_chain():
+    assert _stray_factors(ast.parse((SRC / "polynomials.py").read_text())) == []
 
 
 def test_scan_sees_a_gamma_ratio_outside_the_head():
@@ -263,6 +277,23 @@ def test_scan_sees_a_gamma_ratio_outside_the_head():
         "y = gamma_ratio([1.0], [])\n"
     )
     assert _stray_gamma_ratios(tree) == [5, 6, 10, 13, 14]
+
+
+def test_scan_sees_a_log_gamma_factor_outside_the_chain():
+    tree = ast.parse(
+        "from .numerics import gamma_ratio, log_gamma_factor\n"
+        "def _chain(N, factor):\n"
+        "    f = log_gamma_factor(*factor)\n"
+        "    def head(t):\n"
+        "        return log_gamma_factor([t], [])\n"
+        "    return gamma_ratio([N], [], f)\n"
+        "def _up_combos(n):\n"
+        "    return numerics.log_gamma_factor([n], [])\n"
+        "def leading_coefficient(n):\n"
+        "    return gamma_ratio([n], [], log_gamma_factor([n], []))\n"
+        "z = log_gamma_factor([1.0], [])\n"
+    )
+    assert _stray_factors(tree) == [5, 8, 10, 11]
 
 
 _MASKED_DIVISIONS = {"divide", "true_divide", "where"}

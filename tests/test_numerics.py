@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammasgn
 
 from angelesco import DegenerateParameters, Params, base_poly, gamma_ratio, moment, pochhammer
-from angelesco.numerics import roots_of_unity
+from angelesco.numerics import DoubleRangeError, log_gamma_factor, roots_of_unity
 from angelesco.polynomials import base_coeffs_mp
 
 
@@ -100,6 +100,52 @@ def test_gamma_ratio_sign_and_value_against_references(nums, dens):
         err = abs((mp.mpf(val) - ref) / ref)
         # below the normal range the doubles are 2^-1074 apart
         assert err <= bound + mp.ldexp(1, -1074) / abs(ref)
+
+
+# a chain factor's arguments: regular ones up to 1e12 (their ratios leave the
+# double range), with or without a rate, and poles, for which no factor exists
+wide = st.one_of(regular, st.floats(1.0, 1e12))
+factor_argument = st.one_of(wide, wide, st.tuples(wide, st.sampled_from((1.0, 2.0, 7.0))), pole)
+
+
+def _is_pole(a):
+    x = a[0] if isinstance(a, tuple) else a
+    return x <= 0.0 and x == math.floor(x)
+
+
+def _factor_outcome(nums, dens, factor=None):
+    try:
+        return float(gamma_ratio(nums, dens, factor)).hex()
+    except (DegenerateParameters, DoubleRangeError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@bounded
+@given(
+    nums=st.lists(argument, max_size=4),
+    dens=st.lists(argument, max_size=4),
+    fnums=st.lists(factor_argument, max_size=5),
+    fdens=st.lists(factor_argument, max_size=5),
+)
+@example(nums=[300.0], dens=[], fnums=[200.0], fdens=[])  # overflows
+@example(nums=[-0.5], dens=[(-1.5, 2.0)], fnums=[-2.5, (1e12, 7.0)], fdens=[-3.25, 1e12])
+def test_gamma_ratio_with_a_factor_is_the_concatenation_bitwise(nums, dens, fnums, fdens):
+    factor = log_gamma_factor(fnums, fdens)
+    assert (factor is None) == any(map(_is_pole, fnums + fdens))
+    if factor is not None:
+        got = _factor_outcome(nums, dens, factor)
+        assert got == _factor_outcome(nums + fnums, dens + fdens)
+
+
+def test_a_factor_overflow_names_every_argument():
+    factor = log_gamma_factor([(200.0, 2.0)], [2.5])
+    with pytest.raises(DoubleRangeError) as e:
+        gamma_ratio([300.0], [1.5], factor)
+    assert str(e.value) == (
+        "gamma ratio exceeds the double range: [300.0, (200.0, 2.0)] over [1.5, 2.5]"
+    )
+    with pytest.raises(DoubleRangeError, match=r"\[1e\+306\] over \[\]"):
+        log_gamma_factor([1e306], [])
 
 
 def test_gamma_ratio_returns_float():

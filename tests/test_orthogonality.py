@@ -22,9 +22,9 @@ from angelesco import (
     verify_type1,
     verify_type1_many,
 )
-from angelesco import cli, orthogonality
+from angelesco import cli, orthogonality, polynomials
 from angelesco.numerics import roots_of_unity
-from angelesco.orthogonality import _hankel, _live_width, _moment_row, _star_forms
+from angelesco.orthogonality import _hankel, _live_width, _moment_row, _star_forms, verify_level
 from angelesco.poly import padded_coeffs
 from angelesco.polynomials import TypeIVector
 
@@ -373,9 +373,54 @@ def test_orthogonality_level_runs_three_stacks(monkeypatch, r, n):
         calls += 1
         return real(params, ks, cols)
 
+    vectors = 0
+
+    class CountingVector(polynomials.TypeIVector):
+        def __init__(self, *args, **kwargs):
+            nonlocal vectors
+            vectors += 1
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(orthogonality, "_hankel", counting)
+    monkeypatch.setattr(polynomials, "TypeIVector", CountingVector)
     cli._ortho_residual_level(n, Params(r, 0.7, -0.5), 1e-9)
     assert calls == (3 if r * n > 1 else 2)
+    assert vectors == 1  # the diagonal's; the up and down rays stay in their stacks
+
+
+_LEVEL_ALPHAS = (-0.999, -0.9, -0.5, 0.0, 0.7, 2.0, 40.0)
+_LEVEL_BETAS = (-0.9, -0.5, -0.2, 0.0, 0.7, 3.0)
+# stacks that miss their full width, so verify_level splits them by live
+# width: every r = 1 down stack (its top column is zero), and item 1's zero
+# down vectors at n = 1 (ROADMAP); (3, -0.9, 0.7)'s zero vector is up at
+# n = 0, which no level checks
+_SPLIT_LEVELS = {
+    1: {(a, b, n, "down") for a in _LEVEL_ALPHAS for b in _LEVEL_BETAS for n in range(2, 25)},
+    2: {(-0.9, -0.2, 1, "down")},
+    5: {(-0.9, -0.5, 1, "down")},
+}
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_verify_level_equals_verify_many_bitwise(r):
+    split = set()
+    for alpha, beta in itertools.product(_LEVEL_ALPHAS, _LEVEL_BETAS):
+        params = Params(r, alpha, beta)
+        for n in range(1, (24 if r <= 5 else 12) + 1):
+            families = {
+                "diag": [type1_diagonal(n, params)],
+                "up": [type1_up(n, k, params) for k in range(1, r + 1)],
+                "down": [type1_down(n, k, params) for k in range(1, r + 1)] if r * n > 1 else [],
+            }
+            vectors = [v for vs in families.values() for v in vs]
+            want = [repr(rep) for rep in verify_type1_many(vectors, 1e-9)]
+            assert [repr(rep) for rep in verify_level(n, params, 1e-9)] == want, (alpha, beta, n)
+            split |= {
+                (alpha, beta, n, fam)
+                for fam, vs in families.items()
+                if vs and not all(v.coeffs[:, -1].any() for v in vs)
+            }
+    assert split >= _SPLIT_LEVELS.get(r, set())
 
 
 def test_verify_shares_power_of_two_moment_rows():

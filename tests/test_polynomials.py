@@ -395,16 +395,23 @@ def _chain_heads(N, r, d):
 @pytest.mark.parametrize("r", [1, 3, 5])
 @pytest.mark.parametrize("n", [2, 7])
 def test_level_tables_built_once_per_level(monkeypatch, r, n):
-    calls = 0
+    calls = factors = 0
     real = polynomials.gamma_ratio
+    real_factor = polynomials.log_gamma_factor
 
-    def counting(nums, dens):
+    def counting(nums, dens, factor=None):
         nonlocal calls
         calls += 1
-        return real(nums, dens)
+        return real(nums, dens, factor)
+
+    def counting_factor(nums, dens):
+        nonlocal factors
+        factors += 1
+        return real_factor(nums, dens)
 
     _clear_level_tables()
     monkeypatch.setattr(polynomials, "gamma_ratio", counting)
+    monkeypatch.setattr(polynomials, "log_gamma_factor", counting_factor)
     params = Params(r, 0.7, -0.5)
     for k in range(1, r + 1):
         type1_diagonal(n, params)  # the recurrence check builds it once per ray
@@ -420,6 +427,8 @@ def test_level_tables_built_once_per_level(monkeypatch, r, n):
     )
     want = _chain_heads(n - 1, r, 0) + sum(_chain_heads(n, r, m) for m in range(r)) + down
     assert calls == want
+    # one factor per chain: the diagonal's, the r up rows' and the down rows'
+    assert factors == 1 + r + (1 if r == 1 else 2)
 
 
 def _level_coeff_bytes(n, params, ks):
