@@ -10,7 +10,8 @@ reported residuals accurate.  They are rounded once to integers at scale
 2^prec (the working precision plus 32 guard bits), and Horner's rule runs
 on Python integers.  Its multiplier is the abscissa's significand: every
 grid point and every abscissa of the rounding test is a double or the
-midpoint of two, X = m 2^(prec - s) with m of at most 54 bits, and
+midpoint of two, and every iterate of the search is rounded to 64
+significant bits, so X = m 2^(prec - s) with m of at most 64 bits, and
 ((acc * m) >> s) is exactly ((acc * X) >> prec), at a fraction of the cost
 of a full-width product.
 
@@ -21,7 +22,10 @@ changes on the quantile grid of the limit zero distribution, 4 points per
 root and doubled up to 64 until n of them show, closed by the endpoints 0
 and 1 where p_n does not vanish, bracket every zero, and a safeguarded
 Newton iteration (bisection whenever a step would leave the bracket) runs
-inside each bracket until its step nears double resolution.
+inside each bracket until its step nears double resolution.  Newton needs
+only about 64 bits of the point it evaluates, so each iterate is rounded to
+that many before Horner's rule sees it; the step that goes to the rounding
+test keeps its full width.
 
 Every reported double is certified by a rounding test in the style of Ziv,
 on the full integers: p_n is evaluated at the two midpoints to the
@@ -71,6 +75,11 @@ _STOP_BITS = 30
 # digits beyond the condition estimate for the bracketing grid and Newton,
 # in place of the certificate's _MARGIN_DIGITS
 _SEARCH_DIGITS = 20
+# significant bits of each iterate that Newton evaluates: a step from an
+# iterate within 2^-64 of its own value still converges quadratically (the
+# search stops at 2^-30), and Horner multiplies by a significand this short
+# however wide the scale
+_ITERATE_BITS = 64
 _UNDECIDED = "undecided"
 _UNISOLATED = "unisolated"
 
@@ -92,7 +101,8 @@ class ZeroSet:
     the arithmetic of the zero finder; it is always "extended".  ``dps`` is
     the number of digits of the attempt that certified the zeros.
     ``newton_iters`` counts the safeguarded steps per root, bisections
-    included, all of them on the truncated integers of the search."""
+    included, all of them on the truncated integers of the search, each
+    taken from an iterate rounded to 64 significant bits."""
 
     params: object
     n: int
@@ -149,11 +159,22 @@ def _split(X, prec):
     # X = m 2^(prec - s) with s >= 0, so that (acc * X) >> prec equals
     # (acc * m) >> s for every integer acc: the left shift is exact and >>
     # floors.  A double or the midpoint of two has at most 54 significant
-    # bits, so m is short however wide the scale
+    # bits, and a search iterate _ITERATE_BITS, so m is short however wide
+    # the scale
     if not X:
         return 0, prec
     tz = min((X & -X).bit_length() - 1, prec)
     return X >> tz, prec - tz
+
+
+def _short(X):
+    # X rounded to the nearest integer of at most _ITERATE_BITS significant
+    # bits.  The rounding is monotone and fixes every such integer, so an X
+    # between two of them stays between them
+    drop = X.bit_length() - _ITERATE_BITS
+    if drop <= 0:
+        return X
+    return ((X >> (drop - 1)) + 1) >> 1 << drop
 
 
 def _fixed_eval(crev, X, prec):
@@ -174,20 +195,11 @@ def _fixed_eval_d(crev, X, prec):
     return f, d
 
 
-def _fixed_eval_mag(crev, X, prec):
-    # p(x) and sum |c_k| x^k in one pass
-    m, s = _split(X, prec)
-    f = a = 0
-    for c in crev:
-        f = ((f * m) >> s) + c
-        a = ((a * m) >> s) + abs(c)
-    return f, a
-
-
-def _rounding_test(crev, prec, w, K, X):
+def _rounding_test(crev, arev, prec, w, K, X):
     """Certify the double nearest X/2^prec: (x, f, mag) with p(x) and
-    sum |c_k| x^k at scale 2^prec, None if p has one certain sign at both
-    midpoints (so the zero lies elsewhere), or _UNDECIDED."""
+    sum |c_k| x^k at scale 2^prec (arev holds the |c_k|), None if p has one
+    certain sign at both midpoints (so the zero lies elsewhere), or
+    _UNDECIDED."""
     n = len(crev) - 1
     x = X / (1 << prec)  # int / int rounds correctly
     Xx = _fixed_exact(x, prec)
@@ -197,7 +209,8 @@ def _rounding_test(crev, prec, w, K, X):
         return _UNDECIDED
     f_lo = _fixed_eval(crev, (Xx + Xlo) >> 1, prec)
     f_hi = _fixed_eval(crev, (Xx + Xhi) >> 1, prec)
-    f, mag = _fixed_eval_mag(crev, Xx, prec)
+    f = _fixed_eval(crev, Xx, prec)
+    mag = _fixed_eval(arev, Xx, prec)
     # 2 (mag + 2n + 2) bounds sum |c_k| m^k at either midpoint m; the
     # rounding to integers and Horner's truncations add at most 2n + 4
     bound = ((2 * K * (mag + 2 * n + 2)) >> w) + 2 * n + 4
@@ -208,15 +221,18 @@ def _rounding_test(crev, prec, w, K, X):
     return x, f, mag
 
 
-def _certified_newton(trev, shift, crev, prec, w, K, lo, hi, f_lo, f_hi):
+def _certified_newton(trev, shift, crev, arev, prec, w, K, lo, hi, f_lo, f_hi):
     # Newton iteration on the truncated integers trev, at scale
     # 2^(prec - shift), kept inside the sign-change bracket [lo, hi]; each
     # step moves the endpoint whose sign the new value shares, and a step
-    # that would leave the closed bracket is replaced by bisection.  Once a
-    # step nears double resolution the rounding test decides on the full
-    # integers crev.
+    # that would leave the closed bracket is replaced by bisection.  Horner
+    # evaluates each iterate rounded by _short: the bracket's ends are such
+    # iterates or grid points (doubles, at most 53 bits), so the rounded
+    # iterate stays inside it.  Once a step nears double resolution the
+    # rounding test decides, on the full integers crev and arev, at the
+    # unrounded step.
     tprec = prec - shift
-    X = lo + f_lo * (hi - lo) // (f_lo - f_hi)
+    X = _short(lo + f_lo * (hi - lo) // (f_lo - f_hi))
     for it in range(1, tprec + 1):
         f, d = _fixed_eval_d(trev, X, tprec)
         if f == 0:
@@ -231,14 +247,16 @@ def _certified_newton(trev, shift, crev, prec, w, K, lo, hi, f_lo, f_hi):
                 newton = X - (f << tprec) // d
                 if lo <= newton <= hi:
                     Xn = newton
-        step = abs(Xn - X)
-        X = Xn
-        if step <= X >> _STOP_BITS:
-            cert = _rounding_test(crev, prec, w, K, X << shift)
+        if abs(Xn - X) <= Xn >> _STOP_BITS:
+            cert = _rounding_test(crev, arev, prec, w, K, Xn << shift)
             if cert is not None:
                 return cert, it
-            if step == 0:
-                break  # a fixed point whose double the test rejects
+        Xn = _short(Xn)
+        if Xn == X:
+            # a fixed point: a step that rounds back onto X is below 2^-64
+            # of it, so the test has just rejected its double
+            break
+        X = Xn
     return _UNDECIDED, it
 
 
@@ -271,6 +289,7 @@ def _certify_at(n, params, dps):
     # rounding
     prec = w + 32
     crev = _fixed_coeffs(n, params, w, prec)
+    arev = [abs(c) for c in crev]
     K = coeff_error_units(n, params.r)
     # the search (grid and Newton) runs on these integers truncated to the
     # attempt's digits with _SEARCH_DIGITS in place of _MARGIN_DIGITS and no
@@ -298,7 +317,7 @@ def _certify_at(n, params, dps):
     residuals = np.empty(n)
     iters = np.empty(n, dtype=np.int64)
     for i, bracket in enumerate(brackets):
-        cert, it = _certified_newton(trev, shift, crev, prec, w, K, *bracket)
+        cert, it = _certified_newton(trev, shift, crev, arev, prec, w, K, *bracket)
         if cert is _UNDECIDED:
             return _UNDECIDED
         zeros[i], f, mag = cert

@@ -486,6 +486,12 @@ _DIGEST_CORPUS = [
     ("recurrence --r 2 --alpha 1e300 --n-max 2", 3, "9a43d4e2b7b7f288"),
     ("recurrence --r 3 --beta 1e300 --n-max 2", 3, "fa8d8aea82608d43"),
     ("recurrence --r 3 --alpha 1e17 --n-max 2", 3, "cb658d5fb91f37c7"),
+    # known wrong, pinned so that any change to them shows: ROADMAP item 1's
+    # paired gamma kernel regenerates both.  An all-zero down vector (X =
+    # r(1 + alpha) + 1 + beta is an integer in decimal, not in doubles), and
+    # profiles whose a(n) is wrong at alpha = 1e15
+    ("coeffs --r 2 --alpha -0.9 --beta -0.2 --n 1 --family down --k 1", 0, "c96b3b6155cc543f"),
+    ("recurrence --r 3 --alpha 1e15 --beta 0 --n-max 3", 0, "800334bab001303d"),
     ("density --r 3 --samples 99", 0, "03e04d716af00eb2"),
     ("density --r 2 --samples 7 --format json", 0, "98315e98920e24a4"),
     ("density --r 90 --samples 5", 2, "02f89a7149ae65eb"),

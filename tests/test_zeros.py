@@ -273,6 +273,48 @@ def test_zero_finder_stress_output_is_pinned(case):
     assert _digest(*case, _STRESS_DEGREES) == _STRESS_DIGESTS[case]
 
 
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_horner_multipliers_are_short(monkeypatch, r):
+    # grid points and rounding-test abscissae are doubles or midpoints, and
+    # Newton's iterates are rounded to _ITERATE_BITS: no Horner pass
+    # multiplies by a wider significand (full-width iterates reach about
+    # 260 bits at n = 60, r = 3)
+    split = zero_finder._split
+    widths = []
+
+    def record(X, prec):
+        m, s = split(X, prec)
+        widths.append(m.bit_length())
+        return m, s
+
+    monkeypatch.setattr(zero_finder, "_split", record)
+    for n in (13, 40, 60):
+        find_zeros(n, Params(r, 0.7, -0.5))
+    assert widths and max(widths) <= 64
+
+
+_ALL_DIGEST_CASES = [(case, _DIGEST_DEGREES) for case in _DIGESTS] + [
+    (case, _STRESS_DEGREES) for case in _STRESS_DIGESTS
+]
+
+
+@pytest.mark.parametrize(
+    "case, degrees", _ALL_DIGEST_CASES, ids=[str(c) for c, _ in _ALL_DIGEST_CASES]
+)
+def test_rounded_iterates_change_no_output(monkeypatch, case, degrees):
+    # Newton at full-width iterates (nothing is rounded once _ITERATE_BITS
+    # exceeds every search width) takes the same steps and certifies the
+    # same bytes as Newton at 64-bit iterates
+    r, a, b = case
+    short = [find_zeros(n, Params(r, a, b)) for n in degrees]
+    monkeypatch.setattr(zero_finder, "_ITERATE_BITS", 1 << 20)
+    for n, got in zip(degrees, short):
+        want = find_zeros(n, Params(r, a, b))
+        for field in ("zeros", "residuals", "newton_iters"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.dps == want.dps
+
+
 @pytest.mark.parametrize(
     "r, a, b, n", [(1, 0.0, 0.0, 60), (3, 0.7, -0.5, 40), (5, 2.0, 2.0, 25), (16, 0.7, -0.5, 60)]
 )
@@ -285,12 +327,12 @@ def test_undecided_search_redoes_the_attempt(monkeypatch, r, a, b, n):
     certify, newton = zero_finder._rounding_test, zero_finder._certified_newton
     search_bits = []
 
-    def undecided_first(crev, prec, *args):
-        return zero_finder._UNDECIDED if prec == first else certify(crev, prec, *args)
+    def undecided_first(crev, arev, prec, *args):
+        return zero_finder._UNDECIDED if prec == first else certify(crev, arev, prec, *args)
 
-    def record(trev, shift, crev, prec, *args):
+    def record(trev, shift, crev, arev, prec, *args):
         search_bits.append(prec - shift)
-        return newton(trev, shift, crev, prec, *args)
+        return newton(trev, shift, crev, arev, prec, *args)
 
     monkeypatch.setattr(zero_finder, "_rounding_test", undecided_first)
     monkeypatch.setattr(zero_finder, "_certified_newton", record)

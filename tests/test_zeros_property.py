@@ -7,9 +7,9 @@ half an ulp of 1, where no double inside (0,1) is its correct rounding.
 
 Its integer Horner steps multiply by the abscissa's significand and shift
 by less than the scale; every step equals the full-width step
-((acc * X) >> prec) + c, for doubles, midpoints of two doubles and
-truncated quotients alike.  The examples are derandomized so that the
-suite is reproducible.
+((acc * X) >> prec) + c, for doubles, midpoints of two doubles, truncated
+quotients and the 64-bit rounded quotients that Newton evaluates alike.
+The examples are derandomized so that the suite is reproducible.
 """
 
 import math
@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angelesco import Params, find_zeros
-from angelesco.zeros import _fixed, _fixed_eval, _fixed_eval_d, _fixed_eval_mag
+from angelesco.zeros import _fixed, _fixed_eval, _fixed_eval_d, _short
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -50,16 +50,18 @@ def _full_width(crev, X, prec):
 @st.composite
 def _abscissae(draw):
     # (X, prec): a double at scale 2^prec, the midpoint of a double and its
-    # lower neighbour, or the truncated quotient of an odd denominator
+    # lower neighbour, or the truncated quotient of an odd denominator, as
+    # it is or rounded to a Newton iterate's significand
     prec = draw(st.integers(60, 1200))
     x = draw(st.floats(0.0, 1.0))
-    kind = draw(st.sampled_from(["double", "midpoint", "truncated"]))
+    kind = draw(st.sampled_from(["double", "midpoint", "truncated", "short"]))
     if kind == "double":
         return _fixed(x, prec), prec
     if kind == "midpoint":
         return (_fixed(x, prec) + _fixed(math.nextafter(x, 0.0), prec)) >> 1, prec
     q = draw(st.integers(1, 2**64)) | 1
-    return (draw(st.integers(0, q)) << prec) // q, prec
+    X = (draw(st.integers(0, q)) << prec) // q
+    return (_short(X) if kind == "short" else X), prec
 
 
 _BITS = 2**1500
@@ -77,4 +79,4 @@ def test_split_horner_equals_full_width(crev, point):
     f, d, a = _full_width(crev, X, prec)
     assert _fixed_eval(crev, X, prec) == f
     assert _fixed_eval_d(crev, X, prec) == (f, d)
-    assert _fixed_eval_mag(crev, X, prec) == (f, a)
+    assert _fixed_eval([abs(c) for c in crev], X, prec) == a
