@@ -47,14 +47,12 @@ from .orthogonality import (
     ray_form,
     verify_level,
     verify_type1,
-    verify_type1_many,
 )
 from .poly import poly_eval
 from .polynomials import (
     DEGREE_CAP,
     Constants,
     DegreeCapError,
-    MultiIndexTag,
     Params,
     TypeIVector,
     base_poly,

@@ -20,8 +20,9 @@ resource error.  ``main`` alone maps the library's documented exceptions to
 them, each reported as one `error:` line on stderr: `DegenerateParameters` (a
 formula singular at the exact parameter values given) -> 2; `DegreeCapError`
 and `DoubleRangeError` (a value outside the double range) -> 3;
-`ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  An
-output that cannot be written also exits 3 with one `error:` line: an
+`ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  A
+size that does not fit in memory (`MemoryError`) exits 3 with one `error:`
+line, and so does an output that cannot be written: an
 `--svg` file, or a stdout whose reader has gone (`BrokenPipeError`, as
 under `| head -1`).  ``main`` flushes stdout before it returns, so a closed
 pipe fails there, and then points the descriptor at the null device, so
@@ -455,6 +456,9 @@ def main(argv=None):
             except (DoubleRangeError, DegreeCapError, ZeroFindingError) as e:
                 print(f"error: {e}", file=sys.stderr)
                 code = _EXIT_VERIFY if isinstance(e, ZeroFindingError) else _EXIT_CAP
+            except MemoryError as e:
+                print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+                code = _EXIT_CAP
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except BrokenPipeError as e:
         # stdout's reader is gone: an output that cannot be written.  The

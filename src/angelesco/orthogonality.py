@@ -11,15 +11,14 @@ all r entries of the vector it is handed; no family takes a shortcut.
 
 One kernel checks a stack of vectors that share params, size and live
 width (the columns up to the last nonzero one): one Hankel gather and one
-pair of matrix products for the whole stack.  ``verify_type1_many`` groups
-the vectors it is handed into such stacks; ``verify_type1`` and
-``ray_form`` run the kernel on a stack of one.  ``verify_level`` checks a
-level of ``verify`` straight from the constructors' memoized tables: the
-diagonal's, the r up vectors' and the r down vectors' stacks, each one
-product when all of its vectors reach its full width, and split by live
-width otherwise.  Every report is bitwise the same whichever stack a
-vector is checked in; an overflow raises ``DoubleRangeError``
-(``numerics.overflow_trap``).
+pair of matrix products for the whole stack.  ``verify_type1`` and
+``ray_form`` run it on a stack of one, the vector's table trimmed to its
+live width.  ``verify_level`` checks a level of ``verify`` straight from
+the constructors' memoized tables: the diagonal's, the r up vectors' and
+the r down vectors' stacks, each one product when all of its vectors
+reach its full width, and one trimmed vector at a time otherwise.  Every
+report is bitwise the same whichever stack a vector is checked in; an
+overflow raises ``DoubleRangeError`` (``numerics.overflow_trap``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "OrthoReport",
     "ray_form",
     "verify_type1",
-    "verify_type1_many",
     "verify_level",
 ]
 
@@ -134,11 +132,6 @@ class OrthoReport:
     passed: bool
 
 
-def verify_type1(v, tol=1e-9):
-    """Check all |n| conditions of a type I vector against the moment oracle."""
-    return verify_type1_many([v], tol)[0]
-
-
 def _stack_reports(c, params, size, tol):
     # the reports of a stack c[v, j, m] of vectors that share params, size
     # and live width, in stack order
@@ -160,58 +153,29 @@ def _stack_reports(c, params, size, tol):
     return reports
 
 
-def _reports_by_width(tables, params, size, tol):
-    # the reports of coefficient tables that share params and size, in
-    # order: each is checked in one stack with the others of its live width
-    groups = {}
-    for i, table in enumerate(tables):
-        groups.setdefault(_live_width(table), []).append(i)
-    reports = [None] * len(tables)
-    for width, members in groups.items():
-        if len(members) == 1:  # a view: a lone vector pays for no copy
-            c = tables[members[0]][None, :, :width]
-        else:
-            c = np.stack([tables[i][:, :width] for i in members])
-        for i, rep in zip(members, _stack_reports(c, params, size, tol)):
-            reports[i] = rep
-    return reports
-
-
-def verify_type1_many(vectors, tol=1e-9):
-    """:func:`verify_type1` of each vector of a sequence, as a list in
-    input order.
-
-    Vectors that share params, size and live width are checked as one
-    stack: one Hankel gather and one pair of products for the group.  Each
-    report is bitwise the one :func:`verify_type1` gives; a stack never pads
-    a vector to a wider one, since zero columns move the products' last
-    bits.  Raises ValueError if any vector has an empty multi-index.
-    """
-    groups = {}
-    for i, v in enumerate(vectors):
-        size = v.size
-        if size < 1:
-            raise ValueError("vector has an empty multi-index: nothing to verify")
-        groups.setdefault((v.params, size), []).append(i)
-    reports = [None] * len(vectors)
-    for (params, size), members in groups.items():
-        tables = [vectors[i].coeffs for i in members]
-        for i, rep in zip(members, _reports_by_width(tables, params, size, tol)):
-            reports[i] = rep
-    return reports
+def verify_type1(v, tol=1e-9):
+    """Check all |n| conditions of a type I vector against the moment oracle,
+    on its table trimmed to its live width.  Raises ValueError at an empty
+    multi-index."""
+    size = v.size
+    if size < 1:
+        raise ValueError("vector has an empty multi-index: nothing to verify")
+    return _stack_reports(v.coeffs[None, :, : _live_width(v.coeffs)], v.params, size, tol)[0]
 
 
 def verify_level(n, params, tol=1e-9):
     """The reports of every type I vector of level n, bitwise those of
-    :func:`verify_type1_many` on them: the diagonal vector, the up vectors
+    :func:`verify_type1` on each: the diagonal vector, the up vectors
     k = 1..r, then the down vectors k = 1..r (none at the empty index
     r = 1, n = 1).
 
     Reads the constructors' memoized tables (``type1_diagonal(n).coeffs``,
-    ``type1_up_stack``, ``type1_down_stack``) and builds no vector.  A stack
-    whose vectors all reach its full width (its last column is nonzero in
-    some row of each) is checked in one product; any other is split by live
-    width, as :func:`verify_type1_many` splits it.
+    ``type1_up_stack``, ``type1_down_stack``) and builds no up or down
+    vector.  A stack whose vectors all reach its full width (its last
+    column is nonzero in some row of each) is checked in one product; any
+    other (every r = 1 down stack, whose top column is zero, and a zero
+    vector) one vector at a time, each trimmed to its live width as
+    :func:`verify_type1` trims it.
     """
     r = params.r
     stacks = [
@@ -225,5 +189,6 @@ def verify_level(n, params, tol=1e-9):
         if c[:, :, -1].any(axis=1).all():
             reports += _stack_reports(c, params, size, tol)
         else:
-            reports += _reports_by_width(c, params, size, tol)
+            for table in c:
+                reports += _stack_reports(table[None, :, : _live_width(table)], params, size, tol)
     return reports

@@ -1,5 +1,5 @@
 """Dense monomial-basis coefficient arrays: the helpers of the identity
-checks and one evaluator.
+checks, and a Horner evaluator that no library path calls.
 
 Coefficient index k holds the coefficient of x^k.  Degrees in this library
 stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
@@ -10,8 +10,10 @@ ODE, the recurrence) is checked on coefficient arrays, under
 ``DoubleRangeError``.  ``padded_coeffs`` places x^k c(x) in a vector of an
 operator identity's length.  ``identity_residual`` is the one per-index
 residual kernel (the ODE's and the recurrence's), where a NaN term reads
-NaN.  ``poly_eval`` is the one evaluator, classical Horner in doubles; the
-zero finder evaluates in fixed-point integers instead (see ``zeros.py``).
+NaN.  ``poly_eval`` is classical Horner in doubles; it serves only the
+tests and the benchmark's span, and stays until the benchmark drops that
+span (ROADMAP item 4).  The zero finder evaluates in fixed-point integers
+(see ``zeros.py``).
 """
 from __future__ import annotations
 

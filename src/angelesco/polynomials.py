@@ -79,7 +79,6 @@ __all__ = [
     "DEGREE_CAP",
     "DegreeCapError",
     "Params",
-    "MultiIndexTag",
     "TypeIVector",
     "Constants",
     "base_poly",
@@ -135,76 +134,45 @@ class Params:
             raise ValueError(f"beta must be finite and > -1, got {self.beta!r}")
 
 
-@dataclass(frozen=True)
-class MultiIndexTag:
-    """Diagonal level n with an offset: the multi-index is (n,...,n),
-    (n,...,n)+e_k ('plus') or (n,...,n)-e_k ('minus')."""
-
-    n: int
-    kind: str  # "diagonal" | "plus" | "minus"
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("diagonal", "plus", "minus"):
-            raise ValueError(f"unknown multi-index kind {self.kind!r}")
-        if self.kind == "diagonal":
-            if self.n < 1:
-                raise ValueError("diagonal level must be >= 1")
-            if self.k is not None:
-                raise ValueError("diagonal index carries no ray")
-        else:
-            if self.k is None or self.k < 1:
-                raise ValueError("plus/minus index needs a ray k >= 1")
-            if self.kind == "minus" and self.n < 1:
-                raise ValueError("minus index needs level n >= 1")
-            if self.kind == "plus" and self.n < 0:
-                raise ValueError("plus index needs level n >= 0")
-
-    def size(self, r):
-        """|n| = sum of the multi-index entries."""
-        if self.kind == "diagonal":
-            return r * self.n
-        if self.kind == "plus":
-            return r * self.n + 1
-        return r * self.n - 1
-
-
 class TypeIVector:
-    """The r polynomials (A_1, ..., A_r) of a type I vector.
+    """The r polynomials (A_1, ..., A_r) of the type I vector at the
+    multi-index ``index`` = (n_1, ..., n_r): A_j has degree at most n_j - 1,
+    and the vector meets |n| = n_1 + ... + n_r conditions (``size``).
 
     ``coeffs`` is one read-only r x w coefficient table: row j-1 holds A_j,
     the polynomial attached to the segment [0, omega^(j-1)], and column t
     its x^t coefficient.  The width w is the level n for diagonal and down
     vectors, n+1 for up vectors, and 1 for the empty down index (r = 1,
     n = 1).  Rows are not trimmed: every coefficient past an entry's nominal
-    degree (up rows j != k, down row k) is an exact zero.  A diagonal vector
-    keeps its real base row in ``base``: each entry is an exact rotation.
+    degree (up rows j != k, down row k) is an exact zero.  A diagonal
+    vector's row 0 is its real base row, with zero imaginary parts; every
+    other entry is an exact rotation of it.
     """
 
-    __slots__ = ("params", "tag", "coeffs", "base")
+    __slots__ = ("params", "index", "coeffs")
 
-    def __init__(self, params, tag, coeffs, base=None):
+    def __init__(self, params, index, coeffs):
+        index = tuple(index)
+        if len(index) != params.r or not all(
+            isinstance(m, (int, np.integer)) and m >= 0 for m in index
+        ):
+            raise ValueError(f"need a multi-index of {params.r} integers >= 0, got {index!r}")
         coeffs = np.array(coeffs)
         if coeffs.ndim != 2 or len(coeffs) != params.r:
             raise ValueError("need an r-row coefficient table, one row per ray")
         coeffs.setflags(write=False)
         self.params = params
-        self.tag = tag
+        self.index = tuple(map(operator.index, index))
         self.coeffs = coeffs
-        self.base = base
 
     @property
     def size(self):
-        return self.tag.size(self.params.r)
+        """|n| = sum of the multi-index entries."""
+        return sum(self.index)
 
     def nominal_degrees(self):
-        """Exact degrees the construction is expected to produce."""
-        r, n = self.params.r, self.tag.n
-        if self.tag.kind == "diagonal":
-            return [n - 1] * r
-        if self.tag.kind == "plus":
-            return [n if j == self.tag.k else n - 1 for j in range(1, r + 1)]
-        return [n - 2 if j == self.tag.k else n - 1 for j in range(1, r + 1)]
+        """Exact degrees the construction is expected to produce: n_j - 1."""
+        return [m - 1 for m in self.index]
 
     def degrees(self):
         """Observed degrees: the index of each row's last nonzero
@@ -212,7 +180,7 @@ class TypeIVector:
         return [int(nz[-1]) if nz.size else -1 for nz in map(np.flatnonzero, self.coeffs)]
 
     def __repr__(self):
-        return f"TypeIVector(r={self.params.r}, tag={self.tag!r})"
+        return f"TypeIVector(r={self.params.r}, index={self.index!r})"
 
 
 @dataclass(frozen=True)
@@ -399,10 +367,10 @@ def _affine(params):
     # doubles; every gamma argument with an alpha is an integer plus X, and
     # every other one an integer plus beta, so both must keep that integer
     r, a, b = params.r, params.alpha, params.beta
-    terms = [r + 1.0, b] + [a] * r
     try:
+        terms = [r + 1.0, b] + [a] * r
         hi = math.fsum(terms)
-    except OverflowError:
+    except OverflowError:  # r past the index range, or a sum past the double range
         hi = math.inf
     if hi + 1 == hi or b + 1 == b:
         raise DoubleRangeError(f"r(1 + alpha) + (1 + beta) or beta absorbs 1 at {params!r}")
@@ -499,7 +467,7 @@ def type1_diagonal(level, params):
     base = _diagonal_base(level, params)
     # row j - 1 is base(omega^(-(j-1)) x)
     phases = roots_of_unity(r)[(-np.arange(r)[:, None] * np.arange(len(base))) % r]
-    return TypeIVector(params, MultiIndexTag(level, "diagonal"), base * phases, base=base)
+    return TypeIVector(params, (level,) * r, base * phases)
 
 
 def _up_combos(n, params):
@@ -533,11 +501,13 @@ def _up_stack(n, params):
     # row j - 1 is A_((j-k) mod r) times its phases omega^(-(j-1) t - (k-1)).
     # No libm call may come between the combinations' complex matrix product
     # and this elementwise product: after an OpenBLAS complex product, libm
-    # runs 3-5 times slower (lgamma included) until a numpy vector op runs
-    r = params.r
+    # runs 3-5 times slower (lgamma included) until a numpy vector op runs.
+    # The combinations come first: their range guard rejects an r too large
+    # for the phase exponents' r x r x (n+1) index
+    r, combos = params.r, _up_combos(n, params)
     k, j = np.arange(r)[:, None], np.arange(r)  # k - 1 and j - 1
     phases = roots_of_unity(r)[(-j[:, None] * np.arange(n + 1) - k[:, :, None]) % r]
-    stack = _up_combos(n, params)[(j - k) % r] * phases
+    stack = combos[(j - k) % r] * phases
     stack.setflags(write=False)
     return stack
 
@@ -570,7 +540,10 @@ def type1_up(n, k, params):
     """
     _check_up(n)
     _check_ray(k, params.r)
-    return TypeIVector(params, MultiIndexTag(n, "plus", k), _up_stack(n, params)[k - 1])
+    coeffs = _up_stack(n, params)[k - 1]  # its range guard rejects r before the index
+    index = [n] * params.r
+    index[k - 1] += 1
+    return TypeIVector(params, index, coeffs)
 
 
 def type1_up_stack(n, params):
@@ -643,7 +616,10 @@ def type1_down(n, k, params):
     """
     _check_down(n)
     _check_ray(k, params.r)
-    return TypeIVector(params, MultiIndexTag(n, "minus", k), _down_stack(n, params)[k - 1])
+    coeffs = _down_stack(n, params)[k - 1]  # its range guard rejects r before the index
+    index = [n] * params.r
+    index[k - 1] -= 1
+    return TypeIVector(params, index, coeffs)
 
 
 def type1_down_stack(n, params):

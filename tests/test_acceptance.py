@@ -62,7 +62,7 @@ def test_criterion_1_orthogonality_suite():
                         vecs.append(type1_down(n, k, params))
             for v in vecs:
                 rep = verify_type1(v, tol=1e-9)
-                assert rep.passed, (r, a, b, v.tag)
+                assert rep.passed, (r, a, b, v.index)
                 checked += 1
     elapsed = time.time() - t0
     assert elapsed < 60.0, f"orthogonality sweep took {elapsed:.1f}s"

@@ -321,6 +321,11 @@ def test_main_reuses_parser_across_calls(capsys):
           "--beta", "1e300", "--n-max", "1"], 3),
         # coefficient integers too wide to allocate
         (["zeros", "--r", "6", "--alpha", "1e20", "--beta", "1e20", "--n", "1"], 3),
+        # an r past the index range, rejected before anything is allocated
+        (["coeffs", "--r", "100000000000000000000", "--n", "1"], 3),
+        (["coeffs", "--r", "100000000000000000000", "--n", "0", "--family", "up",
+          "--k", "1"], 3),
+        (["recurrence", "--r", "100000000000000000000", "--n-max", "1"], 3),
     ],
 )
 def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
@@ -331,6 +336,41 @@ def test_bad_input_is_one_error_line(argv, want, tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "module, name, argv, message",
+    [
+        # numpy's messages, e.g. for the up stack's phase exponents at r = 50000
+        ("cli", "type1_up",
+         ["coeffs", "--r", "50000", "--n", "0", "--family", "up", "--k", "1"],
+         "Unable to allocate 18.6 GiB for an array with shape (50000, 50000, 1) and data type int64"),
+        ("cli", "verify_level",
+         ["verify", "--suite", "orthogonality", "--r", "20000", "--n-max", "1"],
+         "Unable to allocate 5.96 GiB for an array with shape (20000, 20000, 2) and data type int64"),
+        ("cli", "density_curve",
+         ["density", "--r", "3", "--samples", "300000000"],
+         "Unable to allocate 2.24 GiB for an array with shape (300000000,) and data type float64"),
+        # the list of r alphas that the range guard sums, at r = 3e9: no message
+        ("polynomials", "_affine", ["coeffs", "--r", "3000000000", "--n", "1"], ""),
+    ],
+)
+def test_a_size_that_does_not_fit_in_memory_is_one_error_line(module, name, argv, message,
+                                                              monkeypatch, capsys):
+    # the library call raises MemoryError as it would at these sizes; nothing
+    # is allocated for real
+    import angelesco.cli
+    import angelesco.polynomials
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    modules = {"cli": angelesco.cli, "polynomials": angelesco.polynomials}
+    monkeypatch.setattr(modules[module], name, out_of_memory)
+    code, out = run_cli(argv)
+    assert (code, out) == (3, "")
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {message or 'an allocation failed'}\n"
 
 
 @pytest.mark.parametrize(

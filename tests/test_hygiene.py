@@ -3,6 +3,10 @@
 Every name a library module, a test module or a demo script imports is
 used in that file (the package's ``__init__.py`` is skipped: its imports
 are the package's re-exports).
+Every name of a module's ``__all__`` is bound in that module, and every
+name the package's ``__init__.py`` imports is in its module's ``__all__``:
+a deleted name left behind in either would go unnoticed, since nothing
+star-imports.
 Every ``functools`` cache states an integer literal as ``maxsize``: an
 unbounded cache grows with every distinct argument a long-running process
 passes.  No module but ``numerics.py`` uses a double-precision gamma
@@ -81,6 +85,72 @@ def _name(node):
     if isinstance(node, ast.Attribute):
         return node.attr
     return getattr(node, "id", None)
+
+
+def _bound_names(tree):
+    # the names a module binds at its top level
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def _exports(tree):
+    # the names of a module's __all__, none without one
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(_name(t) == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _stale_exports(tree):
+    """The names of ``__all__`` that the module does not bind."""
+    return sorted(set(_exports(tree)) - _bound_names(tree))
+
+
+def _unexported_imports(init, exports):
+    """(module, name) of every name the package's ``__init__`` imports from
+    one of its modules and that module's ``__all__`` lacks; ``exports`` maps
+    a module's name to its ``__all__``."""
+    return sorted(
+        (node.module, alias.name)
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in exports.get(node.module, ())
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_export_exists(path):
+    assert _stale_exports(ast.parse(path.read_text())) == []
+
+
+def test_package_imports_only_exported_names():
+    exports = {p.stem: _exports(ast.parse(p.read_text())) for p in MODULES}
+    init = ast.parse((SRC / "__init__.py").read_text())
+    assert _unexported_imports(init, exports) == []
+
+
+def test_scan_sees_a_stale_export():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from math import pi\n"
+        "__all__ = ['Gone', 'np', 'pi', 'f', 'C', 'X', 'Y', 'Z']\n"
+        "def f():\n    Gone = 1\n"
+        "class C:\n    Gone = 2\n"
+        "X = Y = 1\n"
+        "Z: int = 3\n"
+    )
+    assert _stale_exports(tree) == ["Gone"]
+    init = ast.parse("from .m import f, Gone\nfrom .n import h\nfrom math import tau\n")
+    assert _unexported_imports(init, {"m": ["f"]}) == [("m", "Gone"), ("n", "h")]
 
 
 def _int_maxsize(call):

@@ -2,8 +2,9 @@
 
 Every type I vector the constructors build passes ``verify_type1`` at 1e-9,
 and a change of 1e-6 of the vector's largest coefficient in any one
-coefficient of any one entry fails it.  Diagonal vectors keep their base
-polynomial when perturbed: the oracle must read the entries it is handed.
+coefficient of any one entry fails it, a diagonal vector's rotated entries
+included, which leave its real base row (row 0) alone: the oracle must read
+every entry it is handed.
 The examples are derandomized so that the suite is reproducible.
 """
 
@@ -53,5 +54,5 @@ def test_oracle_passes_built_and_fails_perturbed(r, alpha, beta, n, family, data
     m = data.draw(st.integers(0, v.coeffs.shape[1] - 1), label="m")
     c = np.array(v.coeffs)
     c[j, m] += 1e-6 * np.abs(c).max()
-    bad = TypeIVector(params, v.tag, c, base=v.base)
+    bad = TypeIVector(params, v.index, c)
     assert not verify_type1(bad, 1e-9).passed

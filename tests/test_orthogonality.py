@@ -5,8 +5,6 @@ from functools import partial
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from angelesco import (
@@ -20,7 +18,6 @@ from angelesco import (
     type1_down,
     type1_up,
     verify_type1,
-    verify_type1_many,
 )
 from angelesco import cli, orthogonality, polynomials
 from angelesco.numerics import roots_of_unity
@@ -117,7 +114,7 @@ def test_ray_form_level_one_normalization():
 
 def test_ray_form_zero_vector():
     p = Params(2, 0.0, 0.0)
-    v = TypeIVector(p, type1_diagonal(1, p).tag, np.zeros((2, 1)))
+    v = TypeIVector(p, (1, 1), np.zeros((2, 1)))
     for k in range(5):
         assert ray_form(k, v) == 0j
 
@@ -154,7 +151,7 @@ def test_perturbed_vector_fails():
     v = type1_diagonal(3, params)
     coeffs = np.array(v.coeffs)
     coeffs[0, 1] += 1e-3 * np.abs(coeffs[0]).max()
-    bad = TypeIVector(params, v.tag, coeffs)
+    bad = TypeIVector(params, v.index, coeffs)
     assert not verify_type1(bad, 1e-9).passed
 
 
@@ -282,7 +279,7 @@ def _reference_star_forms(v, ks):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
 def test_star_forms_equal_window_formula_bitwise(r):
-    # one stack per family, as verify_type1_many forms them: each vector's
+    # one stack per family, as verify_level forms them: each vector's
     # slice equals the window formula run on that vector alone
     params = Params(r, 0.7, -0.5)
     for n in (1, 2, 7, 24):
@@ -302,62 +299,19 @@ def test_star_forms_equal_window_formula_bitwise(r):
                         assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
 
 
-# the unit corner, the criterion grid, both exponents near -1, and large
-# alpha or beta
-CORNERS = ((0.0, 0.0), (0.7, -0.5), (-0.999, -0.999), (300.0, 0.3), (-0.9, 40.0),
-           (-1.0 + 1e-11, -0.999))
-_SPEC = st.tuples(
-    st.sampled_from(("diagonal", "up", "down")),
-    st.integers(1, 24),  # level
-    st.integers(1, 8),  # ray, reduced mod r
-    st.integers(0, 1),  # which of the drawn parameter pairs
-)
-
-
-def _vector(family, n, k, params):
-    r = params.r
-    if family == "diagonal":
-        return type1_diagonal(n, params)
-    if family == "up":
-        return type1_up(n, (k - 1) % r + 1, params)
-    return type1_down(max(n, 2) if r == 1 else n, (k - 1) % r + 1, params)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(
-    r=st.sampled_from((1, 2, 3, 5, 8)),
-    pairs=st.lists(st.sampled_from(CORNERS), min_size=1, max_size=2),
-    specs=st.lists(_SPEC, min_size=1, max_size=12),
-)
-# r = 1: the down vector at 12 has its top coefficient cancelled, so it
-# shares size and live width with the diagonal at 11 and the up vector at
-# 10 (one stack of three) and not with its own table width
-@example(r=1, pairs=[(0.7, -0.5)], specs=[
-    ("down", 12, 1, 0), ("diagonal", 11, 1, 0), ("up", 10, 1, 0), ("down", 5, 1, 0),
-    ("up", 24, 1, 0), ("down", 24, 1, 0),
-])
-# whole levels of two parameter pairs, interleaved
-@example(r=5, pairs=[(-0.999, -0.999), (300.0, 0.3)], specs=[
-    (family, 12, k, which) for k in range(1, 6) for family in ("up", "down") for which in (0, 1)
-] + [("diagonal", 12, 1, 0), ("diagonal", 24, 1, 1)])
-def test_verify_many_equals_one_at_a_time(r, pairs, specs):
-    vectors = [_vector(fam, n, k, Params(r, *pairs[which % len(pairs)])) for fam, n, k, which in specs]
-    many = verify_type1_many(vectors, 1e-9)
-    assert [repr(rep) for rep in many] == [repr(verify_type1(v, 1e-9)) for v in vectors]
-
-
-def test_verify_many_edge_cases():
+def test_verify_type1_checks_the_live_width():
+    # r = 1: the down vector at 12 has its top coefficient cancelled, so it
+    # is checked on its 11 live columns, as the window formula on the
+    # trimmed rows; the empty index has no condition to check
     params = Params(1, 0.7, -0.5)
     down = type1_down(12, 1, params)
-    assert down.coeffs[0, -1] == 0 and _live_width(down.coeffs) == 11  # the r = 1 example's premise
-    # checked at its live width, as the window formula on the trimmed rows
+    assert down.coeffs[0, -1] == 0 and _live_width(down.coeffs) == 11
     forms, scale = _reference_star_forms(down, np.arange(down.size))
-    rep = verify_type1_many([down])[0]
+    rep = verify_type1(down)
     assert rep.norm_value == complex(forms[-1])
     assert rep.max_ortho_residual == float((np.abs(forms[:-1]) / scale[:-1]).max())
-    assert verify_type1_many([]) == []
-    with pytest.raises(ValueError):
-        verify_type1_many([down, type1_down(1, 1, params)])
+    with pytest.raises(ValueError, match="empty multi-index"):
+        verify_type1(type1_down(1, 1, params))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
@@ -390,10 +344,10 @@ def test_orthogonality_level_runs_three_stacks(monkeypatch, r, n):
 
 _LEVEL_ALPHAS = (-0.999, -0.9, -0.5, 0.0, 0.7, 2.0, 40.0)
 _LEVEL_BETAS = (-0.9, -0.5, -0.2, 0.0, 0.7, 3.0)
-# stacks that miss their full width, so verify_level splits them by live
-# width: every r = 1 down stack (its top column is zero), and item 1's zero
-# down vectors at n = 1 (ROADMAP); (3, -0.9, 0.7)'s zero vector is up at
-# n = 0, which no level checks
+# stacks that miss their full width, so verify_level checks them one
+# trimmed vector at a time: every r = 1 down stack (its top column is
+# zero), and item 1's zero down vectors at n = 1 (ROADMAP); (3, -0.9,
+# 0.7)'s zero vector is up at n = 0, which no level checks
 _SPLIT_LEVELS = {
     1: {(a, b, n, "down") for a in _LEVEL_ALPHAS for b in _LEVEL_BETAS for n in range(2, 25)},
     2: {(-0.9, -0.2, 1, "down")},
@@ -413,7 +367,7 @@ def test_verify_level_equals_verify_many_bitwise(r):
                 "down": [type1_down(n, k, params) for k in range(1, r + 1)] if r * n > 1 else [],
             }
             vectors = [v for vs in families.values() for v in vs]
-            want = [repr(rep) for rep in verify_type1_many(vectors, 1e-9)]
+            want = [repr(verify_type1(v, 1e-9)) for v in vectors]
             assert [repr(rep) for rep in verify_level(n, params, 1e-9)] == want, (alpha, beta, n)
             split |= {
                 (alpha, beta, n, fam)
@@ -470,7 +424,7 @@ def test_oracle_overflow_raises():
     # a product of the star forms overflows: it used to print numpy's
     # RuntimeWarning and read inf
     v = type1_diagonal(4, Params(2, 0.0, -0.9))
-    huge = TypeIVector(v.params, v.tag, np.full((2, 4), 1.7e308))
+    huge = TypeIVector(v.params, v.index, np.full((2, 4), 1.7e308))
     for check in (verify_type1, partial(ray_form, 3)):
         with pytest.raises(DoubleRangeError, match="^a moment-oracle term exceeds the double range$"):
             check(huge)

@@ -144,7 +144,7 @@ def test_diagonal_level_one_r2():
 def test_diagonal_rotation_covariance():
     for r in (2, 3, 5):
         v = type1_diagonal(4, Params(r, 0.7, -0.5))
-        c = v.base
+        c = v.coeffs[0].real
         roots = roots_of_unity(r)
         for j in range(1, r + 1):
             # entry j is the base polynomial composed with x -> omega^(-(j-1)) x
@@ -240,7 +240,7 @@ def test_down_degenerate_empty_index():
 def test_coefficient_tables_are_read_only():
     params = Params(3, 0.7, -0.5)
     diag = type1_diagonal(3, params)
-    for c in (base_poly(3, params), diag.base):
+    for c in (base_poly(3, params), diag.coeffs[0].real):
         assert c.ndim == 1
         with pytest.raises(ValueError):
             c[0] = 5.0
@@ -251,17 +251,61 @@ def test_coefficient_tables_are_read_only():
             v.coeffs[0, 0] = 5.0
     # a table handed in is copied, so the vector never aliases it
     mine = np.ones((3, 2))
-    v = TypeIVector(params, diag.tag, mine)
+    v = TypeIVector(params, diag.index, mine)
     mine[0, 0] = 2.0
     assert v.coeffs[0, 0] == 1.0 and not v.coeffs.flags.writeable
 
 
 def test_type1_vector_needs_one_row_per_ray():
     params = Params(2, 0.0, 0.0)
-    tag = type1_diagonal(1, params).tag
     for bad in ([1.0, 2.0], np.zeros((3, 2)), np.zeros((2, 2, 1))):
         with pytest.raises(ValueError):
-            TypeIVector(params, tag, bad)
+            TypeIVector(params, (1, 1), bad)
+
+
+@pytest.mark.parametrize("index", [(1,), (1, 1, 1), (), (1, -1), (-1, 0), (1, 1.0), (1, "1")])
+def test_type1_vector_needs_an_index_of_r_integers_at_least_zero(index):
+    with pytest.raises(ValueError, match="multi-index of 2 integers >= 0"):
+        TypeIVector(Params(2, 0.0, 0.0), index, np.zeros((2, 1)))
+
+
+def test_type1_vector_index_is_plain_ints():
+    v = TypeIVector(Params(3, 0.0, 0.0), [np.int64(2), np.uint8(0), 1], np.zeros((3, 2)))
+    assert v.index == (2, 0, 1) and all(type(m) is int for m in v.index)
+    assert v.size == 3 and v.nominal_degrees() == [1, -1, 0]
+
+
+def test_constructors_carry_their_multi_index():
+    # (n, ..., n), with n + 1 (up) or n - 1 (down) at ray k; size is |n| and
+    # the nominal degrees are n_j - 1
+    for r in (1, 2, 3, 5):
+        params = Params(r, 0.7, -0.5)
+        for n in (1, 2, 6):
+            cases = [(type1_diagonal(n, params), [n] * r)]
+            for k in range(1, r + 1):
+                plus, minus = [n] * r, [n] * r
+                plus[k - 1] += 1
+                minus[k - 1] -= 1
+                cases += [(type1_up(n, k, params), plus), (type1_down(n, k, params), minus)]
+            for v, index in cases:
+                assert v.index == tuple(index)
+                assert v.size == sum(index)
+                assert v.nominal_degrees() == [m - 1 for m in index]
+    empty = type1_down(1, 1, Params(1, 0.0, 0.0))
+    assert empty.index == (0,) and empty.size == 0 and empty.nominal_degrees() == [-1]
+    assert repr(empty) == "TypeIVector(r=1, index=(0,))"
+
+
+def test_diagonal_row_zero_is_the_real_base_row():
+    # row 0 of the diagonal table is the fused base row lambda p_(n-1),
+    # bitwise, with zero imaginary parts
+    for r, (a, b) in itertools.product((1, 2, 3, 8), ((0.7, -0.5), (-1 + 1e-12, 40.0))):
+        params = Params(r, a, b)
+        for n in (1, 4, 24):
+            row = type1_diagonal(n, params).coeffs[0]
+            base = polynomials._diagonal_base(n, params)
+            assert not row.imag.any() and not row.flags.writeable
+            assert row.real.tobytes() == base.tobytes()
 
 
 def test_r1_up_equals_next_diagonal():
