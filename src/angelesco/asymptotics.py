@@ -229,10 +229,12 @@ def _dlog_hatx_of_thetas(theta, r):
 # Both are kept because each is the faster one where it runs (best of 9 on a
 # 2-vCPU VM): one point costs 35-96 us in the scalar solver but 1.2-2.2 ms
 # as a one-element array, so the one-point entry points stay scalar.  At
-# density_curve(r, 999, "x"), per-sample scalar code in place of the array
-# bracket, polish or bisection costs +5.5, +2.5 and +5 ms per curve, and
-# dropping the scalar tail below _ARRAY_MIN samples costs about +6 ms per
-# curve and +4 ms per endpoint_exponents call.
+# density_curve(r, 999, "x"), r = 1..5, per-sample scalar code in place of
+# the array bracket, polish or bisection costs +0.9-1.8, +1.7-2.1 and
+# +1.3-2.0 ms per curve of 14-15 ms, and dropping the scalar tail below
+# _ARRAY_MIN samples costs +0.2-0.6 ms per curve and +0.9-1.2 ms per
+# endpoint_exponents call (best of 15 in 5 interleaved rounds, 2-vCPU Xeon
+# VM).
 
 _BISECTION_STEPS = 90
 _NEWTON_STEPS = 3

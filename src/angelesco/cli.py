@@ -16,8 +16,9 @@ significant digits and round-trip exactly; `--format json` wraps the payload
 in a record with schema_version "1".
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 degree-cap or
-resource error.  ``main`` alone maps the library's documented exceptions to
-them, each reported as one `error:` line on stderr: `DegenerateParameters` (a
+resource error.  ``main`` alone maps a command's usage error (one private
+exception) and the library's documented exceptions to them, each reported
+as one `error:` line on stderr: a usage error -> 2; `DegenerateParameters` (a
 formula singular at the exact parameter values given) -> 2; `DegreeCapError`
 and `DoubleRangeError` (a value outside the double range) -> 3;
 `ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  A
@@ -110,19 +111,24 @@ def _emit_table(args, kind, columns, rows, csv_body=None):
     sys.stdout.write(",".join(columns) + "\n" + csv_body)
 
 
+class _UsageError(Exception):
+    """An argument the command cannot take; ``main`` prints it as one
+    `error:` line and exits 2."""
+
+
 def _usage_fail(msg):
     print(f"error: {msg}", file=sys.stderr)
     return _EXIT_USAGE
 
 
-def _params_or_none(args):
+def _params(args):
     if args.r < 1:
-        return None, _usage_fail("--r must be an integer >= 1")
+        raise _UsageError("--r must be an integer >= 1")
     if not (math.isfinite(args.alpha) and args.alpha > -1.0):
-        return None, _usage_fail("--alpha must be finite and > -1")
+        raise _UsageError("--alpha must be finite and > -1")
     if not (math.isfinite(args.beta) and args.beta > -1.0):
-        return None, _usage_fail("--beta must be finite and > -1")
-    return Params(args.r, args.alpha, args.beta), None
+        raise _UsageError("--beta must be finite and > -1")
+    return Params(args.r, args.alpha, args.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -131,22 +137,20 @@ def _params_or_none(args):
 
 
 def _cmd_coeffs(args):
-    params, err = _params_or_none(args)
-    if err is not None:
-        return err
+    params = _params(args)
     fam = args.family
     if fam in ("up", "down") and args.k is None:
-        return _usage_fail(f"--family {fam} requires --k (ray index 1..r)")
+        raise _UsageError(f"--family {fam} requires --k (ray index 1..r)")
     if fam in ("up", "down") and not 1 <= args.k <= args.r:
-        return _usage_fail(f"--k must lie in 1..{args.r}")
+        raise _UsageError(f"--k must lie in 1..{args.r}")
     if fam in ("base", "diag") and args.k is not None:
-        return _usage_fail(f"--family {fam} does not take --k")
+        raise _UsageError(f"--family {fam} does not take --k")
     if fam in ("base", "up") and args.n < 0:
-        return _usage_fail(f"--n must be >= 0 for the {fam} family")
+        raise _UsageError(f"--n must be >= 0 for the {fam} family")
     if fam == "diag" and args.n < 1:
-        return _usage_fail("--n must be >= 1 for the diagonal family")
+        raise _UsageError("--n must be >= 1 for the diagonal family")
     if fam == "down" and args.n < 1:
-        return _usage_fail("--n must be >= 1 for the down family")
+        raise _UsageError("--n must be >= 1 for the down family")
 
     if fam == "base":
         table, columns = [base_poly(args.n, params)], ["k", "re", "im"]
@@ -184,20 +188,18 @@ def _ortho_residual_level(n, params, tol):
 
 
 def _cmd_verify(args):
-    params, err = _params_or_none(args)
-    if err is not None:
-        return err
+    params = _params(args)
     if args.n_max < 1:
-        return _usage_fail("--n-max must be >= 1")
+        raise _UsageError("--n-max must be >= 1")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        return _usage_fail("--tol must be finite and >= 0")
+        raise _UsageError("--tol must be finite and >= 0")
     suite = args.suite
     if suite in ("recurrence",) and params.r < 2:
-        return _usage_fail("the recurrence suite needs --r >= 2")
+        raise _UsageError("the recurrence suite needs --r >= 2")
     if suite == "raising" and not (
         params.alpha > params.r - 1 and params.beta > params.r - 1
     ):
-        return _usage_fail("the raising suite needs alpha, beta > r-1")
+        raise _UsageError("the raising suite needs alpha, beta > r-1")
 
     def residual_for(n):
         if suite == "orthogonality":
@@ -235,11 +237,9 @@ def _cmd_verify(args):
 
 
 def _cmd_zeros(args):
-    params, err = _params_or_none(args)
-    if err is not None:
-        return err
+    params = _params(args)
     if args.n < 1:
-        return _usage_fail("--n must be >= 1")
+        raise _UsageError("--n must be >= 1")
     zs = find_zeros(args.n, params)
     if args.format == "csv":
         sys.stdout.write("i,x\n")
@@ -257,13 +257,11 @@ def _cmd_zeros(args):
 
 
 def _cmd_recurrence(args):
-    params, err = _params_or_none(args)
-    if err is not None:
-        return err
+    params = _params(args)
     if params.r < 2:
-        return _usage_fail("the recurrence table needs --r >= 2 (b is undefined at r=1)")
+        raise _UsageError("the recurrence table needs --r >= 2 (b is undefined at r=1)")
     if args.n_max < 1:
-        return _usage_fail("--n-max must be >= 1")
+        raise _UsageError("--n-max must be >= 1")
     la, lb = limit_a(params.r), limit_b(params.r)
     rows = [
         (n, coeff_a(n, params), coeff_b(n, params), la, lb)
@@ -287,13 +285,13 @@ def _csv_rows(curve, lead=""):
 
 def _cmd_density(args):
     if args.r < 1:
-        return _usage_fail("--r must be an integer >= 1")
+        raise _UsageError("--r must be an integer >= 1")
     if args.samples < 1:
-        return _usage_fail("--samples must be >= 1")
+        raise _UsageError("--samples must be >= 1")
     try:
         curve = density_curve(args.r, args.samples, spacing="x")
     except ValueError as e:
-        return _usage_fail(str(e))
+        raise _UsageError(str(e)) from None
     _emit_table(args, "curve", ["x", "u", "F"], _rows(curve).tolist(), _csv_rows(curve))
     return _EXIT_OK
 
@@ -352,7 +350,7 @@ def _svg_figure(curves):
 
 def _cmd_figure2(args):
     if args.samples < 10:
-        return _usage_fail("--samples must be >= 10")
+        raise _UsageError("--samples must be >= 10")
     curves = [density_curve(r, args.samples, spacing="theta") for r in range(1, 6)]
     if args.svg:
         try:
@@ -451,6 +449,8 @@ def main(argv=None):
             # the one map from the library's documented exceptions to exit codes
             try:
                 code = args.func(args)
+            except _UsageError as e:
+                code = _usage_fail(e)
             except DegenerateParameters as e:
                 code = _usage_fail(f"degenerate parameters: {e}")
             except (DoubleRangeError, DegreeCapError, ZeroFindingError) as e:

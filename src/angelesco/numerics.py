@@ -9,14 +9,16 @@ tables of the type I vectors call it only at the heads of their chains and
 advance every other entry, from the top down, by an exact rational factor
 (see ``polynomials.py``).  It sums signed log-gammas exactly with one
 rounding (``math.fsum``, Shewchuk's summation), so equal numerator and
-denominator arguments cancel inside the sum, and it resolves the pole/pole
-cancellations of degenerate parameter combinations (e.g. ``r=1`` with
+denominator arguments cancel inside the sum.  It alone decides what a pole
+does: equal poles cancel, the rest pair as a joint limit, which resolves
+the degenerate parameter combinations (e.g. ``r=1`` with
 ``alpha+beta = -1``).  The heads of one chain share a factor free of t:
 :func:`log_gamma_factor` sums its log-gammas once, into an exact
-expansion that each head's ``fsum`` takes in place of the factor's terms.
-``fsum`` is correctly rounded over the exact sum (Shewchuk, "Adaptive
-Precision Floating-Point Arithmetic", 1997), so every head keeps the bits
-it has with the factor's arguments inline.  A ratio whose value leaves the
+expansion that each head's ``fsum`` takes in place of the factor's terms,
+and hands its poles to each head's cancel-and-pair step.  ``fsum`` is
+correctly rounded over the exact sum (Shewchuk, "Adaptive Precision
+Floating-Point Arithmetic", 1997), so every head keeps the bits it has
+with the factor's arguments inline.  A ratio whose value leaves the
 double range raises :class:`DoubleRangeError`, as does a numpy overflow
 under :func:`overflow_trap`.
 """
@@ -95,22 +97,26 @@ def _log_gammas(args, logs, poles, side):
 
 
 class LogGammaFactor(NamedTuple):
-    """The log-gammas of a gamma ratio free of poles, summed once:
-    ``sign * exp(sum(logs))`` is prod Gamma(nums) / prod Gamma(dens), and
-    ``logs`` is an exact expansion of its +-lgamma terms (their exact sum,
-    as a few doubles).  ``nums`` and ``dens`` are the arguments as given,
-    for :func:`gamma_ratio`'s overflow message."""
+    """The log-gammas of a gamma ratio, summed once: ``sign * exp(sum(logs))``
+    is the product of its regular gammas (those of its numerator over those
+    of its denominator), and ``logs`` is an exact expansion of their
+    +-lgamma terms (their exact sum, as a few doubles).  ``num_poles`` and
+    ``den_poles`` are its pole arguments as (value, rate) pairs, for
+    :func:`gamma_ratio` to cancel and pair with its own.  ``nums`` and
+    ``dens`` are the arguments as given, for :func:`gamma_ratio`'s overflow
+    message."""
 
     sign: float
     logs: tuple
+    num_poles: tuple
+    den_poles: tuple
     nums: tuple
     dens: tuple
 
 
 def log_gamma_factor(nums, dens):
-    """A gamma ratio's log-gammas as one :class:`LogGammaFactor`, for
-    :func:`gamma_ratio` to take as its ``factor``, or ``None`` if an argument
-    is a pole (pole pairing needs the arguments themselves).
+    """A gamma ratio's log-gammas and poles as one :class:`LogGammaFactor`,
+    for :func:`gamma_ratio` to take as its ``factor``.
 
     The expansion's components are the correctly rounded sum of the
     +-lgamma terms (``math.fsum``), then that of the terms less the
@@ -120,18 +126,18 @@ def log_gamma_factor(nums, dens):
     same double as the list with the terms.  A log-gamma above the double
     range raises :class:`DoubleRangeError`.
     """
-    logs, poles = [], []
+    logs, num_poles, den_poles = [], [], []
     try:
-        sign = _log_gammas(nums, logs, poles, 1.0) * _log_gammas(dens, logs, poles, -1.0)
-        if poles:
-            return None
+        sign = _log_gammas(nums, logs, num_poles, 1.0) * _log_gammas(dens, logs, den_poles, -1.0)
         expansion = []
         while part := math.fsum(logs):
             expansion.append(part)
             logs.append(-part)
     except OverflowError:
         raise _range_error(nums, dens) from None
-    return LogGammaFactor(sign, tuple(expansion), tuple(nums), tuple(dens))
+    return LogGammaFactor(
+        sign, tuple(expansion), tuple(num_poles), tuple(den_poles), tuple(nums), tuple(dens)
+    )
 
 
 def _range_error(nums, dens):
@@ -162,9 +168,10 @@ def gamma_ratio(nums, dens, factor=None):
     a result below it underflows to 0.
 
     ``factor``, a :func:`log_gamma_factor`, multiplies the ratio by its
-    own: its expansion joins the list, so the result is bitwise
+    own: its expansion joins the list and its poles join the call's before
+    they cancel and pair, so the result is bitwise
     ``gamma_ratio(nums + factor.nums, dens + factor.dens)``, and so is the
-    message of a :class:`DoubleRangeError`.
+    message of an error.
     """
     try:
         logs, num_poles, den_poles = [], [], []
@@ -172,6 +179,9 @@ def gamma_ratio(nums, dens, factor=None):
         if factor is not None:
             sign *= factor.sign
             logs.extend(factor.logs)
+            if factor.num_poles or factor.den_poles:
+                num_poles.extend(factor.num_poles)
+                den_poles.extend(factor.den_poles)
         if num_poles and den_poles:
             for pole in num_poles[:]:
                 if pole in den_poles:  # cancels exactly; a pairing across rates rounds log(rate)

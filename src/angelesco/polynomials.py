@@ -30,12 +30,12 @@ same large gamma arguments, so the heads' rounding cancels between them.
 Each head is one gamma-ratio call over q_t's three arguments and r F,
 divided by r (p_n's by 1).  The chain sums r F's log-gammas once
 (``numerics.log_gamma_factor``, an exact expansion that each head's one
-``fsum`` takes in place of F's terms), so every head has the bits of one
-call over all of its arguments; where F has a pole, its arguments go to
-each head as they are, for ``gamma_ratio`` to pair.  So where a
-normalizer vanishes while a coefficient blows up, e.g. r=1 with
-alpha+beta = -1, a head evaluates to the finite limit instead of inf*0,
-and a q_t equal to a nu in F cancels exactly: the degree drops are exact.
+``fsum`` takes in place of F's terms, with F's poles, which
+``gamma_ratio`` cancels and pairs with the head's own), so every head has
+the bits of one call over all of its arguments.  So where a normalizer
+vanishes while a coefficient blows up, e.g. r=1 with alpha+beta = -1, a
+head evaluates to the finite limit instead of inf*0, and a q_t equal to
+a nu in F cancels exactly: the degree drops are exact.
 The signed binomials (-1)^(N-t) C(N, t) are memoized per N.  Every gamma
 argument is rounded once from its exact value, with X = r(1 + alpha) +
 (1 + beta) carried as a two-double sum, and a step's factor adds
@@ -385,26 +385,23 @@ def _signed_binomials(N):
     return tuple(float((-1) ** (N - t) * math.comb(N, t)) for t in range(N + 1))
 
 
-def _chain(N, d, params, hi, lo, factor=((), ()), over=1):
+def _chain(N, d, params, hi, lo, factor=None, over=1):
     # Entries t = 0..N of the list (-1)^(N-t) C(N,t) q_t F / over on beta - d,
     # with q_t = Gamma((kn + X)/r) / [Gamma(N + alpha + 1) Gamma((kd + beta)/r)]
     # and F the gamma ratio of factor = (nums, dens).  From the top down, q_t
     # is q_(t+r) divided by the step's factor (kn + X)/(kd + beta); a head, at
     # the top r entries and wherever kn < 0 or kd <= 0, is one gamma_ratio
-    # call over the arguments of q_t and F's log-gammas, summed once for the
-    # chain (F's arguments themselves if one is a pole; p_n has no F)
+    # call over the arguments of q_t and F's log-gammas and poles, summed
+    # once for the chain (p_n has no F)
     r, b = params.r, params.beta
     n1 = N + 1 + params.alpha
-    nums, dens = factor
-    log_f = log_gamma_factor(nums, dens) if nums or dens else None
-    if log_f is not None:
-        nums, dens = (), ()
+    log_f = None if factor is None else log_gamma_factor(*factor)
     q = [0.0] * (N + 1)
     for t in range(N, -1, -1):
         kn, kd = r * N - 1 - d + t, t + r - d
         if t > N - r or kn < 0 or kd <= 0:
             y = math.fsum((kn, hi, lo)) / r
-            q[t] = gamma_ratio([y, *nums], [n1, (kd + b) / r, *dens], log_f) / over
+            q[t] = gamma_ratio([y], [n1, (kd + b) / r], log_f) / over
         else:
             q[t] = q[t + r] / ((kn + hi) / (kd + b))
     return [c * qt for c, qt in zip(_signed_binomials(N), q)]
@@ -415,19 +412,6 @@ def _nu_args(N, d, params, hi, lo):
     # the arguments of _chain's head at t = N
     r, a, b = params.r, params.alpha, params.beta
     return [math.fsum((r * N - 1 - d + N, hi, lo)) / r], [N + 1 + a, (N + r - d + b) / r]
-
-
-def _times(f, g):
-    # the arguments (nums, dens) of the product of the gamma ratios f and g,
-    # less those on both sides: gamma_ratio would pair such a pole with
-    # another pole, whose rate may differ, and round log(rate) differently
-    nums, dens = [*f[0], *g[0]], []
-    for x in (*f[1], *g[1]):
-        if x in nums:
-            nums.remove(x)
-        else:
-            dens.append(x)
-    return nums, dens
 
 
 def _table(rows, r):
@@ -481,14 +465,12 @@ def _up_combos(n, params):
     # r/tau = Gamma((rn + n - r + X)/r) Gamma(rn + n - r + 1 + X) / [n!
     # Gamma(n + 1 + alpha) Gamma((n + 1 + beta)/r) Gamma(rn - r + X)], the
     # arguments without /r at pole rate r
-    r_over_tau = (
-        [math.fsum((r * n + n - r, hi, lo)) / r, (math.fsum((r * n + n - r + 1, hi, lo)), r)],
-        [n + 1.0, n + 1 + a, (n + 1 + b) / r, (math.fsum((r * n - r, hi, lo)), r)],
-    )
+    tau_nums = [math.fsum((r * n + n - r, hi, lo)) / r, (math.fsum((r * n + n - r + 1, hi, lo)), r)]
+    tau_dens = [n + 1.0, n + 1 + a, (n + 1 + b) / r, (math.fsum((r * n - r, hi, lo)), r)]
     ratio = []
     for m in range(r):
         nu_nums, nu_dens = _nu_args(n, m, params, hi, lo)
-        ratio.append(_chain(n, m, params, hi, lo, _times((nu_dens, nu_nums), r_over_tau), r))
+        ratio.append(_chain(n, m, params, hi, lo, (nu_dens + tau_nums, nu_nums + tau_dens), r))
     lm = np.arange(r)
     combos = roots_of_unity(r)[(lm[:, None] * lm) % r] @ _table(ratio, r)
     combos[1:, n] = 0  # sum_m omega^(lm) = 0 for l != 0, on equal tops
@@ -559,20 +541,19 @@ def _down_terms(n, params):
     # t1 = nu_(n-1)(beta) coef_t(p_(n-1); beta-1) / gamma and
     # t2 = nu_(n-1)(beta-1) coef_t(p_(n-1); beta) / gamma, each on its chain;
     # shared by every ray k of level n.  At t = n-1 each row's q is its own
-    # nu_(n-1), so both heads take the arguments of r/gamma and both nu's,
-    # up to pairs on both sides, which cancel unless they are poles (X = 1,
-    # n = 1): the top entries are bitwise equal and the degree drop exact.
+    # nu_(n-1), so both heads take the arguments of r/gamma and both nu's:
+    # the top entries are bitwise equal and the degree drop exact.
     r, a, b = params.r, params.alpha, params.beta
     hi, lo = _affine(params)
     db = math.fsum((r * n - r - 2, hi, lo))  # r n + r alpha + beta - 1
     dbn = math.fsum((r * n - r - 2 + n, hi, lo))
     # r/gamma = Gamma(n + alpha) Gamma((n - 1 + r + beta)/r) Gamma(db + n) /
     # [(n-1)! Gamma((db + n)/r) Gamma(db)], db's at rate r
-    r_over_gamma = [n + a, (n - 1 + r + b) / r, (dbn, r)], [n + 0.0, dbn / r, (db, r)]
-    nu0, nu1 = (_nu_args(n - 1, d, params, hi, lo) for d in (0, 1))
+    g_nums, g_dens = [n + a, (n - 1 + r + b) / r, (dbn, r)], [n + 0.0, dbn / r, (db, r)]
+    (nums0, dens0), (nums1, dens1) = (_nu_args(n - 1, d, params, hi, lo) for d in (0, 1))
     return (
-        _table(_chain(n - 1, 1, params, hi, lo, _times(nu0, r_over_gamma), r), r),
-        _table(_chain(n - 1, 0, params, hi, lo, _times(nu1, r_over_gamma), r), r),
+        _table(_chain(n - 1, 1, params, hi, lo, (nums0 + g_nums, dens0 + g_dens), r), r),
+        _table(_chain(n - 1, 0, params, hi, lo, (nums1 + g_nums, dens1 + g_dens), r), r),
     )
 
 

@@ -103,14 +103,9 @@ def test_gamma_ratio_sign_and_value_against_references(nums, dens):
 
 
 # a chain factor's arguments: regular ones up to 1e12 (their ratios leave the
-# double range), with or without a rate, and poles, for which no factor exists
+# double range), with or without a rate, and poles
 wide = st.one_of(regular, st.floats(1.0, 1e12))
 factor_argument = st.one_of(wide, wide, st.tuples(wide, st.sampled_from((1.0, 2.0, 7.0))), pole)
-
-
-def _is_pole(a):
-    x = a[0] if isinstance(a, tuple) else a
-    return x <= 0.0 and x == math.floor(x)
 
 
 def _factor_outcome(nums, dens, factor=None):
@@ -129,12 +124,15 @@ def _factor_outcome(nums, dens, factor=None):
 )
 @example(nums=[300.0], dens=[], fnums=[200.0], fdens=[])  # overflows
 @example(nums=[-0.5], dens=[(-1.5, 2.0)], fnums=[-2.5, (1e12, 7.0)], fdens=[-3.25, 1e12])
+# the factor's poles cancel and pair with the call's: -1 at rate 2 cancels,
+# -3 pairs with -2 at rates 1 and 7
+@example(nums=[(-1.0, 2.0), 4.5], dens=[(-2.0, 7.0)], fnums=[-3.0], fdens=[(-1.0, 2.0), 2.5])
+@example(nums=[], dens=[], fnums=[0.0], fdens=[])  # an unpaired pole
 def test_gamma_ratio_with_a_factor_is_the_concatenation_bitwise(nums, dens, fnums, fdens):
-    factor = log_gamma_factor(fnums, fdens)
-    assert (factor is None) == any(map(_is_pole, fnums + fdens))
-    if factor is not None:
-        got = _factor_outcome(nums, dens, factor)
-        assert got == _factor_outcome(nums + fnums, dens + fdens)
+    # every factor, poles included, gives the value or the error of one call
+    # over the concatenated arguments
+    got = _factor_outcome(nums, dens, log_gamma_factor(fnums, fdens))
+    assert got == _factor_outcome(nums + fnums, dens + fdens)
 
 
 def test_a_factor_overflow_names_every_argument():

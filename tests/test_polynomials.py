@@ -564,7 +564,9 @@ PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5), 
                 (1e15, 0.5), (0.5, 1e15), (1e17, 0.0), (0.0, 1e17))
 
 
-def test_coefficient_tables_are_pinned():
+def _table_digest(points, ns):
+    # sha256 prefix of every table built at the (r, alpha, beta) points and
+    # levels ns, or of the name of the exception its constructor raises
     builds = (
         base_poly,
         leading_coefficient,
@@ -573,7 +575,7 @@ def test_coefficient_tables_are_pinned():
         polynomials.type1_down_stack,
     )
     h = hashlib.sha256()
-    for r, (a, b), n in itertools.product((1, 2, 3, 5, 7, 8), PINNED_PAIRS, (0, 1, 2, 3, 7, 24, 60)):
+    for (r, a, b), n in itertools.product(points, ns):
         for build in builds:
             try:
                 out = np.asarray(build(n, Params(r, a, b)))
@@ -581,7 +583,38 @@ def test_coefficient_tables_are_pinned():
             except Exception as exc:
                 h.update(type(exc).__name__.encode())
             h.update(b"\n")
-    assert h.hexdigest()[:16] == _PINNED_TABLE_DIGEST
+    return h.hexdigest()[:16]
+
+
+def test_coefficient_tables_are_pinned():
+    points = [(r, a, b) for r in (1, 2, 3, 5, 7, 8) for a, b in PINNED_PAIRS]
+    assert _table_digest(points, (0, 1, 2, 3, 7, 24, 60)) == _PINNED_TABLE_DIGEST
+
+
+# the same digest at points where X = r(1 + alpha) + (1 + beta) is 1 or 2
+# (in decimal only, at the two points with -0.9).  There the factors of the
+# up chains at n = 0 and of the down chains at n = 1 (at r = 1 the diagonal
+# row under the down stack at n = 2) hold poles, which gamma_ratio cancels
+# or pairs with the heads' own
+_PINNED_POLE_DIGEST = "01755a7e36ae700f"
+POLE_POINTS = ((2, -0.9, -0.2), (3, -0.5, -0.5), (5, -0.9, -0.5), (7, -0.875, 0.125),
+               (8, -0.9375, 0.5), (1, -0.5, -0.5))
+
+
+def test_pole_factor_tables_are_pinned(monkeypatch):
+    poles = 0
+    real = polynomials.log_gamma_factor
+
+    def counting(nums, dens):
+        nonlocal poles
+        factor = real(nums, dens)
+        poles += bool(factor.num_poles or factor.den_poles)
+        return factor
+
+    _clear_level_tables()
+    monkeypatch.setattr(polynomials, "log_gamma_factor", counting)
+    assert _table_digest(POLE_POINTS, (0, 1, 2, 3, 7, 24)) == _PINNED_POLE_DIGEST
+    assert poles > 0
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
