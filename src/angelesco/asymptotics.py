@@ -61,8 +61,10 @@ __all__ = [
 
 # The inversion theta(xhat) and density_curve are supported for r <= MAX_R.
 # A sweep of both over r <= 70 (xhat from 1e-329 to 1 - 2^-53, curves of up
-# to 1e5 samples) gave finite, positive values everywhere; from r = 90 the
-# constant of the bracket's leading-order start overflows.
+# to 1e5 samples) gave finite, positive values everywhere except the first
+# sample of density_curve(r, 10**5, "x") from r = 64: its x^r is subnormal
+# (u reads inf) or, from r = 65, 0 (ValueError).  From r = 90 the constant
+# of the bracket's leading-order start overflows.
 MAX_R = 64
 _TINY = sys.float_info.min
 _PERRON_EPS = 1e-3  # perron_density's largest distance from the real axis
@@ -91,24 +93,19 @@ def _theta_max(r):
     return _consts(r)[0]
 
 
-# The array code below gives every sample the bits that the scalar code
-# gives it.  numpy's + - * /, comparisons and np.where round as Python
-# floats do, but its sin, log and power can differ from libm's in the last
-# bit, so each transcendental goes through the math function, float pow or
-# complex abs per element.
+# The theta-spacing curves and w give every sample the bits that the
+# one-sample code gives it.  numpy's + - * /, comparisons and np.where round
+# as Python floats do, but its sin and power can differ from libm's in the
+# last bit, so each transcendental goes through the math function, float pow
+# or complex abs per element.
 
 
 def _per_element(fn):
     return lambda a: np.fromiter(map(fn, a.tolist()), float, len(a))
 
 
-# math's functions on float arrays, for the formulas that take lib
-_LIBM = SimpleNamespace(
-    sin=_per_element(math.sin),
-    cos=_per_element(math.cos),
-    tan=_per_element(math.tan),
-    log=_per_element(math.log),
-)
+# math's functions on float arrays
+_LIBM = SimpleNamespace(sin=_per_element(math.sin), cos=_per_element(math.cos))
 
 
 def _pow(a, e):
@@ -166,19 +163,10 @@ def hatx_of_theta(theta, r):
     return _hatx_at(theta, r, c_r)
 
 
-def _hatx_of_thetas(theta, r):
-    # hatx_of_theta at every theta of an array
-    tm, c_r, _ = _consts(r)
-    if not np.all((0.0 < theta) & (theta < tm)):
-        raise ValueError("theta must lie strictly inside (0, pi/(r+1))")
-    return _hatx(*_sines(theta, r), r, c_r)
-
-
 def _log_hatx_terms(top, theta, r, lib=math):
     # log xhat(theta) = a - b - c - log c_r, returned as (a, b, c), with
-    # top = (r+1) theta or its reflection (r+1)(tm - theta).  lib is math
-    # for one point, _LIBM for an array with math's bits, or numpy where the
-    # last bits do not matter
+    # top = (r+1) theta or its reflection (r+1)(tm - theta); lib is math for
+    # one point or numpy for an array
     return (
         (r + 1) * lib.log(lib.sin(top)),
         lib.log(lib.sin(theta)),
@@ -193,250 +181,116 @@ def _log_hatx_of_delta(delta, r, lib=math):
     return a - b - c - log_c
 
 
-def _dlog_hatx(theta, r):
-    # d log xhat / d theta = (r+1)^2 cot((r+1)t) - cot t - r^2 cot(rt);
-    # near the right endpoint, cot((r+1)t) = -cot((r+1)(tm-t)) keeps precision
-    tm = _consts(r)[0]
-    if theta > 0.5 * tm:
-        top = -((r + 1) ** 2) / math.tan((r + 1) * (tm - theta))
-    else:
-        top = (r + 1) ** 2 / math.tan((r + 1) * theta)
-    return top - 1.0 / math.tan(theta) - r**2 / math.tan(r * theta)
-
-
-def _dlog_hatx_of_thetas(theta, r):
-    # _dlog_hatx at every theta of an array, and the mask of the samples
-    # where a tangent is 0, where the scalar form raises ZeroDivisionError;
-    # the caller runs it under np.errstate
-    tm = _consts(r)[0]
-    right = theta > 0.5 * tm
-    tt = _LIBM.tan((r + 1) * np.where(right, tm - theta, theta))
-    t1, tr = _LIBM.tan(theta), _LIBM.tan(r * theta)
-    top = np.where(right, -((r + 1) ** 2), (r + 1) ** 2) / tt
-    return top - 1.0 / t1 - r**2 / tr, (tt == 0.0) | (t1 == 0.0) | (tr == 0.0)
-
-
-# theta(xh) is found in three stages: a bracket, 90 bisection steps and a
-# Newton polish.  For small xh the unknown is delta = tm - theta and the
-# level is log xh (log xhat increases in delta); otherwise the unknown is
-# theta itself and the level is xh (xhat decreases in theta).  A stage state
-# is (in_delta, level, lo, hi).  The scalar functions solve one xh; the
-# *_curve functions solve an array of them in lock-step, each sample
-# stopping where the scalar loop stops, with the same bits.  Every stage
-# assumes xhat strictly decreasing in theta, which the tests check on a fine
-# grid for every r <= MAX_R.
+# theta(xh) is one safeguarded Newton iteration inside a bracket (rtsafe,
+# Numerical Recipes 9.4).  For xh <= 1/2 the unknown is delta = tm - theta
+# and g = log xhat(tm - delta) - log xh, from the log terms, which keep their
+# precision as delta -> 0; above 1/2 the unknown is theta and
+# g = xh - xhat(theta), with xhat a ratio of sines.  Both g increase in the
+# unknown, since xhat strictly decreases in theta (the tests check that on
+# a fine grid for every r <= MAX_R).  Each step moves one end of the bracket
+# to the iterate by the sign of g, and a Newton step that leaves the closed
+# bracket becomes a bisection.  The iteration stops when a step is at most
+# 2 ulp of the iterate, or when |g| is within 4 eps of the size of its
+# terms, where rounding alone sets its sign (the Newton step from there is
+# still taken if it stays in the bracket): without that test, iterates near
+# xh -> 1 wander inside their rounding-noise band.
 #
-# Both are kept because each is the faster one where it runs (best of 9 on a
-# 2-vCPU VM): one point costs 35-96 us in the scalar solver but 1.2-2.2 ms
-# as a one-element array, so the one-point entry points stay scalar.  At
-# density_curve(r, 999, "x"), r = 1..5, per-sample scalar code in place of
-# the array bracket, polish or bisection costs +0.9-1.8, +1.7-2.1 and
-# +1.3-2.0 ms per curve of 14-15 ms, and dropping the scalar tail below
-# _ARRAY_MIN samples costs +0.2-0.6 ms per curve and +0.9-1.2 ms per
-# endpoint_exponents call (best of 15 in 5 interleaved rounds, 2-vCPU Xeon
-# VM).
+# _solve runs it for one xh in math, _theta_curve for an array in numpy,
+# masked.  Both are kept because each is the faster one where it runs: one
+# point costs 8-10 us in _solve but 180-210 us as a one-element array, and
+# ks_distance and limit_cdf solve once per zero, while from about 50
+# samples the array is faster (999 samples take 1.2-1.5 ms as a curve and
+# about 9 ms one at a time; r = 1..5, best of 9, 2-vCPU VM).
 
-_BISECTION_STEPS = 90
-_NEWTON_STEPS = 3
+_MAX_STEPS = 64
+_RESIDUAL = 4.0 * sys.float_info.epsilon
+_OUTSIDE = "xhat must lie strictly inside (0,1)"
 
 
+@lru_cache(maxsize=64)
 def _log_start(r):
-    # xhat ~ k_r delta^(r+1) near the right endpoint
+    # log k_r, where xhat ~ k_r delta^(r+1) near the right endpoint
     tm, c_r, _ = _consts(r)
-    return (r + 1.0) ** (r + 1) / (c_r * math.sin(tm) * math.sin(r * tm) ** r)
+    return math.log((r + 1.0) ** (r + 1) / (c_r * math.sin(tm) * math.sin(r * tm) ** r))
+
+
+def _start(in_delta, level, r, lib):
+    # the leading-order inverse of one form: xhat ~ k_r delta^(r+1) as
+    # delta -> 0, and xhat ~ 1 - r(r+1) theta^2/2 as theta -> 0
+    if in_delta:
+        return lib.exp((level - _log_start(r)) / (r + 1))
+    return lib.sqrt(2.0 * (1.0 - level) / (r * (r + 1.0)))
+
+
+def _newton_terms(in_delta, x, level, r, lib):
+    # g, the Newton iterate and the size of g's terms at the unknown x of one
+    # form, with lib's transcendentals (math, or numpy on arrays).  The size
+    # also counts one unit per sine factor of xhat, 2r + 2 of them: the
+    # rounding of each moves g by up to an ulp of 1 (log form) or of xhat
+    # (ratio form)
+    tm, c_r, log_c = _consts(r)
+    if in_delta:
+        theta, top = tm - x, (r + 1) * x
+        a, b, c = _log_hatx_terms(top, theta, r, lib)
+        g = a - b - c - log_c - level
+        # dg/d delta, as cot((r+1)theta) = -cot(top); the step is Newton's
+        # in log delta, where g is nearly linear
+        dg = (r + 1) ** 2 / lib.tan(top) + 1.0 / lib.tan(theta) + r**2 / lib.tan(r * theta)
+        size = abs(a) + abs(b) + abs(c) + log_c + abs(level) + 2 * (r + 1)
+        return g, x * lib.exp(-g / (x * dg)), size
+    # the sines scaled by 2^-e, where x = m 2^e, so their powers stay
+    # normal; the scales cancel exactly in xhat
+    top, e = (r + 1) * x, -lib.frexp(x)[1]
+    st, s1, sr = (lib.ldexp(lib.sin(v), e) for v in (top, x, r * x))
+    h = st ** (r + 1) / (c_r * s1 * sr**r)
+    # -d log xhat/d theta: the cotangents cancel to O(theta) as theta -> 0,
+    # and hypot with their rounding keeps a slope lost to it from
+    # lengthening the step
+    t1, t2, t3 = (r + 1) ** 2 / lib.tan(top), 1.0 / lib.tan(x), r**2 / lib.tan(r * x)
+    slope = h * lib.hypot(t1 - t2 - t3, _RESIDUAL * (abs(t1) + t2 + abs(t3)))
+    return level - h, x - (level - h) / slope, (2 * r + 3) * h + level
 
 
 def _bracket(xh, r):
-    if not 0.0 < xh < 1.0:
-        raise ValueError("xhat must lie strictly inside (0,1)")
+    # (in_delta, level, lo, hi, start) of one xh: the bracket around the
+    # leading-order start, widened until g changes sign across it
     _check_r(r)
+    if not 0.0 < xh < 1.0:
+        raise ValueError(_OUTSIDE)
     tm = _consts(r)[0]
-
     if xh <= 0.5:
-        target = math.log(xh)
-        k_r = _log_start(r)
-        delta = (xh / k_r) ** (1.0 / (r + 1))  # leading-order inverse
-        if delta == 0.0:  # xh / k_r underflowed
-            delta = xh ** (1.0 / (r + 1)) / k_r ** (1.0 / (r + 1))
-        lo, hi = delta * 0.5, min(delta * 2.0, tm * 0.5)
-        flo = _log_hatx_of_delta(lo, r) - target
-        fhi = _log_hatx_of_delta(hi, r) - target
-        while flo > 0.0:
+        level = math.log(xh)
+        x = _start(True, level, r, math)
+        lo, hi = 0.5 * x, min(2.0 * x, 0.5 * tm)
+        while _log_hatx_of_delta(lo, r) > level:
             lo *= 0.5
-            flo = _log_hatx_of_delta(lo, r) - target
-        while fhi < 0.0:
-            hi = min(hi * 2.0, tm * (1.0 - 1e-12))
-            fhi = _log_hatx_of_delta(hi, r) - target
-            if hi >= tm * (1.0 - 1e-12) and fhi < 0.0:
-                break
-        return True, target, lo, hi
-
-    lo, hi = tm * 1e-9, tm * 0.5
+        cap = tm * (1.0 - 1e-12)
+        while hi < cap and _log_hatx_of_delta(hi, r) < level:
+            hi = min(2.0 * hi, cap)
+        return True, level, lo, hi, min(x, hi)
+    lo, hi = tm * 1e-9, 0.5 * tm
     while hatx_of_theta(hi, r) > xh:
         hi = 0.5 * (hi + tm)
-    return False, xh, lo, hi
-
-
-def _bracket_curve(xh, r):
-    # _bracket at every xh of an array: (in_delta, level, lo, hi) as arrays
-    if not np.all((0.0 < xh) & (xh < 1.0)):
-        raise ValueError("xhat must lie strictly inside (0,1)")
-    _check_r(r)
-    tm = _consts(r)[0]
-    in_delta = xh <= 0.5
-    level, lo, hi = xh.copy(), np.full(len(xh), tm * 1e-9), np.full(len(xh), tm * 0.5)
-
-    d = np.flatnonzero(in_delta)
-    if d.size:
-        v = xh[d]
-        target = _LIBM.log(v)
-        k_r = _log_start(r)
-        delta = _pow(v / k_r, 1.0 / (r + 1))
-        under = np.flatnonzero(delta == 0.0)
-        if under.size:
-            delta[under] = _pow(v[under], 1.0 / (r + 1)) / k_r ** (1.0 / (r + 1))
-        a, b = delta * 0.5, np.minimum(delta * 2.0, tm * 0.5)
-        flo = _log_hatx_of_delta(a, r, _LIBM) - target
-        fhi = _log_hatx_of_delta(b, r, _LIBM) - target
-        m = np.flatnonzero(flo > 0.0)
-        while m.size:
-            a[m] *= 0.5
-            flo[m] = _log_hatx_of_delta(a[m], r, _LIBM) - target[m]
-            m = m[flo[m] > 0.0]
-        cap = tm * (1.0 - 1e-12)
-        m = np.flatnonzero(fhi < 0.0)
-        while m.size:
-            b[m] = np.minimum(b[m] * 2.0, cap)
-            fhi[m] = _log_hatx_of_delta(b[m], r, _LIBM) - target[m]
-            m = m[(fhi[m] < 0.0) & (b[m] < cap)]
-        level[d], lo[d], hi[d] = target, a, b
-
-    # every theta-form bracket starts at hi = tm/2, so xhat there is one value
-    m = np.flatnonzero(~in_delta & (hatx_of_theta(tm * 0.5, r) > xh))
-    while m.size:
-        hi[m] = 0.5 * (hi[m] + tm)
-        m = m[_hatx_of_thetas(hi[m], r) > xh[m]]
-    return in_delta, level, lo, hi
-
-
-def _bisect(in_delta, level, r, lo, hi, steps):
-    # bisection that stops at its fixed point: once a step leaves (lo, hi)
-    # unchanged, every later step would too, so the result is that of all
-    # `steps` steps
-    c_r = _consts(r)[1]
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if in_delta:
-            below = _log_hatx_of_delta(mid, r) < level
-        else:
-            below = _hatx_at(mid, r, c_r) > level
-        if below:
-            if lo == mid:
-                break
-            lo = mid
-        else:
-            if hi == mid:
-                break
-            hi = mid
-    return lo, hi
-
-
-# below this many samples, a step of array code costs more than the steps
-# of the scalar code it stands for
-_ARRAY_MIN = 32
-
-
-def _bisect_curve(in_delta, level, r, lo, hi, left, live):
-    # _bisect for the samples `live` of one branch at once, in place: each
-    # takes the `left` steps it still owes, or stops at its fixed point.
-    # The last few samples finish in _bisect itself
-    c_r = _consts(r)[1]
-    live = live[left[live] > 0]
-    while live.size >= _ARRAY_MIN:
-        a, b = lo[live], hi[live]
-        mid = 0.5 * (a + b)
-        if in_delta:
-            below = _log_hatx_of_delta(mid, r, _LIBM) < level[live]
-        else:
-            below = _hatx(*_sines(mid, r), r, c_r) > level[live]
-        lo[live[below]] = mid[below]
-        hi[live[~below]] = mid[~below]
-        left[live] -= 1
-        left[live[np.where(below, mid == a, mid == b)]] = 0
-        live = live[left[live] > 0]
-    rest = (live, level[live], lo[live], hi[live], left[live])
-    for i, v, a, b, k in zip(*(col.tolist() for col in rest)):
-        lo[i], hi[i] = _bisect(in_delta, v, r, a, b, k)
-
-
-def _polish(in_delta, level, r, lo, hi):
-    # up to three Newton steps from the bisection midpoint.  A step that
-    # would leave (lo/2, 2 hi) or not move, or whose slope is zero or not
-    # finite, ends the polish: repeating it would change nothing.  Returns
-    # theta, which rounds to tm when delta is below half an ulp of tm.
-    tm = _consts(r)[0]
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        if in_delta:
-            g = _log_hatx_of_delta(x, r) - level
-            try:
-                slope = -_dlog_hatx(tm - x, r)
-            except ZeroDivisionError:  # cot 0, where tm - x rounds to tm
-                break
-        else:
-            h = hatx_of_theta(x, r)
-            g = h - level
-            slope = h * _dlog_hatx(x, r)
-        if slope == 0.0 or not math.isfinite(slope):
-            break
-        cand = x - g / slope
-        if not lo / 2 < cand < hi * 2 or cand == x:
-            break
-        x = cand
-    return tm - x if in_delta else x
-
-
-def _polish_curve(in_delta, level, r, lo, hi):
-    # _polish for arrays of one branch at once; a zero tangent or slope only
-    # ends a sample's polish, as the scalar loop's break does
-    tm = _consts(r)[0]
-    x = 0.5 * (lo + hi)
-    live = np.arange(len(x))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_STEPS):
-            if not live.size:
-                break
-            xl = x[live]
-            if in_delta:
-                g = _log_hatx_of_delta(xl, r, _LIBM) - level[live]
-                slope, stop = _dlog_hatx_of_thetas(tm - xl, r)
-                slope = -slope
-            else:
-                h = _hatx_of_thetas(xl, r)
-                g = h - level[live]
-                dlog, stop = _dlog_hatx_of_thetas(xl, r)
-                if stop.any():  # the scalar polish does not catch this one
-                    raise ZeroDivisionError("float division by zero")
-                slope = h * dlog
-            cand = xl - g / slope
-            go = (
-                ~stop
-                & (slope != 0.0)
-                & np.isfinite(slope)
-                & (lo[live] / 2 < cand)
-                & (cand < hi[live] * 2)
-                & (cand != xl)
-            )
-            x[live[go]] = cand[go]
-            live = live[go]
-    return tm - x if in_delta else x
+    return False, xh, lo, hi, min(max(_start(False, xh, r, math), lo), hi)
 
 
 def _solve(xh, r):
-    # theta(xh) through the three stages, possibly rounded to tm
-    in_delta, level, lo, hi = _bracket(xh, r)
-    lo, hi = _bisect(in_delta, level, r, lo, hi, _BISECTION_STEPS)
-    return _polish(in_delta, level, r, lo, hi)
+    # (theta, Newton steps) of one xh; theta may round to tm
+    in_delta, level, lo, hi, x = _bracket(xh, r)
+    for steps in range(1, _MAX_STEPS + 1):
+        g, new, size = _newton_terms(in_delta, x, level, r, math)
+        if g < 0.0:
+            lo = x
+        else:
+            hi = x
+        # within rounding of the root: at most one more Newton step
+        done = abs(g) <= _RESIDUAL * size
+        if not lo <= new <= hi:
+            new = x if done else 0.5 * (lo + hi)
+        x, step = new, new - x
+        if done or abs(step) <= 2.0 * math.ulp(x):
+            break
+    return (_consts(r)[0] - x if in_delta else x), steps
 
 
 _ROUNDS_TO_TM = "xhat is too close to 0: theta rounds to pi/(r+1)"
@@ -451,76 +305,66 @@ def _inside(theta, r):
 def theta_of_hatx(xh, r):
     """The unique t in (0, pi/(r+1)) with xhat(t) = xh, for xh in (0,1).
 
-    Bracketed bisection plus Newton polish; solved in the distance to the
-    right endpoint (log form) for small xh, in t directly otherwise.  The
-    bisection stops once a step would leave its bracket unchanged.  Raises
-    ValueError outside (0,1), and for xh so small that t rounds to
-    pi/(r+1) (below about (1e-16)^(r+1)), and for r > ``MAX_R``.
+    A safeguarded Newton iteration from the leading-order inverse inside a
+    bracket; solved in the distance to the right endpoint (log form) for
+    xh <= 1/2, in t directly otherwise.  The error is within
+    2(r+1) ulp times max(1, 1/|t dlog xhat/dt|), the condition of t(xh).
+    Raises ValueError for r > ``MAX_R``, outside (0,1), and for xh so small
+    that t rounds to pi/(r+1) (below about (1e-16)^(r+1)).
     """
-    return _inside(_solve(xh, r), r)
-
-
-# a bisection step is taken from numpy's array evaluation only when its
-# margin exceeds this share of the terms' size; numpy's log and sin can
-# differ from libm's in the last bits.  The gap between the two margins is
-# at most 3.3e-16 of the size over 200,000 random mids per form at
-# r = 1..5, 12 and 64 with numpy 2.4; tests/test_asymptotics.py measures it
-# on every step of the density curves and fails above a tenth of the bound
-_CERTAIN = 1e-14
-
-
-def _margin(in_delta, mid, level, r, lib):
-    # a bisection step's signed margin (positive: the bracket's lower end
-    # moves up) and the size of its terms, at arrays of mid and level, with
-    # lib's transcendentals
-    tm, _, log_c = _consts(r)
-    if in_delta:
-        top, theta = (r + 1) * mid, tm - mid
-        ref = level
-    else:
-        top, theta = (r + 1) * np.where(mid > 0.5 * tm, tm - mid, mid), mid
-        ref = lib.log(level)
-    t1, t2, t3 = _log_hatx_terms(top, theta, r, lib)
-    margin = t1 - t2 - t3 - log_c - ref
-    if in_delta:
-        margin = -margin  # delta moves up while log xhat < log xh
-    return margin, np.abs(t1) + np.abs(t2) + np.abs(t3) + log_c + np.abs(ref)
-
-
-def _certified_steps(in_delta, level, r, lo, hi, left, live):
-    # bisection steps for the samples `live` of one branch at once, in place.
-    # A sample leaves at its first step whose sign numpy cannot certify, or
-    # at a step that would not move its bracket (left is then set to 0);
-    # `left` counts the steps still owed by _bisect_curve.
-    while live.size:
-        a, b = lo[live], hi[live]
-        mid = 0.5 * (a + b)
-        margin, scale = _margin(in_delta, mid, level[live], r, np)
-        sure = np.abs(margin) > _CERTAIN * scale
-        up = sure & (margin > 0.0)
-        down = sure & (margin < 0.0)
-        lo[live[up]] = mid[up]
-        hi[live[down]] = mid[down]
-        left[live[sure]] -= 1
-        left[live[(up & (mid == a)) | (down & (mid == b))]] = 0
-        live = live[sure & (left[live] > 0)]
+    return _inside(_solve(xh, r)[0], r)
 
 
 def _theta_curve(xh, r):
-    # theta_of_hatx at every xh of an array, bitwise equal to calling it per
-    # sample: numpy takes the bisection steps whose sign it certifies, and
-    # the bracket, the remaining steps and the polish run on libm's values
-    in_delta, level, lo, hi = _bracket_curve(xh, r)
-    left = np.full(len(xh), _BISECTION_STEPS)
-    theta = np.empty(len(xh))
-    for branch in (True, False):
-        live = np.flatnonzero(in_delta == branch)
-        _certified_steps(branch, level, r, lo, hi, left, live)
-        _bisect_curve(branch, level, r, lo, hi, left, live)
-        theta[live] = _polish_curve(branch, level[live], r, lo[live], hi[live])
-    if not np.all((0.0 < theta) & (theta < _consts(r)[0])):
+    # _solve at every xh of an array, masked, with numpy's transcendentals:
+    # (theta, Newton steps) as arrays.  Not bitwise _solve's, but within the
+    # same error bound
+    _check_r(r)
+    if not np.all((0.0 < xh) & (xh < 1.0)):
+        raise ValueError(_OUTSIDE)
+    tm, c_r, _ = _consts(r)
+    theta, steps = np.empty(len(xh)), np.zeros(len(xh), dtype=int)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for in_delta in (True, False):
+            idx = np.flatnonzero((xh <= 0.5) == in_delta)
+            level = np.log(xh[idx]) if in_delta else xh[idx]
+            x = _start(in_delta, level, r, np)
+            if in_delta:
+                lo, hi = 0.5 * x, np.minimum(2.0 * x, 0.5 * tm)
+                m = np.flatnonzero(_log_hatx_of_delta(lo, r, np) > level)
+                while m.size:
+                    lo[m] *= 0.5
+                    m = m[_log_hatx_of_delta(lo[m], r, np) > level[m]]
+                cap = tm * (1.0 - 1e-12)
+                m = np.flatnonzero((hi < cap) & (_log_hatx_of_delta(hi, r, np) < level))
+                while m.size:
+                    hi[m] = np.minimum(2.0 * hi[m], cap)
+                    m = m[(hi[m] < cap) & (_log_hatx_of_delta(hi[m], r, np) < level[m])]
+            else:
+                lo, hi = np.full(len(idx), tm * 1e-9), np.full(len(idx), 0.5 * tm)
+                # every theta-form bracket starts at tm/2: one xhat there
+                m = np.flatnonzero(hatx_of_theta(0.5 * tm, r) > level)
+                while m.size:
+                    hi[m] = 0.5 * (hi[m] + tm)
+                    m = m[_hatx(*_sines(hi[m], r), r, c_r) > level[m]]
+            x = np.clip(x, lo, hi)
+            live = np.arange(len(idx))
+            for step in range(1, _MAX_STEPS + 1):
+                if not live.size:
+                    break
+                steps[idx[live]] = step
+                xl, a, b = x[live], lo[live], hi[live]
+                g, new, size = _newton_terms(in_delta, xl, level[live], r, np)
+                a, b = np.where(g < 0.0, xl, a), np.where(g < 0.0, b, xl)
+                lo[live], hi[live] = a, b
+                done = np.abs(g) <= _RESIDUAL * size
+                new = np.where((a <= new) & (new <= b), new, np.where(done, xl, 0.5 * (a + b)))
+                x[live] = new
+                live = live[~(done | (np.abs(new - xl) <= 2.0 * np.spacing(new)))]
+            theta[idx] = tm - x if in_delta else x
+    if not np.all((0.0 < theta) & (theta < tm)):
         raise ValueError(_ROUNDS_TO_TM)
-    return theta
+    return theta, steps
 
 
 def _w_at_theta(theta, r, xh, sines):
@@ -542,9 +386,9 @@ def _w_at_theta(theta, r, xh, sines):
 
 
 def _u_curve(x, xh, r):
-    # (theta, u) at arrays of x and xh = x^r, bitwise equal to u_density's
-    # steps per sample, without its range checks
-    theta = _theta_curve(xh, r)
+    # (theta, u) at arrays of x and xh = x^r: u_density's steps per sample,
+    # with theta from _theta_curve and without the range checks
+    theta = _theta_curve(xh, r)[0]
     return theta, r * _pow(x, r - 1) * _w_at_theta(theta, r, xh, _sines(theta, r))
 
 
@@ -554,8 +398,9 @@ def w_density(xh, r):
     Raises ValueError where :func:`theta_of_hatx` does (xh below about
     (1e-16)^(r+1)), and where w itself overflows: w grows like
     xh^(-r/(r+1)), so only subnormal xh at large r reach that (for example
-    xh = 5e-324 at r = 30).
+    xh = 5e-324 at r = 30).  Raises ValueError for r > ``MAX_R``.
     """
+    _check_r(r)
     theta = np.array([theta_of_hatx(xh, r)])
     w = _w_at_theta(theta, r, np.array([float(xh)]), _sines(theta, r))[0]
     if w == math.inf:
@@ -567,8 +412,10 @@ def u_density(x, r):
     """Limit density of the zero distribution: u(x) = r x^(r-1) w(x^r).
 
     Raises ValueError where x^r underflows (to 0 or a subnormal), and
-    where theta(x^r) rounds to pi/(r+1) or w(x^r) overflows.
+    where theta(x^r) rounds to pi/(r+1) or w(x^r) overflows, and for
+    r > ``MAX_R``.
     """
+    _check_r(r)
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie strictly inside (0,1)")
     xh = x**r
@@ -581,8 +428,9 @@ def limit_cdf(x, r):
     """F(x) = 1 - (r+1) theta(x^r)/pi, the exact CDF of the limit measure.
 
     Reads 0 where x^r underflows or theta(x^r) rounds to pi/(r+1).  Raises
-    ValueError for r > ``MAX_R``.
+    ValueError for r > ``MAX_R``, whatever x is.
     """
+    _check_r(r)
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
@@ -591,7 +439,7 @@ def limit_cdf(x, r):
     if xh == 0.0:
         return 0.0
     # where theta rounds to pi/(r+1), the difference is 0 or one ulp below
-    return max(0.0, 1.0 - (r + 1) * _solve(xh, r) / math.pi)
+    return max(0.0, 1.0 - (r + 1) * _solve(xh, r)[0] / math.pi)
 
 
 def u_closed_r2(x):
@@ -626,12 +474,12 @@ def density_curve(r, samples, spacing="theta"):
     ``spacing="theta"`` places samples uniformly in the parameter, which
     concentrates x-points near both endpoints (the right grid for plotting a
     density with endpoint singularities); ``spacing="x"`` uses the interior
-    grid x_i = i/(samples+1) and inverts all of it at once, so theta is
-    bitwise equal to ``theta_of_hatx(x_i**r, r)`` and u to
-    ``u_density(x_i, r)``.  Both spacings evaluate every sample in array
-    code with the bits of the one-sample formulas: numpy does the
-    arithmetic, libm the sines, logs, tangents and powers.  Raises
-    ValueError for r > ``MAX_R``.
+    grid x_i = i/(samples+1) and inverts all of it at once, in numpy, with
+    the iteration of :func:`theta_of_hatx` and its error bound:
+    2(r+1) ulp times max(1, 1/|t dlog xhat/dt|).  Given theta, both
+    spacings evaluate x, u and F in array code with the bits of the
+    one-sample formulas: numpy does the arithmetic, libm the sines and
+    powers.  Raises ValueError for r > ``MAX_R``.
     """
     _check_r(r)
     tm, c_r, _ = _consts(r)
@@ -829,7 +677,8 @@ def ks_distance(zs, r):
 
 
 def _u_densities(x, r):
-    # u_density at every x of an array, bitwise, with its ValueErrors
+    # u_density at every x of an array, with its ValueErrors
+    _check_r(r)
     if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("x must lie strictly inside (0,1)")
     xh = _pow(x, r)

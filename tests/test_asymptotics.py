@@ -31,6 +31,8 @@ from angelesco.asymptotics import MAX_R
 from angelesco.numerics import roots_of_unity
 
 U2_HALF = 0.6989522791685144  # 50-digit evaluation of the closed r=2 form at 1/2
+# endpoint_exponents against the u_density loop (measured: at most 6e-11)
+ENDPOINT_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +80,18 @@ def test_theta_round_trips():
             assert abs(hatx_of_theta(t, r) - xh) <= 1e-13 * max(1.0, xh)
 
 
+DOMAIN_END_R = (1, 2, 3, 5, 12, 52, MAX_R)
+DOMAIN_END_XH = [10.0**-k for k in range(1, 330)] + [1 - 10.0**-k for k in range(1, 18)]
+
+
 def test_theta_near_domain_ends():
     # tiny xh puts theta within half an ulp of pi/(r+1); xh near 1 makes the
     # Newton slope vanish (and, from r = 51, both sine powers of xhat
     # underflow).  Either way: a theta inside the interval, or a ValueError,
     # never a ZeroDivisionError
-    for r in (1, 2, 3, 5, 12, 52, MAX_R):
+    for r in DOMAIN_END_R:
         tm = math.pi / (r + 1)
-        for xh in [10.0**-k for k in range(1, 330)] + [1 - 10.0**-k for k in range(1, 18)]:
+        for xh in DOMAIN_END_XH:
             try:
                 t = theta_of_hatx(xh, r)
             except ValueError:
@@ -115,22 +121,10 @@ def test_supported_ray_counts():
     for fn in (theta_of_hatx, w_density, limit_cdf):
         with pytest.raises(ValueError, match="supported"):
             fn(0.5, MAX_R + 1)
-
-
-def _count_evaluations(monkeypatch):
-    # count the scalar xhat and log xhat evaluations made through the module
-    import angelesco.asymptotics as asym
-
-    calls = [0]
-    for name in ("hatx_of_theta", "_log_hatx_of_delta"):
-        fn = getattr(asym, name)
-
-        def counted(*args, _fn=fn):
-            calls[0] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(asym, name, counted)
-    return calls
+    # the r check comes before every other reading of x
+    for fn, x in ((limit_cdf, 0.0), (limit_cdf, 1.0), (limit_cdf, 1e-300), (u_density, 1e-300)):
+        with pytest.raises(ValueError, match="supported"):
+            fn(x, 100)
 
 
 def test_consts_past_the_power_overflow():
@@ -144,47 +138,94 @@ def test_consts_past_the_power_overflow():
     assert _consts(142)[1] == (142 + 1.0) ** 143 / 142**142
 
 
-def test_theta_bisection_stops_at_fixed_point(monkeypatch):
-    calls = _count_evaluations(monkeypatch)
-    for xh in (0.2, 0.8):
-        calls[0] = 0
-        theta_of_hatx(xh, 3)
-        assert calls[0] <= 65  # all 90 bisection steps would exceed this
+def _theta_mp(xh, r, t0):
+    # theta(xh) to 50 digits by Newton's method from t0, and the condition
+    # 1/|theta dlog xhat/dtheta| of theta(xh) there
+    with mp.workdps(50):
+        R, level = mp.mpf(r), mp.log(mp.mpf(xh))
+        log_c = (R + 1) * mp.log(R + 1) - R * mp.log(R)
+        t = mp.mpf(t0)
+        for _ in range(30):
+            g = (R + 1) * mp.log(mp.sin((R + 1) * t)) - mp.log(mp.sin(t)) - R * mp.log(mp.sin(R * t))
+            d = (R + 1) ** 2 * mp.cot((R + 1) * t) - mp.cot(t) - R**2 * mp.cot(R * t)
+            step = (g - log_c - level) / d
+            t -= step
+            if abs(step) < mp.mpf(10) ** -30 * t:
+                return t, float(1 / abs(t * d))
+    raise AssertionError(f"no 50-digit theta at xh={xh}, r={r}")
 
 
-def test_density_curve_scalar_evaluations(monkeypatch):
-    density_curve(3, 9, spacing="x")
-    calls = _count_evaluations(monkeypatch)
-    density_curve(3, 999, spacing="x")
-    # 95,406 with one scalar inversion per sample; the array code makes one
-    # call per step for all samples, and the last few samples finish alone
-    assert calls[0] < 1_000
+def _cond(theta, r):
+    # the condition of theta(xh) at theta, from 30-digit mpmath
+    with mp.workdps(30):
+        t, R = mp.mpf(theta), mp.mpf(r)
+        d = (R + 1) ** 2 * mp.cot((R + 1) * t) - mp.cot(t) - R**2 * mp.cot(R * t)
+        return float(1 / abs(t * d))
+
+
+def _ulps_over_bound(got, want, r, cond):
+    # |got - want| in ulp of want, over the inversion's error bound:
+    # 2(r+1) ulp times the condition of theta(xh) where it exceeds 1
+    with mp.workdps(50):
+        err = float(abs(mp.mpf(got) - mp.mpf(want)))
+    return err / math.ulp(float(want)) / (2 * (r + 1) * max(1.0, cond))
+
+
+def _assert_loops_agree(curve, one_point, r, label):
+    # each loop is within the error bound of the true theta, so the two are
+    # within twice the bound of each other: rounding leaves a band of iterates
+    # where g has no reliable sign, and numpy's last bits and libm's can end
+    # the two loops on opposite sides of it (up to 1.37 bounds apart at 999
+    # samples, r = 11)
+    for c, t in zip(curve, one_point):
+        assert _ulps_over_bound(c, t, r, _cond(t, r)) <= 2.0, (label, t)
+
+
+ACCURACY_XH = (
+    np.linspace(0.001, 0.999, 40).tolist()
+    + np.geomspace(1e-30, 1e-3, 20).tolist()
+    + [1 - 10.0**-k for k in range(1, 17)]
+)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 12, 64])
+def test_theta_solvers_match_mpmath(r):
+    # both loops, the one-point math loop and the numpy loop of the curves
+    from angelesco.asymptotics import _theta_curve
+
+    curve = _theta_curve(np.array(ACCURACY_XH), r)[0].tolist()
+    for xh, tc in zip(ACCURACY_XH, curve):
+        ts = theta_of_hatx(xh, r)
+        want, cond = _theta_mp(xh, r, ts)
+        for got in (ts, tc):
+            assert _ulps_over_bound(got, want, r, cond) <= 1.0, (xh, got)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 12, 64])
-def test_numpy_margin_stays_far_inside_the_certification_bound(monkeypatch, r):
-    # every step the array bisection evaluates on a density curve, evaluated
-    # again with libm's transcendentals (np.log of the theta form's level
-    # included): if a numpy build drifts toward _CERTAIN, this fails before
-    # a certified step can take the sign libm would not
+def test_newton_steps_per_density_curve_sample(monkeypatch, r):
+    # from the leading-order starts, a few steps per sample
     import angelesco.asymptotics as asym
 
     seen = []
-    real = asym._margin
+    real = asym._theta_curve
 
-    def recording(in_delta, mid, level, r, lib):
-        seen.append((in_delta, mid, level))
-        return real(in_delta, mid, level, r, lib)
+    def recording(xh, r):
+        seen.append(real(xh, r))
+        return seen[-1]
 
-    monkeypatch.setattr(asym, "_margin", recording)
+    monkeypatch.setattr(asym, "_theta_curve", recording)
     density_curve(r, 999, spacing="x")
-    assert {in_delta for in_delta, _, _ in seen} == {True, False}
-    worst = 0.0
-    for in_delta, mid, level in seen:
-        fast, scale = real(in_delta, mid, level, r, np)
-        exact, _ = real(in_delta, mid, level, r, asym._LIBM)
-        worst = max(worst, float((np.abs(fast - exact) / scale).max()))
-    assert worst <= asym._CERTAIN / 10, worst
+    ((_, steps),) = seen
+    assert steps.min() >= 1 and steps.mean() <= 6.0 and steps.max() <= 10, (steps.mean(), steps.max())
+
+
+def test_theta_of_hatx_newton_steps():
+    from angelesco.asymptotics import _solve
+
+    for r in DOMAIN_END_R:
+        for xh in DOMAIN_END_XH:
+            if 0.0 < xh < 1.0:
+                assert _solve(xh, r)[1] <= 10, (r, xh)
 
 
 BITWISE_R = (*range(1, 13), 16, 24, 40, 64)
@@ -204,36 +245,66 @@ def _w_one(t, r, xh):
     return scale * s1 * sr * st / denom
 
 
-def _curve_per_sample(r, samples, spacing):
-    # (x, u, F, theta) of density_curve, one sample at a time
+def _theta_curve_per_sample(r, samples):
+    # (x, u, F, theta) of density_curve(spacing="theta"), one sample at a time
     tm = math.pi / (r + 1)
-    if spacing == "theta":
-        theta = (tm * np.arange(samples, 0, -1) / (samples + 1.0)).tolist()
-        xh = [hatx_of_theta(t, r) for t in theta]
-        x = [v ** (1.0 / r) for v in xh]
-    else:
-        x = (np.arange(1, samples + 1) / (samples + 1.0)).tolist()
-        xh = [xi**r for xi in x]
-        theta = [theta_of_hatx(v, r) for v in xh]
+    theta = (tm * np.arange(samples, 0, -1) / (samples + 1.0)).tolist()
+    xh = [hatx_of_theta(t, r) for t in theta]
+    x = [v ** (1.0 / r) for v in xh]
     u = [r * xi ** (r - 1) * _w_one(t, r, v) for xi, t, v in zip(x, theta, xh)]
     F = [1.0 - (r + 1) * t / math.pi for t in theta]
     return [np.array(col) for col in (x, u, F, theta)]
 
 
-def test_density_curve_matches_scalar_inversion_bitwise(monkeypatch):
+def test_density_curve_theta_spacing_matches_per_sample_bitwise(monkeypatch):
     import angelesco.asymptotics as asym
 
-    cases = [(r, s, sp) for r in BITWISE_R for s in BITWISE_SAMPLES for sp in ("theta", "x")]
-    want = {case: _curve_per_sample(*case) for case in cases}
+    cases = [(r, s) for r in BITWISE_R for s in BITWISE_SAMPLES]
+    want = {case: _theta_curve_per_sample(*case) for case in cases}
 
     def refuse(xh, r):
-        raise AssertionError("the curve called theta_of_hatx per sample")
+        raise AssertionError("the theta spacing inverted xhat")
 
-    monkeypatch.setattr(asym, "theta_of_hatx", refuse)
+    monkeypatch.setattr(asym, "_theta_curve", refuse)
+    monkeypatch.setattr(asym, "_solve", refuse)
     for case, cols in want.items():
-        c = density_curve(*case)
+        c = density_curve(*case, spacing="theta")
         for name, got, ref in zip("x u F theta".split(), (c.x, c.u, c.F, c.theta), cols):
             assert got.tobytes() == ref.tobytes(), (case, name)
+
+
+def _endpoint_exponents_per_sample(r, npts=25):
+    xs = np.geomspace(1e-6, 1e-3, npts)
+    s0 = np.polyfit(np.log(xs), np.log([u_density(x, r) for x in xs.tolist()]), 1)[0]
+    ts = np.geomspace(1e-6, 1e-3, npts)
+    xr = [(1.0 - t) ** (1.0 / r) for t in ts.tolist()]
+    s1 = np.polyfit(np.log(ts), np.log([u_density(x, r) for x in xr]), 1)[0]
+    return float(s0), float(s1)
+
+
+@pytest.mark.parametrize("r", BITWISE_R)
+def test_curve_agrees_with_the_one_point_entries(r):
+    # density_curve(spacing="x") and endpoint_exponents invert in numpy and
+    # the one-point entries in math: theta agrees within the error bounds,
+    # x, u and F are the one-sample arithmetic at the curve's theta, and the
+    # endpoint fits agree to ENDPOINT_RTOL
+    for samples in (1, 10, 99, 151, 999):
+        c = density_curve(r, samples, spacing="x")
+        x = (np.arange(1, samples + 1) / (samples + 1.0)).tolist()
+        xh = [xi**r for xi in x]
+        theta = c.theta.tolist()
+        _assert_loops_agree(theta, [theta_of_hatx(v, r) for v in xh], r, samples)
+        u = [r * xi ** (r - 1) * _w_one(t, r, v) for xi, t, v in zip(x, theta, xh)]
+        F = [1.0 - (r + 1) * t / math.pi for t in theta]
+        for name, got, ref in zip("x u F".split(), (c.x, c.u, c.F), (x, u, F)):
+            assert got.tobytes() == np.array(ref).tobytes(), (samples, name)
+    try:
+        want = _endpoint_exponents_per_sample(r)
+    except ValueError as e:  # from r = 52, 1e-6^r underflows
+        with pytest.raises(ValueError, match=re.escape(str(e))):
+            endpoint_exponents(r)
+        return
+    assert endpoint_exponents(r) == pytest.approx(want, rel=ENDPOINT_RTOL)
 
 
 def _error(fn, *args):
@@ -257,11 +328,10 @@ def test_theta_curve_raises_as_the_scalar_inversion_does():
 
 @pytest.mark.parametrize("r", [1, 5, 52, 64])
 def test_theta_curve_matches_near_the_domain_ends(r):
-    # near xh = 1 at large r both sine powers of x-hat underflow, and the
-    # array form must take the fallback as quietly as the scalar one does
+    # near xh = 1 the slope of xhat vanishes, and near 0 theta is within a
+    # few ulp of pi/(r+1): the loops agree there too
     from angelesco.asymptotics import _theta_curve
 
-    # enough samples on each branch for the lock-step loops to run
     xh = (1.0 - np.geomspace(1e-16, 0.5, 80)).tolist() + np.geomspace(1e-320, 0.5, 80).tolist()
     want = []
     for v in xh:
@@ -269,42 +339,29 @@ def test_theta_curve_matches_near_the_domain_ends(r):
             want.append((v, theta_of_hatx(v, r)))
         except ValueError:
             continue
-    got = _theta_curve(np.array([v for v, _ in want]), r)
-    assert got.tobytes() == np.array([t for _, t in want]).tobytes()
-
-
-def _endpoint_exponents_per_sample(r, npts=25):
-    xs = np.geomspace(1e-6, 1e-3, npts)
-    s0 = np.polyfit(np.log(xs), np.log([u_density(x, r) for x in xs.tolist()]), 1)[0]
-    ts = np.geomspace(1e-6, 1e-3, npts)
-    xr = [(1.0 - t) ** (1.0 / r) for t in ts.tolist()]
-    s1 = np.polyfit(np.log(ts), np.log([u_density(x, r) for x in xr]), 1)[0]
-    return float(s0), float(s1)
-
-
-@pytest.mark.parametrize("r", BITWISE_R)
-def test_endpoint_exponents_match_the_u_density_loop_bitwise(r):
-    try:
-        want = _endpoint_exponents_per_sample(r)
-    except ValueError as e:  # from r = 52, 1e-6^r underflows
-        with pytest.raises(ValueError, match=re.escape(str(e))):
-            endpoint_exponents(r)
-        return
-    assert endpoint_exponents(r) == want
+    got = _theta_curve(np.array([v for v, _ in want]), r)[0]
+    _assert_loops_agree(got.tolist(), [t for _, t in want], r, "domain ends")
 
 
 def test_theta_derivative_matches_finite_differences():
-    from angelesco.asymptotics import _dlog_hatx
+    # the Newton step of each form against one from a central difference
+    # of xhat
+    from angelesco.asymptotics import _newton_terms
 
     for r in (2, 4):
+        tm = math.pi / (r + 1)
         for t in (0.1, 0.3, 0.6):
-            tm = math.pi / (r + 1)
-            th = t * tm
-            h = 1e-6
+            th, h = t * tm, 1e-6
             fd = (
                 math.log(hatx_of_theta(th + h, r)) - math.log(hatx_of_theta(th - h, r))
             ) / (2 * h)
-            assert _dlog_hatx(th, r) == pytest.approx(fd, rel=1e-7)
+            xh = hatx_of_theta(th, r)
+            # theta form at level 1.001 xhat; delta form at log level + 1e-3
+            g, new, _ = _newton_terms(False, th, 1.001 * xh, r, math)
+            assert new - th == pytest.approx(-g / (-xh * fd), rel=1e-6)
+            g, new, _ = _newton_terms(True, tm - th, math.log(xh) + 1e-3, r, math)
+            d = tm - th
+            assert new == pytest.approx(d * math.exp(-g / (d * -fd)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -532,8 +532,8 @@ _DIGEST_CORPUS = [
     # profiles whose a(n) is wrong at alpha = 1e15
     ("coeffs --r 2 --alpha -0.9 --beta -0.2 --n 1 --family down --k 1", 0, "c96b3b6155cc543f"),
     ("recurrence --r 3 --alpha 1e15 --beta 0 --n-max 3", 0, "800334bab001303d"),
-    ("density --r 3 --samples 99", 0, "03e04d716af00eb2"),
-    ("density --r 2 --samples 7 --format json", 0, "98315e98920e24a4"),
+    ("density --r 3 --samples 99", 0, "585e1b58a5c59eb4"),
+    ("density --r 2 --samples 7 --format json", 0, "43048aa231eeb7aa"),
     ("density --r 90 --samples 5", 2, "02f89a7149ae65eb"),
     ("density --r 2 --samples 0", 2, "3b5c2197abdb02ae"),
     ("figure2 --samples 10 --svg {tmp}/f.svg", 0, "9a1a7e38d8606968"),

@@ -22,10 +22,12 @@ NaN term through.  Every ``@`` product in ``orthogonality.py`` runs in a
 function decorated with ``numerics.overflow_trap``: a moment form that
 overflows raises ``DoubleRangeError``, not a RuntimeWarning and an inf.
 ``asymptotics.py`` calls no numpy transcendental and hands numpy to no
-function, except where the last bits do not matter (``_certified_steps``,
-which certifies each sign it takes, and the log-log fits of
-``endpoint_exponents``): the limit density is
-bitwise what the one-sample libm code gives.  ``cli.py`` catches the
+function, except where the last bits do not matter (``_theta_curve``, the
+numpy Newton loop of the density curves, which is held to the inversion's
+error bound and not to libm's bits, and the log-log fits of
+``endpoint_exponents``): given theta, the limit density is bitwise what
+the one-sample libm code gives, and figure2's theta-spacing curves are
+libm's throughout.  ``cli.py`` catches the
 library's documented exceptions only in ``main``, its one map from exception
 to exit code, and in ``verify``'s zeros suite, which counts a
 ``ZeroFindingError`` as a failed level.  Importing the CLI loads no
@@ -457,11 +459,11 @@ _NP_TRANSCENDENTALS = {"sin", "cos", "tan", "log", "exp", "hypot", "power"}
 
 
 def _exempt_from_libm(tree):
-    # the nodes of _certified_steps and of the polyfit arguments in
+    # the nodes of _theta_curve and of the polyfit arguments in
     # endpoint_exponents
     exempt = set()
     for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_certified_steps":
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_theta_curve":
             exempt.update(ast.walk(fn))
         elif isinstance(fn, ast.FunctionDef) and fn.name == "endpoint_exponents":
             for call in ast.walk(fn):
@@ -502,7 +504,7 @@ def test_scan_sees_a_numpy_transcendental():
         "a = np.sin(x) + math.sin(y) + np.where(x, 1, 2)\n"
         "b = numpy.power(x, 2) + np.abs(x)\n"
         "c = f(x, r, np) + f(x, r, lib=np) + f(x, r, lib=math)\n"
-        "def _certified_steps(x):\n"
+        "def _theta_curve(x):\n"
         "    return np.log(x) + f(x, np)\n"
         "def endpoint_exponents(x):\n"
         "    s = np.polyfit(np.log(x), np.log(u), 1)\n"
