@@ -138,6 +138,49 @@ def test_consts_past_the_power_overflow():
     assert _consts(142)[1] == (142 + 1.0) ** 143 / 142**142
 
 
+def _count_evaluations(monkeypatch):
+    # count the scalar xhat and log xhat evaluations made through the
+    # module, and the evaluations of g (one per Newton step of a loop)
+    import angelesco.asymptotics as asym
+
+    calls = [0]
+    for name in ("hatx_of_theta", "_log_hatx_of_delta", "_newton_terms"):
+        fn = getattr(asym, name)
+
+        def counted(*args, _fn=fn):
+            calls[0] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(asym, name, counted)
+    return calls
+
+
+def test_theta_bisection_stops_at_fixed_point(monkeypatch):
+    # the Newton iteration, with bisection as its safeguard, stops where
+    # its own stop rule holds again: a step of at most 2 ulp, or g within
+    # rounding of its terms.  It does not run a fixed count of steps
+    import angelesco.asymptotics as asym
+
+    calls = _count_evaluations(monkeypatch)
+    for xh in (0.2, 0.8):
+        calls[0] = 0
+        theta = theta_of_hatx(xh, 3)
+        assert calls[0] <= 65  # bisection to the fixed point takes about 53 steps
+        in_delta, level = asym._bracket(xh, 3)[:2]
+        x = math.pi / 4 - theta if in_delta else theta
+        g, new, size = asym._newton_terms(in_delta, x, level, 3, math)
+        assert abs(new - x) <= 2.0 * math.ulp(x) or abs(g) <= asym._RESIDUAL * size, xh
+
+
+def test_density_curve_scalar_evaluations(monkeypatch):
+    density_curve(3, 9, spacing="x")
+    calls = _count_evaluations(monkeypatch)
+    density_curve(3, 999, spacing="x")
+    # thousands with one scalar inversion per sample; the array code makes
+    # one call per step for all samples of a form
+    assert calls[0] < 1_000
+
+
 def _theta_mp(xh, r, t0):
     # theta(xh) to 50 digits by Newton's method from t0, and the condition
     # 1/|theta dlog xhat/dtheta| of theta(xh) there
@@ -256,7 +299,9 @@ def _theta_curve_per_sample(r, samples):
     return [np.array(col) for col in (x, u, F, theta)]
 
 
-def test_density_curve_theta_spacing_matches_per_sample_bitwise(monkeypatch):
+def test_density_curve_matches_scalar_inversion_bitwise(monkeypatch):
+    # the theta spacing inverts nothing; the x spacing is held to the error
+    # bound in test_curve_agrees_with_the_one_point_entries
     import angelesco.asymptotics as asym
 
     cases = [(r, s) for r in BITWISE_R for s in BITWISE_SAMPLES]
