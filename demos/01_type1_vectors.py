@@ -13,11 +13,14 @@ import numpy as np
 
 from angelesco import (
     Params,
-    normalization_constants,
+    diagonal_normalizer,
+    down_normalizer,
+    leading_coefficient,
     ray_form,
     type1_diagonal,
     type1_down,
     type1_up,
+    up_normalizer,
     verify_type1,
 )
 
@@ -53,9 +56,8 @@ for k in range(12):
     print(f"  k={k:2d}  {abs(val):.3e} {marker}")
 
 # --- normalization constants at level 4
-consts = normalization_constants(4, params)
 print("\nnormalization constants at level 4:")
-print(f"  diagonal lambda = {consts.lambda_diag:.6e}")
-print(f"  up tau          = {consts.tau_up:.6e}")
-print(f"  down gamma      = {consts.gamma_down:.6e}")
-print(f"  leading nu      = {consts.nu_leading:.6e}")
+print(f"  diagonal lambda = {diagonal_normalizer(4, params):.6e}")
+print(f"  up tau          = {up_normalizer(4, params):.6e}")
+print(f"  down gamma      = {down_normalizer(4, params):.6e}")
+print(f"  leading nu      = {leading_coefficient(4, params):.6e}")

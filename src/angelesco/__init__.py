@@ -50,16 +50,12 @@ from .orthogonality import (
 )
 from .poly import poly_eval
 from .polynomials import (
-    DEGREE_CAP,
-    Constants,
-    DegreeCapError,
     Params,
     TypeIVector,
     base_poly,
     diagonal_normalizer,
     down_normalizer,
     leading_coefficient,
-    normalization_constants,
     type1_diagonal,
     type1_down,
     type1_up,
@@ -73,6 +69,14 @@ from .recurrence import (
     recurrence_residual,
     recurrence_residuals,
 )
-from .zeros import ZeroFindingError, ZeroSet, empirical_cdf, find_zeros, stieltjes_empirical
+from .zeros import (
+    DEGREE_CAP,
+    DegreeCapError,
+    ZeroFindingError,
+    ZeroSet,
+    empirical_cdf,
+    find_zeros,
+    stieltjes_empirical,
+)
 
 __version__ = "0.1.0"

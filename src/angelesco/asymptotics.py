@@ -387,7 +387,9 @@ def _w_at_theta(theta, r, xh, sines):
 
 def _u_curve(x, xh, r):
     # (theta, u) at arrays of x and xh = x^r: u_density's steps per sample,
-    # with theta from _theta_curve and without the range checks
+    # with theta from _theta_curve and its check that x^r does not underflow
+    if np.any(xh < _TINY):
+        raise ValueError("x^r underflows; too close to the endpoint")
     theta = _theta_curve(xh, r)[0]
     return theta, r * _pow(x, r - 1) * _w_at_theta(theta, r, xh, _sines(theta, r))
 
@@ -681,10 +683,7 @@ def _u_densities(x, r):
     _check_r(r)
     if not np.all((0.0 < x) & (x < 1.0)):
         raise ValueError("x must lie strictly inside (0,1)")
-    xh = _pow(x, r)
-    if np.any(xh < _TINY):
-        raise ValueError("x^r underflows; too close to the endpoint")
-    return _u_curve(x, xh, r)[1]
+    return _u_curve(x, _pow(x, r), r)[1]
 
 
 def endpoint_exponents(r):

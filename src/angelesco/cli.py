@@ -15,12 +15,13 @@ header (`k,re,im` for coefficients, `x,u,F` for curves); floats carry 17
 significant digits and round-trip exactly; `--format json` wraps the payload
 in a record with schema_version "1".
 
-Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 degree-cap or
+Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 range or
 resource error.  ``main`` alone maps a command's usage error (one private
 exception) and the library's documented exceptions to them, each reported
 as one `error:` line on stderr: a usage error -> 2; `DegenerateParameters` (a
-formula singular at the exact parameter values given) -> 2; `DegreeCapError`
-and `DoubleRangeError` (a value outside the double range) -> 3;
+formula singular at the exact parameter values given) -> 2; `DoubleRangeError`
+(a value outside the double range, which ends each command and suite at its
+own degree) and `DegreeCapError` (past the zero finder's cap) -> 3;
 `ZeroFindingError` (zeros that cannot be isolated or certified) -> 1.  A
 size that does not fit in memory (`MemoryError`) exits 3 with one `error:`
 line, and so does an output that cannot be written: an
@@ -48,16 +49,9 @@ from .asymptotics import density_curve
 from .numerics import DegenerateParameters, DoubleRangeError
 from .operators import lowering_check, ode_coeffs, ode_residual, raising_check
 from .orthogonality import verify_level
-from .polynomials import (
-    DegreeCapError,
-    Params,
-    base_poly,
-    type1_diagonal,
-    type1_down,
-    type1_up,
-)
+from .polynomials import Params, base_poly, type1_diagonal, type1_down, type1_up
 from .recurrence import coeff_a, coeff_b, limit_a, limit_b, recurrence_residuals
-from .zeros import ZeroFindingError, find_zeros
+from .zeros import DegreeCapError, ZeroFindingError, find_zeros
 
 _EXIT_OK = 0
 _EXIT_VERIFY = 1

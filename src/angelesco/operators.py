@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import overflow_trap, pochhammer
+from .numerics import DoubleRangeError, overflow_trap, pochhammer
 from .poly import identity_residual, padded_coeffs
 from .polynomials import Params, base_poly
 
@@ -106,12 +106,15 @@ class OdeSpec:
 def ode_coeffs(n, params):
     r, a, b = params.r, params.alpha, params.beta
     c = []
-    for k in range(r + 1):
-        val = (
-            pochhammer(n - r + 1.0, r - k)
-            * (math.comb(r, k) * (r * a + b) + math.comb(r + 1, k) * (r * n + r - k * n))
-        )
-        c.append(val if (r + k + 1) % 2 == 0 else -val)
+    try:
+        for k in range(r + 1):
+            val = (
+                pochhammer(n - r + 1.0, r - k)
+                * (math.comb(r, k) * (r * a + b) + math.comb(r + 1, k) * (r * n + r - k * n))
+            )
+            c.append(val if (r + k + 1) % 2 == 0 else -val)
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
     return OdeSpec(n, params, tuple(c))
 
 

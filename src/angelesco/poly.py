@@ -2,10 +2,11 @@
 checks, and a Horner evaluator that no library path calls.
 
 Coefficient index k holds the coefficient of x^k.  Degrees in this library
-stay small (``polynomials.DEGREE_CAP``), so a dense representation is the
-right tool; a polynomial is its coefficient array, and a type I vector is
-one r-row table of them.  Every polynomial identity (lowering, raising, the
-ODE, the recurrence) is checked on coefficient arrays, under
+stay within the double range of the binomials C(n, k) (n <= 1029), and far
+lower where the coefficients themselves leave it, so a dense representation
+is the right tool; a polynomial is its coefficient array, and a type I
+vector is one r-row table of them.  Every polynomial identity (lowering,
+raising, the ODE, the recurrence) is checked on coefficient arrays, under
 ``numerics.overflow_trap``: a term outside the double range raises
 ``DoubleRangeError``.  ``padded_coeffs`` places x^k c(x) in a vector of an
 operator identity's length.  ``identity_residual`` is the one per-index

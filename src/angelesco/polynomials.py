@@ -42,7 +42,9 @@ argument is rounded once from its exact value, with X = r(1 + alpha) +
 nonnegative integers to X and to 1 + beta, so arguments and factors near
 alpha, beta -> -1 keep their relative precision.  A table entry too
 large for the assembly, or an X or beta that absorbs an added 1, raises
-:class:`DoubleRangeError`; the normalizers take the same guard.
+:class:`DoubleRangeError`; the normalizers take the same guard.  There is
+no degree cap: a chain whose binomials leave the double range (degree
+past 1029) raises the same error at the entry, before it allocates.
 
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their level tables (the r combinations of the up
@@ -68,7 +70,6 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import (
-    DegenerateParameters,
     DoubleRangeError,
     gamma_ratio,
     log_gamma_factor,
@@ -76,16 +77,12 @@ from .numerics import (
 )
 
 __all__ = [
-    "DEGREE_CAP",
-    "DegreeCapError",
     "Params",
     "TypeIVector",
-    "Constants",
     "base_poly",
     "base_coeffs_mp",
     "coeff_error_units",
     "leading_coefficient",
-    "normalization_constants",
     "diagonal_normalizer",
     "up_normalizer",
     "down_normalizer",
@@ -96,22 +93,22 @@ __all__ = [
     "type1_down_stack",
 ]
 
-# The degree every constructor and CLI command accepts.  The constructors
-# raise DoubleRangeError from n = 166..227 at r <= 8 without it; the cap
-# guards the oracle's and identity checks' range and the zero finder's cost.
-DEGREE_CAP = 60
+
+# The largest degree N whose binomials C(N, t) are all doubles, compared
+# exactly.  The largest is the central one, below 2^N, so the search starts
+# at N = max_exp - 1
+_MAX_DEGREE = sys.float_info.max_exp - 1
+while math.comb(_MAX_DEGREE + 1, (_MAX_DEGREE + 1) // 2) <= sys.float_info.max:
+    _MAX_DEGREE += 1
 
 
-class DegreeCapError(ValueError):
-    def __init__(self, n, cap=DEGREE_CAP):
-        super().__init__(f"degree {n} exceeds the supported cap {cap}")
-        self.n = n
-        self.cap = cap
-
-
-def _check_cap(n):
-    if n > DEGREE_CAP:
-        raise DegreeCapError(n)
+def _check_degree(N):
+    # a chain of degree N turns every C(N, t) into a double; checked before
+    # the chain allocates anything
+    if N > _MAX_DEGREE:
+        raise DoubleRangeError(
+            f"degree {N} exceeds the double range of the binomials C(N, t), N <= {_MAX_DEGREE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -183,17 +180,6 @@ class TypeIVector:
         return f"TypeIVector(r={self.params.r}, index={self.index!r})"
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Normalization constants at level n: diagonal lambda, up tau,
-    down gamma, and the leading coefficient nu of the base polynomial."""
-
-    lambda_diag: float
-    tau_up: float
-    gamma_down: float
-    nu_leading: float
-
-
 # ---------------------------------------------------------------------------
 # base family
 # ---------------------------------------------------------------------------
@@ -201,7 +187,7 @@ class Constants:
 
 def base_poly(n, params):
     """The degree-n member of the real kernel family p_n(.; alpha, beta)."""
-    _check_cap(n)
+    _check_degree(n)
     return _table(_chain(n, 0, params, *_affine(params)), params.r)
 
 
@@ -306,8 +292,13 @@ def coeff_error_units(n, r):
 
 
 def leading_coefficient(n, params):
-    """Leading coefficient nu_n of p_n: the head of its chain at t = n."""
-    return gamma_ratio(*_nu_args(n, 0, params, *_affine(params)))
+    """Leading coefficient nu_n of p_n: the head of its chain at t = n.
+    Needs no binomial, so it reaches past the chains' degree range."""
+    try:
+        args = _nu_args(n, 0, params, *_affine(params))
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
+    return gamma_ratio(*args)
 
 
 def diagonal_normalizer(level, params):
@@ -341,19 +332,6 @@ def down_normalizer(n, params):
     return r * gamma_ratio(
         [n + 0.0, n + a + (n + b - 1.0) / r, (db, r)],
         [n + a, (n + b - 1.0) / r + 1.0, (db + n, r)],
-    )
-
-
-def normalization_constants(n, params):
-    try:
-        gamma = down_normalizer(n, params) if n >= 1 else math.nan
-    except DegenerateParameters:
-        gamma = math.nan  # empty minus index (r=1, n=1): no normalizer exists
-    return Constants(
-        lambda_diag=diagonal_normalizer(n, params),
-        tau_up=up_normalizer(n, params),
-        gamma_down=gamma,
-        nu_leading=leading_coefficient(n, params),
     )
 
 
@@ -446,7 +424,7 @@ def type1_diagonal(level, params):
     """
     if level < 1:
         raise ValueError("diagonal level must be >= 1")
-    _check_cap(level - 1)
+    _check_degree(level - 1)
     r = params.r
     base = _diagonal_base(level, params)
     # row j - 1 is base(omega^(-(j-1)) x)
@@ -502,7 +480,7 @@ def _check_ray(k, r):
 def _check_up(n):
     if n < 0:
         raise ValueError("type1_up needs n >= 0")
-    _check_cap(n + 1)
+    _check_degree(n)
 
 
 def type1_up(n, k, params):
@@ -579,7 +557,7 @@ def _down_stack(n, params):
 def _check_down(n):
     if n < 1:
         raise ValueError("type1_down needs n >= 1")
-    _check_cap(n - 1)
+    _check_degree(n - 1)
 
 
 def type1_down(n, k, params):

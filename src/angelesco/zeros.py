@@ -55,9 +55,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DoubleRangeError
-from .polynomials import DEGREE_CAP, DegreeCapError, _base_coeffs_raw, coeff_error_units
+from .polynomials import _base_coeffs_raw, coeff_error_units
 
-__all__ = ["ZeroSet", "ZeroFindingError", "find_zeros", "empirical_cdf", "stieltjes_empirical"]
+__all__ = [
+    "DEGREE_CAP", "DegreeCapError", "ZeroSet", "ZeroFindingError", "find_zeros",
+    "empirical_cdf", "stieltjes_empirical",
+]
+
+# The largest degree find_zeros takes: its cost grows with the precision,
+# which grows with n (see _condition_digits).
+DEGREE_CAP = 60
+
+
+class DegreeCapError(ValueError):
+    """A degree past ``DEGREE_CAP``: only :func:`find_zeros` has a cap."""
+
+    def __init__(self, n):
+        super().__init__(f"degree {n} exceeds the supported cap {DEGREE_CAP}")
+        self.n = n
+
 
 _RESIDUAL_TOL = 1e-10
 _MIN_SEPARATION = 1e-12

@@ -84,8 +84,11 @@ def test_degenerate_parameters_exit_2(capsys):
 
 
 def test_degree_cap_exits_3():
-    code, _ = run_cli(["coeffs", "--r", "2", "--n", "99", "--family", "base"])
+    # only the zero finder has a degree cap
+    code, _ = run_cli(["zeros", "--r", "2", "--n", "99"])
     assert code == 3
+    code, out = run_cli(["coeffs", "--r", "2", "--n", "99", "--family", "base"])
+    assert code == 0 and len(out.splitlines()) == 101
 
 
 def test_verify_orthogonality_passes():
@@ -484,7 +487,12 @@ _DIGEST_CORPUS = [
     ("coeffs --r 0 --n 2", 2, "6ea9407c04e1a037"),
     ("coeffs --r 2 --alpha -1 --n 2", 2, "55974b91a7abba30"),
     ("coeffs --r 1 --alpha -0.5 --beta -0.5 --n 0", 2, "692f98690070139a"),
-    ("coeffs --r 2 --n 61", 3, "89c8a126ed4a673c"),
+    # no degree cap in the constructors: these exited 3 at the cap of 60,
+    # the up vector's at its index n + 1 = 61; the chains end where their
+    # binomials leave the double range, after N = 1029
+    ("coeffs --r 2 --n 61", 0, "c0da89c034db2356"),
+    ("coeffs --r 2 --n 60 --family up --k 1", 0, "b064768051d9d860"),
+    ("coeffs --r 8 --n 1030", 3, "0f7cc6498f41726c"),
     ("coeffs --r 2 --alpha 300 --beta 1e5 --n 2 --family diag", 3, "cfcb1885d0be787b"),
     ("verify --suite orthogonality --r 2 --alpha 0.7 --beta -0.5 --n-max 4", 0, "51e39195b76cfaf9"),
     # the shapes the benchmark runs: stacks of up to r = 8 vectors, levels to
@@ -504,7 +512,16 @@ _DIGEST_CORPUS = [
     ("verify --suite recurrence --r 1 --n-max 2", 2, "88df01d06f45348e"),
     ("verify --suite raising --r 2 --n-max 2", 2, "50d52baf1817e17e"),
     ("verify --suite ode --r 2 --n-max 0", 2, "4a083246a97f61e5"),
-    ("verify --suite ode --r 2 --n-max 61", 3, "83add2fe5e088e11"),
+    # each suite runs until its values leave the double range: these
+    # stopped at the cap, the raising suite after level 52 (it builds p_(n+r))
+    ("verify --suite ode --r 2 --n-max 61", 0, "42fc4215778bb471"),
+    ("verify --suite orthogonality --r 2 --n-max 60", 0, "d2ddfc0231b6080c"),
+    ("verify --suite recurrence --r 3 --n-max 60", 0, "a1340a4ece281371"),
+    ("verify --suite raising --r 8 --alpha 10 --beta 10 --n-max 60", 0, "8170487439e6d672"),
+    # a suite that runs to the end of its range: 224 levels pass, then one
+    # error line
+    ("verify --suite orthogonality --r 1 --alpha -0.999 --beta -0.999 --n-max 225", 3,
+     "5b4e82fb904f7cd5"),
     ("verify --suite ode --r 2 --alpha 300 --beta 1e5 --n-max 2", 3, "4b2a858bdb8bf211"),
     # base_poly(5) peaks at 1.8e302 there, and an identity term overflows:
     # these printed numpy warnings and nan FAIL at n = 5, then exit 3 at n = 6
@@ -536,6 +553,8 @@ _DIGEST_CORPUS = [
     ("density --r 2 --samples 7 --format json", 0, "43048aa231eeb7aa"),
     ("density --r 90 --samples 5", 2, "02f89a7149ae65eb"),
     ("density --r 2 --samples 0", 2, "3b5c2197abdb02ae"),
+    # x = 1/100001 has x^64 below the normal range: this printed u = inf
+    ("density --r 64 --samples 100000", 2, "4c4b6bb6e6a74eef"),
     ("figure2 --samples 10 --svg {tmp}/f.svg", 0, "9a1a7e38d8606968"),
     ("figure2 --samples 2001 --svg=", 0, "67c1d30e28be5320"),
     ("figure2 --samples 9 --svg=", 2, "60fc713fd3f15225"),

@@ -3,9 +3,10 @@
 Within r >= 1 and alpha, beta > -1, ``base_poly`` and the ``type1_*``
 constructors return finite coefficients or raise one of the documented
 exceptions: ``DegenerateParameters`` (a closed formula singular at the
-exact parameters), ``DegreeCapError`` or ``DoubleRangeError`` (a value too
-large for a double).  The exponents reach 1e300, where most coefficients
-leave the double range.  The examples are derandomized so that the suite
+exact parameters) or ``DoubleRangeError`` (a value too large for a
+double).  The constructors have no degree cap, so the degrees reach 250,
+past the levels where most coefficients leave the double range, and the
+exponents reach 1e300.  The examples are derandomized so that the suite
 is reproducible.
 """
 
@@ -14,9 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angelesco import (
-    DEGREE_CAP,
     DegenerateParameters,
-    DegreeCapError,
     DoubleRangeError,
     Params,
     base_poly,
@@ -32,12 +31,12 @@ exponent = st.one_of(
 )
 bounded = settings(max_examples=120, deadline=None, derandomize=True)
 
-# smallest and largest degree argument each family takes below the cap
+# smallest and largest degree argument drawn for each family
 DEGREES = {
-    "base": (0, DEGREE_CAP),
-    "diagonal": (1, DEGREE_CAP + 1),
-    "up": (0, DEGREE_CAP - 1),
-    "down": (1, DEGREE_CAP + 1),
+    "base": (0, 250),
+    "diagonal": (1, 250),
+    "up": (0, 250),
+    "down": (1, 250),
 }
 
 
@@ -62,6 +61,6 @@ def test_constructors_are_finite_or_raise_documented_errors(r, alpha, beta, fami
             c = type1_up(n, k, params).coeffs
         else:
             c = type1_down(n, k, params).coeffs
-    except (DegenerateParameters, DegreeCapError, DoubleRangeError):
+    except (DegenerateParameters, DoubleRangeError):
         return
     assert np.isfinite(c).all()

@@ -30,7 +30,10 @@ the one-sample libm code gives, and figure2's theta-spacing curves are
 libm's throughout.  ``cli.py`` catches the
 library's documented exceptions only in ``main``, its one map from exception
 to exit code, and in ``verify``'s zeros suite, which counts a
-``ZeroFindingError`` as a failed level.  Importing the CLI loads no
+``ZeroFindingError`` as a failed level.  The zero finder's degree cap
+(``DEGREE_CAP``, ``DegreeCapError``) is named only in ``zeros.py``, in the
+imports that ``cli.py`` and the package's ``__init__.py`` take from it, and
+in ``cli.main``'s except clauses: no other layer has a degree cap.  Importing the CLI loads no
 scipy module and no mpmath module: scipy's import alone costs a few
 hundred milliseconds, and mpmath's would add about 13 ms to the 88 ms a
 one-shot command takes on a 2-vCPU VM (README, performance notes).  Only
@@ -581,6 +584,59 @@ def test_scan_sees_a_library_exception_caught_outside_main():
         "    pass\n"
     )
     assert _stray_library_handlers(tree) == [4, 6, 16, 27]
+
+
+_CAP_NAMES = {"DEGREE_CAP", "DegreeCapError"}
+
+
+def _cap_names(tree, module):
+    """Lines that name ``DEGREE_CAP`` or ``DegreeCapError`` outside their
+    three places: anywhere in ``zeros.py``, an import from ``.zeros`` in
+    ``cli.py`` and ``__init__.py``, and the except clauses of ``cli.main``."""
+    if module == "zeros.py":
+        return []
+    allowed = set()
+    for node in ast.walk(tree):
+        if (
+            module in ("cli.py", "__init__.py")
+            and isinstance(node, ast.ImportFrom)
+            and (node.level, node.module) == (1, "zeros")
+        ):
+            allowed.add(node)
+        elif module == "cli.py" and isinstance(node, ast.FunctionDef) and node.name == "main":
+            for handler in ast.walk(node):
+                if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                    allowed.update(ast.walk(handler.type))
+    lines = set()
+    for node in ast.walk(tree):
+        names = {a.name for a in getattr(node, "names", [])} | {_name(node)}
+        if node not in allowed and names & _CAP_NAMES:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_only_the_zero_finder_names_the_degree_cap(path):
+    assert _cap_names(ast.parse(path.read_text()), path.name) == []
+
+
+def test_scan_sees_the_degree_cap_named_elsewhere():
+    tree = ast.parse(
+        "from .zeros import DEGREE_CAP, DegreeCapError\n"
+        "from .polynomials import DegreeCapError\n"
+        "def _cmd_zeros(args):\n"
+        "    if args.n > zeros.DEGREE_CAP:\n"
+        "        raise DegreeCapError(args.n)\n"
+        "def main(argv=None):\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (DoubleRangeError, zeros.DegreeCapError):\n"
+        "        print(DEGREE_CAP)\n"
+    )
+    assert _cap_names(tree, "cli.py") == [2, 4, 5, 10]
+    assert _cap_names(tree, "__init__.py") == [2, 4, 5, 9, 10]
+    assert _cap_names(tree, "polynomials.py") == [1, 2, 4, 5, 9, 10]
+    assert _cap_names(tree, "zeros.py") == []
 
 
 def _fresh(code, *args):

@@ -1,22 +1,20 @@
 import hashlib
 import itertools
 import math
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 
 from angelesco import (
-    DEGREE_CAP,
     DegenerateParameters,
-    DegreeCapError,
     DoubleRangeError,
     Params,
     base_poly,
     diagonal_normalizer,
     down_normalizer,
     leading_coefficient,
-    normalization_constants,
     pochhammer,
     type1_diagonal,
     type1_down,
@@ -75,11 +73,34 @@ def test_leading_coefficient_examples():
             assert leading_coefficient(n, p) == base_poly(n, p)[-1]
 
 
-def test_degree_cap_enforced():
-    with pytest.raises(DegreeCapError):
-        base_poly(DEGREE_CAP + 1, Params(2, 0.0, 0.0))
-    with pytest.raises(DegreeCapError):
-        type1_diagonal(DEGREE_CAP + 2, Params(2, 0.0, 0.0))
+def test_degree_range_is_the_binomials_double_range():
+    # the chains take every degree whose binomials C(N, t) are doubles: up
+    # to N = 1029, where the central one is the largest and still finite
+    assert polynomials._MAX_DEGREE == 1029
+    assert max(math.comb(1029, t) for t in range(1030)) <= sys.float_info.max
+    with pytest.raises(OverflowError):
+        float(math.comb(1030, 515))
+    # at r = 8 the heads stay finite to N = 1029 and the table's guard ends
+    # the chain there; from N = 1030 the degree guard ends it first, on
+    # every constructor's own degree
+    p = Params(8, 0.0, 0.0)
+    with pytest.raises(DoubleRangeError, match="^a type I coefficient leaves the double range$"):
+        base_poly(1029, p)
+    binomials = r"^degree 1030 exceeds the double range of the binomials C\(N, t\), N <= 1029$"
+    for build in (
+        lambda: base_poly(1030, p),
+        lambda: type1_diagonal(1031, p),
+        lambda: type1_up(1030, 1, p),
+        lambda: polynomials.type1_up_stack(1030, p),
+        lambda: type1_down(1031, 1, p),
+        lambda: polynomials.type1_down_stack(1031, p),
+    ):
+        with pytest.raises(DoubleRangeError, match=binomials):
+            build()
+    # past the old cap of 60 the constructors build, finite
+    for n in (61, 100):
+        assert np.isfinite(base_poly(n, Params(2, 0.0, 0.0))).all()
+        assert np.isfinite(type1_diagonal(n + 1, Params(2, 0.0, 0.0)).coeffs).all()
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 8])
@@ -396,13 +417,12 @@ def test_normalization_constants_positive_and_consistent():
         for a, b in ((0.0, 0.0), (0.7, -0.5), (2.0, 2.0)):
             params = Params(r, a, b)
             for n in (1, 3, 7):
-                c = normalization_constants(n, params)
-                assert c.lambda_diag > 0
-                assert c.tau_up > 0
-                assert c.nu_leading > 0
+                assert diagonal_normalizer(n, params) > 0
+                assert up_normalizer(n, params) > 0
+                assert leading_coefficient(n, params) > 0
                 if r == 1 and n == 1:
                     continue  # empty minus index: no meaningful normalizer
-                assert c.gamma_down > 0
+                assert down_normalizer(n, params) > 0
                 # gamma = r nu_(n-1) (n-1)! / (rn + r alpha + beta - 1)_n
                 want = (
                     r
@@ -411,8 +431,6 @@ def test_normalization_constants_positive_and_consistent():
                     / pochhammer(r * n + r * a + b - 1.0, n)
                 )
                 assert down_normalizer(n, params) == pytest.approx(want, rel=1e-11)
-                assert up_normalizer(n, params) > 0
-                assert diagonal_normalizer(n, params) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +576,7 @@ CHAIN_PAIRS = ((0.0, 0.0), (0.7, -0.5), (-0.5, 2.0), (2.0, 2.0), (-0.999, -0.999
 # the down rows' gamma ratios hold poles of rates 1 and 7), exponents at
 # -1 + 1e-13, and 1e15 and 1e17, where the range guard and the double range
 # bind
-_PINNED_TABLE_DIGEST = "316e4dda2c197dc5"
+_PINNED_TABLE_DIGEST = "39ae241ff90f9521"
 PINNED_PAIRS = ((0.0, 0.0), (-0.5, -0.5), (-0.5, 0.0), (0.5, 1.0), (0.7, -0.5), (-0.875, -0.875),
                 (-1 + 1e-13, 0.3), (2.0, -1 + 1e-13), (-1 + 1e-13, -1 + 1e-13),
                 (1e15, 0.5), (0.5, 1e15), (1e17, 0.0), (0.0, 1e17))
