@@ -1,5 +1,6 @@
-"""Scalar building blocks: Pochhammer symbols, signed gamma ratios, and a
-cached read-only table of the r-th roots of unity.
+"""Scalar building blocks: Pochhammer symbols, signed gamma ratios, a
+cached read-only table of the r-th roots of unity, and per-r tables of
+their powers that the constructors and the oracle read as slices.
 
 This is the library's one double-precision gamma kernel: every gamma
 function value in doubles, whether a moment, a normalizer or the head of
@@ -20,7 +21,10 @@ correctly rounded over the exact sum (Shewchuk, "Adaptive Precision
 Floating-Point Arithmetic", 1997), so every head keeps the bits it has
 with the factor's arguments inline.  A ratio whose value leaves the
 double range raises :class:`DoubleRangeError`, as does a numpy overflow
-under :func:`overflow_trap`.
+under :func:`overflow_trap`.  A plain positive float argument, the kind
+every chain head passes, appends its log-gamma directly, and a ratio
+without poles returns before the pole bookkeeping; the one ``fsum`` sees
+the same terms either way.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ __all__ = [
     "log_gamma_factor",
     "LogGammaFactor",
     "roots_of_unity",
+    "phase_powers",
+    "moment_phases",
     "DegenerateParameters",
     "DoubleRangeError",
 ]
@@ -78,21 +84,34 @@ def pochhammer(a, n):
 
 def _log_gammas(args, logs, poles, side):
     # appends side * lgamma(x) of each regular argument to logs and each pole
-    # (value, rate) to poles; returns the sign of the regular gammas' product
+    # (value, rate) to poles; returns the sign of the regular gammas' product.
+    # A plain float > 0, what every chain head passes, goes straight to
+    # lgamma: the general walk would append the same term
     sign = 1.0
     for a in args:
-        rate = 1.0
-        if isinstance(a, tuple):
-            a, rate = a
-        x = float(a)
-        if x <= 0.0:
-            f = math.floor(x)
-            if x == f:
-                poles.append((x, float(rate)))
-                continue
-            if f % 2:  # Gamma(x) < 0 exactly where floor(x) is odd
-                sign = -sign
-        logs.append(side * math.lgamma(x))
+        if type(a) is float and a > 0.0:
+            logs.append(side * math.lgamma(a))
+        else:
+            sign *= _log_gamma_general(a, logs, poles, side)
+    return sign
+
+
+def _log_gamma_general(a, logs, poles, side):
+    # one argument of any kind: a (value, rate) pair, an int, a numpy float,
+    # a pole or a negative value; returns the sign its gamma contributes
+    rate = 1.0
+    if isinstance(a, tuple):
+        a, rate = a
+    x = float(a)
+    sign = 1.0
+    if x <= 0.0:
+        f = math.floor(x)
+        if x == f:
+            poles.append((x, float(rate)))
+            return sign
+        if f % 2:  # Gamma(x) < 0 exactly where floor(x) is odd
+            sign = -1.0
+    logs.append(side * math.lgamma(x))
     return sign
 
 
@@ -182,6 +201,8 @@ def gamma_ratio(nums, dens, factor=None):
             if factor.num_poles or factor.den_poles:
                 num_poles.extend(factor.num_poles)
                 den_poles.extend(factor.den_poles)
+        if not (num_poles or den_poles):
+            return sign * math.exp(math.fsum(logs))
         if num_poles and den_poles:
             for pole in num_poles[:]:
                 if pole in den_poles:  # cancels exactly; a pairing across rates rounds log(rate)
@@ -237,3 +258,54 @@ def roots_of_unity(r):
     v = np.array([complex(_cospi(2.0 * e / r), _sinpi(2.0 * e / r)) for e in range(r)])
     v.setflags(write=False)
     return v
+
+
+@lru_cache(maxsize=16)
+def _phase_tables(r):
+    # the widest table of each kind built so far at this r; a wider request
+    # replaces it, and a replaced table is never written, so the slices
+    # handed out from it stay valid
+    return {}
+
+
+def _capacity(size):
+    # the next power of two >= size: a growing table is rebuilt O(log) times
+    return 1 << (size - 1).bit_length()
+
+
+def phase_powers(r, width, sign=1):
+    """Read-only r x width table of omega^((sign j t) mod r): row j is the
+    ray j = 0..r-1, column t = 0..width-1 a power, and ``sign`` is 1 or -1.
+
+    A slice of a per-r table that grows by doubling, so a ladder of widths
+    gathers it O(log width) times; each entry is the same entry of
+    :func:`roots_of_unity`, so the slice is bitwise the gather
+    ``roots_of_unity(r)[(sign * j[:, None] * t) % r]``.
+    """
+    tables = _phase_tables(r)
+    table = tables.get(sign)
+    if table is None or table.shape[1] < width:
+        j, t = np.arange(r)[:, None], np.arange(_capacity(width))
+        table = roots_of_unity(r)[(sign * j * t) % r]
+        table.setflags(write=False)
+        tables[sign] = table
+    return table[:, :width]
+
+
+def moment_phases(r, first, count):
+    """Read-only count x r table of omega^(((k+1) j) mod r): row k - first
+    is the power k = first..first+count-1, column j = 0..r-1 the ray.
+
+    The phase depends on k only mod r, so this is the slice from row
+    first mod r of one per-r table that grows by doubling, bitwise the
+    gather ``roots_of_unity(r)[((k[:, None] + 1) * j) % r]``.
+    """
+    start = first % r
+    tables = _phase_tables(r)
+    table = tables.get("moment")
+    if table is None or len(table) < start + count:
+        k, j = np.arange(_capacity(start + count))[:, None], np.arange(r)
+        table = roots_of_unity(r)[((k + 1) * j) % r]
+        table.setflags(write=False)
+        tables["moment"] = table
+    return table[start : start + count]

@@ -28,7 +28,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import gamma_ratio, overflow_trap, roots_of_unity
+from .numerics import (
+    DoubleRangeError,
+    gamma_ratio,
+    moment_phases,
+    overflow_trap,
+    phase_powers,
+)
 from .polynomials import Params, type1_diagonal, type1_down_stack, type1_up_stack
 
 __all__ = [
@@ -43,27 +49,45 @@ __all__ = [
 def moment(m, params):
     """int_0^1 x^(m+beta) (1-x^r)^alpha dx = (1/r) B((m+beta+1)/r, alpha+1)."""
     r, a, b = params.r, params.alpha, params.beta
-    u = (m + b + 1.0) / r
+    try:
+        u = (m + b + 1.0) / r
+    except OverflowError:  # m too large to convert to a double
+        raise DoubleRangeError(f"moment power {m} exceeds the double range") from None
     return gamma_ratio([u, a + 1.0], [u + (a + 1.0)]) / r
 
 
 @lru_cache(maxsize=256)
+def _weight_moments(r, alpha, beta):
+    # the one moment row of a weight, in a one-item list: _moment_row
+    # replaces the item by a longer row
+    return [np.empty(0)]
+
+
 def _moment_row(r, alpha, beta, max_m):
-    p = Params(r, alpha, beta)
-    vals = np.array([moment(m, p) for m in range(max_m + 1)])
-    vals.setflags(write=False)
-    return vals
+    """A read-only row of moment(m) for m = 0..max_m at least: the weight's
+    one row.  A longer request extends it to the next power-of-two length;
+    the moments it holds are copied, and each new one is its own
+    :func:`moment` call, so every moment is computed once per weight and
+    a row is bitwise the moments whichever order the lengths come in."""
+    cell = _weight_moments(r, alpha, beta)
+    row = cell[0]
+    if len(row) <= max_m:
+        p = Params(r, alpha, beta)
+        grown = np.empty(1 << max_m.bit_length())
+        grown[: len(row)] = row
+        grown[len(row) :] = [moment(m, p) for m in range(len(row), len(grown))]
+        grown.setflags(write=False)
+        cell[0] = row = grown
+    return row
 
 
 def _hankel(params, ks, cols):
     """H[i, m] = moment(ks[i] + m) for m < cols, with ks ascending: a fresh
-    array gathered from the cached moment row by one broadcast index sum.
-    The row's length is rounded up to a power of two, so the vectors of one
-    ``verify`` share O(log n) rows; each moment is computed on its own, so
-    the gather equals one from a row of exact length."""
-    need = int(ks[-1]) + cols
-    max_m = (1 << (need - 1).bit_length()) - 1
-    mom = _moment_row(params.r, params.alpha, params.beta, max_m)
+    array gathered from the weight's moment row by one broadcast index sum.
+    The row is extended as the ladder's sizes grow, never recomputed, and
+    each moment in it is computed on its own, so the gather equals one from
+    a row of exact length."""
+    mom = _moment_row(params.r, params.alpha, params.beta, int(ks[-1]) + cols - 1)
     return mom[ks[:, None] + np.arange(cols)]
 
 
@@ -86,18 +110,18 @@ def _star_forms(c, params, ks):
     omega^(j(k+1)) sum_m c_(j,m) omega^(jm) moment(k+m).  The scale replaces
     every term by its modulus: the size against which cancellation is
     measured, since coefficient growth makes absolute tolerances
-    meaningless.  One Hankel gather serves the stack, and each of the two is
-    one matrix product over all ks and vectors at once; the phase exponents
-    are broadcast products reduced mod r.  The complex product is followed
-    at once by an elementwise one, which keeps libm at full speed (see
+    meaningless.  ``ks`` are consecutive powers, ascending.  One Hankel
+    gather serves the stack, and each of the two is one matrix product over
+    all ks and vectors at once.  Both phase tables are slices of the per-r
+    tables of ``numerics.phase_powers`` and ``numerics.moment_phases``, not
+    gathers of their own.  The complex product is followed at once by an
+    elementwise one, which keeps libm at full speed (see
     ``polynomials._up_stack``).  Returns two (vectors, powers) arrays.
     """
     r, width = params.r, c.shape[-1]
     h = _hankel(params, ks, width)
-    roots = roots_of_unity(r)
-    j = np.arange(r)
-    rotated = c * roots[(j[:, None] * np.arange(width)) % r]
-    forms = ((h @ rotated.transpose(0, 2, 1)) * roots[((ks[:, None] + 1) * j) % r]).sum(axis=2)
+    rotated = c * phase_powers(r, width)
+    forms = ((h @ rotated.transpose(0, 2, 1)) * moment_phases(r, int(ks[0]), len(ks))).sum(axis=2)
     scale = (h @ np.abs(c).transpose(0, 2, 1)).sum(axis=2)
     return forms, scale
 

@@ -49,14 +49,17 @@ past 1029) raises the same error at the entry, before it allocates.
 The vectors at (n,...,n) +/- e_k depend on the ray k only through
 root-of-unity phases.  Their level tables (the r combinations of the up
 family, the two coefficient rows of the down family) are built once per
-level, and one gather of phases from the one table of roots of unity and
-one elementwise product turn each family's into the r per-ray tables of
-the level at once: an r x r x w read-only stack, in a memo of a few
-levels.  The vector at ray k copies row k-1 of it as its read-only
-``coeffs``; ``type1_up_stack`` and ``type1_down_stack`` hand out the whole
-stack, under the constructors' guards.  The diagonal's row is memoized the
-same way, so the checks of one level build it once.  ``base_poly``
-returns p_n's read-only coefficient array itself.
+level, and one elementwise product with their phases turns each family's
+into the r per-ray tables of the level at once: an r x r x w read-only
+stack, in a memo of a few levels.  The up family gathers its r x r x
+(n+1) phases per level; the down family and the diagonal read their
+r x w phases omega^(-(j-1) t) as a slice of ``numerics.phase_powers``'
+per-r table, which a ladder of levels gathers O(log n) times.  The vector
+at ray k copies row k-1 of its stack as its read-only ``coeffs``;
+``type1_up_stack`` and ``type1_down_stack`` hand out the whole stack,
+under the constructors' guards.  The diagonal's row is memoized the same
+way, so the checks of one level build it once.  ``base_poly`` returns
+p_n's read-only coefficient array itself.
 """
 
 from __future__ import annotations
@@ -73,6 +76,7 @@ from .numerics import (
     DoubleRangeError,
     gamma_ratio,
     log_gamma_factor,
+    phase_powers,
     roots_of_unity,
 )
 
@@ -308,18 +312,24 @@ def diagonal_normalizer(level, params):
     _affine(params)  # the constructors' range guard; its sum is not needed here
     m = level - 1
     r, a, b = params.r, params.alpha, params.beta
-    pb = r * m + r * a + b + r
-    return gamma_ratio([(pb + level, r)], [(pb, r), m + 1.0]) / r
+    try:
+        pb = r * m + r * a + b + r
+        nums, dens = [(pb + level, r)], [(pb, r), m + 1.0]
+    except OverflowError:  # level too large to convert to a double
+        raise DoubleRangeError(f"level {level} exceeds the double range") from None
+    return gamma_ratio(nums, dens) / r
 
 
 def up_normalizer(n, params):
     """tau at level n, the normalizer of the above-diagonal combination."""
     _affine(params)
     r, a, b = params.r, params.alpha, params.beta
-    return r * gamma_ratio(
-        [n + 1.0, n + a + 1.0, (b + n + 1.0) / r, (r * n + r * a + b + 1.0, r)],
-        [n + a + (b + n + 1.0) / r, (r * n + n + r * a + b + 2.0, r)],
-    )
+    try:
+        nums = [n + 1.0, n + a + 1.0, (b + n + 1.0) / r, (r * n + r * a + b + 1.0, r)]
+        dens = [n + a + (b + n + 1.0) / r, (r * n + n + r * a + b + 2.0, r)]
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
+    return r * gamma_ratio(nums, dens)
 
 
 def down_normalizer(n, params):
@@ -328,11 +338,13 @@ def down_normalizer(n, params):
         raise ValueError("down_normalizer needs n >= 1")
     _affine(params)
     r, a, b = params.r, params.alpha, params.beta
-    db = r * n + r * a + b - 1.0
-    return r * gamma_ratio(
-        [n + 0.0, n + a + (n + b - 1.0) / r, (db, r)],
-        [n + a, (n + b - 1.0) / r + 1.0, (db + n, r)],
-    )
+    try:
+        db = r * n + r * a + b - 1.0
+        nums = [n + 0.0, n + a + (n + b - 1.0) / r, (db, r)]
+        dens = [n + a, (n + b - 1.0) / r + 1.0, (db + n, r)]
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
+    return r * gamma_ratio(nums, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +440,7 @@ def type1_diagonal(level, params):
     r = params.r
     base = _diagonal_base(level, params)
     # row j - 1 is base(omega^(-(j-1)) x)
-    phases = roots_of_unity(r)[(-np.arange(r)[:, None] * np.arange(len(base))) % r]
-    return TypeIVector(params, (level,) * r, base * phases)
+    return TypeIVector(params, (level,) * r, base * phase_powers(r, len(base), -1))
 
 
 def _up_combos(n, params):
@@ -548,8 +559,7 @@ def _down_stack(n, params):
     else:
         t1, t2 = _down_terms(n, params)
         roots = roots_of_unity(params.r)
-        phases = roots[(-np.arange(params.r)[:, None] * np.arange(n)) % params.r]
-        stack = phases * (roots[:, None] * t1 - roots[:, None, None] * t2)
+        stack = phase_powers(params.r, n, -1) * (roots[:, None] * t1 - roots[:, None, None] * t2)
     stack.setflags(write=False)
     return stack
 

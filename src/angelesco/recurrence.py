@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import gamma_ratio, overflow_trap, roots_of_unity
+from .numerics import DoubleRangeError, gamma_ratio, overflow_trap, roots_of_unity
 from .poly import identity_residual
 from .polynomials import (
     _affine,
@@ -56,17 +56,18 @@ def coeff_a(n, params):
             [(b + 2.0) / r, 2.0 + a + b / r],
             [b / r + 1.0, 1.0 + a + (b + 2.0) / r],
         )
-    pre = (
-        n
-        * (n + a)
-        * (r * n + r * a + b)
-        / (r * (r * n + n + r * a + b) * (r * n + n + r * a + b + 1.0))
-    )
-    gr = gamma_ratio(
-        [(b + n + 1.0) / r, n + a + (b + n - 1.0) / r],
-        [(b + n - 1.0) / r + 1.0, n + a + (b + n + 1.0) / r],
-    )
-    return pre * gr
+    try:
+        pre = (
+            n
+            * (n + a)
+            * (r * n + r * a + b)
+            / (r * (r * n + n + r * a + b) * (r * n + n + r * a + b + 1.0))
+        )
+        nums = [(b + n + 1.0) / r, n + a + (b + n - 1.0) / r]
+        dens = [(b + n - 1.0) / r + 1.0, n + a + (b + n + 1.0) / r]
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
+    return pre * gamma_ratio(nums, dens)
 
 
 def coeff_b(n, params):
@@ -88,12 +89,13 @@ def coeff_b(n, params):
             [2.0 + a + (b - 1.0) / r, b / r + 1.0],
             [2.0 + a + b / r, (b - 1.0) / r + 1.0],
         )
-    pre = (n + a + (b - 1.0) / r) / (n + a + (n + b - 1.0) / r)
-    gr = gamma_ratio(
-        [n + a + (n + b - 2.0) / r, (n + b - 1.0) / r + 1.0],
-        [n + a + (n + b - 1.0) / r, (n + b - 2.0) / r + 1.0],
-    )
-    return pre * gr
+    try:
+        pre = (n + a + (b - 1.0) / r) / (n + a + (n + b - 1.0) / r)
+        nums = [n + a + (n + b - 2.0) / r, (n + b - 1.0) / r + 1.0]
+        dens = [n + a + (n + b - 1.0) / r, (n + b - 2.0) / r + 1.0]
+    except OverflowError:  # n too large to convert to a double
+        raise DoubleRangeError(f"degree {n} exceeds the double range") from None
+    return pre * gamma_ratio(nums, dens)
 
 
 def limit_a(r):

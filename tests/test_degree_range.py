@@ -19,8 +19,13 @@ from angelesco import (
     DoubleRangeError,
     Params,
     base_poly,
+    coeff_a,
+    coeff_b,
+    diagonal_normalizer,
+    down_normalizer,
     leading_coefficient,
     lowering_check,
+    moment,
     ode_coeffs,
     ode_residual,
     raising_check,
@@ -28,6 +33,7 @@ from angelesco import (
     type1_diagonal,
     type1_down,
     type1_up,
+    up_normalizer,
     verify_level,
 )
 from angelesco.polynomials import type1_down_stack, type1_up_stack
@@ -82,3 +88,14 @@ def test_a_degree_past_the_range_allocates_nothing(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "scalar", [diagonal_normalizer, up_normalizer, down_normalizer, coeff_a, coeff_b, moment],
+    ids=lambda f: f.__name__,
+)
+def test_a_degree_past_the_doubles_is_a_double_range_error(scalar):
+    # an n that no double holds: the scalars' gamma arguments cannot be
+    # formed, which is the documented DoubleRangeError, not an OverflowError
+    with pytest.raises(DoubleRangeError, match=r"^(level|degree|moment power) 1000+ exceeds"):
+        scalar(10**400, Params(2, 0.7, -0.5))

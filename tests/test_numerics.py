@@ -151,6 +151,73 @@ def test_gamma_ratio_returns_float():
     assert type(gamma_ratio([(-1.0, 2.0)], [0.0])) is float
 
 
+def _paired_outcome(nums, dens, factor=None):
+    # a value's bits, or the error's class: a range error's message lists
+    # the arguments as given, pairs or floats
+    try:
+        return float(gamma_ratio(nums, dens, factor)).hex()
+    except (DegenerateParameters, DoubleRangeError) as e:
+        return type(e).__name__
+
+
+def _draws(rng, low, high, size):
+    # positive floats, log-uniform between low and high
+    return (10.0 ** rng.uniform(np.log10(low), np.log10(high), size)).tolist()
+
+
+@pytest.mark.parametrize("with_factor", [False, True], ids=["bare", "factor"])
+def test_direct_path_equals_the_general_walk_bitwise(with_factor):
+    # plain positive floats take the direct path; the same values as
+    # (x, 1.0) pairs take the general one, and give the same outcome
+    rng = np.random.default_rng(33)
+    factor = log_gamma_factor([2.5, (7.25, 3.0)], [0.75]) if with_factor else None
+    finite = 0
+    for low, high in ((1e-300, 1e300), (1e-3, 60.0)):
+        for _ in range(400):
+            nums = _draws(rng, low, high, rng.integers(0, 4))
+            dens = _draws(rng, low, high, rng.integers(0, 4))
+            got = _paired_outcome(nums, dens, factor)
+            pairs = ([(x, 1.0) for x in nums], [(x, 1.0) for x in dens])
+            assert got == _paired_outcome(*pairs, factor), (nums, dens)
+            finite += not got.startswith("D")
+    assert finite >= 400
+
+
+def test_other_arguments_take_the_general_walk(monkeypatch):
+    # a numpy float, an int, -0.0, a nan, a pole and a negative value reach
+    # the general walk, with the values it gave before the direct path; a
+    # plain positive float does not
+    from angelesco import numerics
+
+    seen = []
+    general = numerics._log_gamma_general
+
+    def spy(a, logs, poles, side):
+        seen.append(a)
+        return general(a, logs, poles, side)
+
+    def walked(nums, dens):
+        seen.clear()
+        value = gamma_ratio(nums, dens)
+        return value, [(type(a).__name__, str(a)) for a in seen]
+
+    monkeypatch.setattr(numerics, "_log_gamma_general", spy)
+    pair = gamma_ratio([(4.5, 1.0)], [(3.0, 1.0)])
+    assert walked([np.float64(4.5)], [3]) == (pair, [("float64", "4.5"), ("int", "3")])
+    assert walked([7.5, 2.0], [0.5]) == (gamma_ratio([(7.5, 1.0), (2.0, 1.0)], [(0.5, 1.0)]), [])
+    assert walked([2.0], [-0.0]) == (0.0, [("float", "-0.0")])  # the pole at 0
+    value, args = walked([math.nan], [2.0])
+    assert math.isnan(value) and args == [("float", "nan")]
+    poles = gamma_ratio([(-2.0, 1.0)], [(-1.0, 1.0)])
+    assert poles == pytest.approx(-0.5, rel=1e-15)  # (-1)^(2-1) 1!/2!
+    assert walked([-2.0], [-1.0]) == (poles, [("float", "-2.0"), ("float", "-1.0")])
+    negative = gamma_ratio([(-0.5, 1.0)], [])
+    assert negative == pytest.approx(-2.0 * math.sqrt(math.pi), rel=1e-15)
+    assert walked([-0.5], []) == (negative, [("float", "-0.5")])
+    with pytest.raises(DegenerateParameters):
+        gamma_ratio([-0.0], [])
+
+
 # gamma_ratio sums log-gammas whose absolute error is near ulp(lgamma(x)),
 # so a ratio's relative error grows like x ln x 2^-53 in its largest
 # argument; at Params(2, a, 0.3) the two reads below are about 5e-13 and
@@ -236,3 +303,28 @@ def test_roots_of_unity_table_is_the_scalar_values():
         assert np.abs(got - np.array(want)).max() <= 2 * 2.3e-16
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 13])
+def test_phase_slices_are_the_per_call_gathers(r):
+    # every slice is read-only and bitwise the gather it replaces, whether
+    # the per-r table grows, is cut down or grows again
+    from angelesco import numerics
+
+    numerics._phase_tables.cache_clear()
+    roots = roots_of_unity(r)
+    j = np.arange(r)
+    widths = list(range(1, 71))
+    for width in widths + widths[::-1] + widths:
+        t = np.arange(width)
+        for sign in (1, -1):
+            got = numerics.phase_powers(r, width, sign)
+            want = roots[(sign * j[:, None] * t) % r]
+            assert not got.flags.writeable
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        for first in (0, 1, r - 1, r, 3 * r + 2, 1000):
+            k = np.arange(first, first + width)
+            got = numerics.moment_phases(r, first, width)
+            want = roots[((k[:, None] + 1) * j) % r]
+            assert not got.flags.writeable
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from functools import partial
@@ -377,16 +378,39 @@ def test_verify_level_equals_verify_many_bitwise(r):
     assert split >= _SPLIT_LEVELS.get(r, set())
 
 
-def test_verify_shares_power_of_two_moment_rows():
+def test_verify_shares_power_of_two_moment_rows(monkeypatch):
+    # one row per weight, extended as the ladder's sizes grow: a 12-level
+    # ladder keeps one row and computes each moment once, and a row read at
+    # rising or falling lengths holds every moment bitwise
     params = Params(3, 0.0, 2.0)
-    _moment_row.cache_clear()
+    real = orthogonality.moment
+    computed = collections.Counter()
+
+    def counting(m, p):
+        computed[m] += 1
+        return real(m, p)
+
+    monkeypatch.setattr(orthogonality, "moment", counting)
+    orthogonality._weight_moments.cache_clear()
     for n in range(1, 13):
         verify_type1(type1_diagonal(n, params))
         for k in range(1, 4):
             verify_type1(type1_up(n, k, params))
             verify_type1(type1_down(n, k, params))
-    # lengths 1, 2, 4, ..., 64 cover every row rows + cols - 1 <= 50
-    assert _moment_row.cache_info().currsize <= 7
+    assert orthogonality._weight_moments.cache_info().currsize == 1
+    # the widest condition reads moment 48 (up vector of level 12: 37
+    # powers, 13 columns), in a row of 64
+    assert sorted(computed) == list(range(64))
+    assert set(computed.values()) == {1}
+
+    lengths = (0, 1, 2, 7, 8, 9, 48, 64, 100)
+    for order in (lengths, lengths[::-1]):
+        orthogonality._weight_moments.cache_clear()
+        for max_m in order:
+            row = _moment_row(3, 0.0, 2.0, max_m)
+            want = np.array([real(m, params) for m in range(len(row))])
+            assert len(row) > max_m and not row.flags.writeable
+            assert row.tobytes() == want.tobytes()
 
 
 def test_down_vectors_near_r1_beta_corner():
