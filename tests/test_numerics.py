@@ -179,7 +179,7 @@ def test_direct_path_equals_the_general_walk_bitwise(with_factor):
             got = _paired_outcome(nums, dens, factor)
             pairs = ([(x, 1.0) for x in nums], [(x, 1.0) for x in dens])
             assert got == _paired_outcome(*pairs, factor), (nums, dens)
-            finite += not got.startswith("D")
+            finite += got not in ("DegenerateParameters", "DoubleRangeError")
     assert finite >= 400
 
 
